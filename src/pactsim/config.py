@@ -5,23 +5,43 @@ A configuration fully determines a run together with the seed.  The
 validators, three member nodes hosting the provider and consumer
 domains, five-second blocks, and enclave transfer times that dominate
 private-payload delivery.
+
+`FIELDS` is the schema: every key, with its type, bounds and default.
+`config_from_dict` walks a mapping against it, builds the frozen
+dataclasses below, and then checks the few rules that span fields.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import json
+import operator
+import re
+from dataclasses import dataclass
+from typing import Callable
 
 import yaml
 
-from .contracts import GasSchedule
-from .simulation import Fixed, LatencyModel, Uniform, latency_from_config
+from .consensus import STRATEGY_NAMES
+from .contracts import OP_IO, GasSchedule
+from .simulation import Fixed, LatencyModel, LogNormal, Uniform
 
 
 class ConfigError(ValueError):
     """The configuration is structurally or semantically invalid."""
 
 
+def deep_merge(base: dict, overlay: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, value in overlay.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = deep_merge(out[key], value)
+        else:
+            out[key] = copy.deepcopy(value)
+    return out
+
+
+# A preset holds the required keys and what differs from the defaults in `FIELDS`.
 PRESETS: dict[str, dict] = {
     "paper-default": {
         "validators": 4,
@@ -29,64 +49,48 @@ PRESETS: dict[str, dict] = {
         "block_interval_ms": 5000,
         "base_round_timeout_ms": 10000,
         "block_gas_limit": 8_000_000,
-        "gas": {"base": 21_000, "per_write": 20_000, "per_read": 2_100},
-        "latency": {
-            "consensus": {"kind": "uniform", "low": 600, "high": 1000},
-            "rpc": {"kind": "fixed", "value": 50},
-            "enclave_transfer": {"kind": "uniform", "low": 400, "high": 2600},
-        },
-        "enclave_retry_probability": 0.15,
         "workload": {
             "providers": 40,
             "consumers": 40,
             "publishes_per_provider": 2,
             "selects_per_consumer": 2,
             "breaches_per_group": 3,
-            "batches_per_group": 0,
-            "batch_size": 10,
         },
-        "faults": {},
-        "run": {"max_virtual_ms": 3_600_000, "grace_ms": 5000},
-    },
-    "smoke": {
-        "validators": 4,
-        "member_nodes": 3,
-        "block_interval_ms": 1000,
-        "base_round_timeout_ms": 4000,
-        "block_gas_limit": 8_000_000,
-        "gas": {"base": 21_000, "per_write": 20_000, "per_read": 2_100},
-        "latency": {
-            "consensus": {"kind": "uniform", "low": 600, "high": 1000},
-            "rpc": {"kind": "fixed", "value": 50},
-            "enclave_transfer": {"kind": "uniform", "low": 400, "high": 2600},
-        },
-        "enclave_retry_probability": 0.15,
-        "workload": {
-            "providers": 2,
-            "consumers": 2,
-            "publishes_per_provider": 1,
-            "selects_per_consumer": 1,
-            "breaches_per_group": 1,
-            "batches_per_group": 0,
-            "batch_size": 3,
-        },
-        "faults": {},
-        "run": {"max_virtual_ms": 600_000, "grace_ms": 5000},
     },
 }
+PRESETS["smoke"] = deep_merge(PRESETS["paper-default"], {
+    "block_interval_ms": 1000,
+    "base_round_timeout_ms": 4000,
+    "workload": {
+        "providers": 2,
+        "consumers": 2,
+        "publishes_per_provider": 1,
+        "selects_per_consumer": 1,
+        "breaches_per_group": 1,
+        "batch_size": 3,
+    },
+    "run": {"max_virtual_ms": 600_000},
+})
 
-STRATEGY_NAMES = ("equivocate", "echo", "withhold")
+LATENCY_KINDS = {"fixed": Fixed, "uniform": Uniform, "lognormal": LogNormal}
+
+# Every millisecond value stays within 2**62: a block timestamp, at most
+# max_virtual_ms + block_interval_ms, then fits the u64 a header encodes,
+# and a uniform draw fits the int64 numpy samples in.
+MAX_MS = 2**62
+# A lognormal shape beyond this can draw delays that overflow a float.
+MAX_SIGMA = 10
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    providers: int = 0
-    consumers: int = 0
-    publishes_per_provider: int = 0
-    selects_per_consumer: int = 0
-    breaches_per_group: int = 0
-    batches_per_group: int = 0
-    batch_size: int = 10
+    providers: int
+    consumers: int
+    publishes_per_provider: int
+    selects_per_consumer: int
+    breaches_per_group: int
+    batches_per_group: int
+    batch_size: int
 
     @property
     def empty(self) -> bool:
@@ -100,8 +104,8 @@ class WorkloadSpec:
 @dataclass(frozen=True)
 class CrashSpec:
     at_ms: int
-    node: str | None = None
-    proposer_of_height: int | None = None
+    node: str | None
+    proposer_of_height: int | None
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,16 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    crashes: tuple[CrashSpec, ...] = ()
-    byzantine: tuple[ByzantineSpec, ...] = ()
-    partitions: tuple[PartitionSpec, ...] = ()
+    crashes: tuple[CrashSpec, ...]
+    byzantine: tuple[ByzantineSpec, ...]
+    partitions: tuple[PartitionSpec, ...]
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    max_virtual_ms: int = 3_600_000
-    grace_ms: int = 5000
-    target_heights: int | None = None
+    max_virtual_ms: int
+    grace_ms: int
+    target_heights: int | None
 
 
 @dataclass(frozen=True)
@@ -160,18 +164,97 @@ class ScenarioConfig:
         return self.validator_names + self.member_names
 
 
-def deep_merge(base: dict, overlay: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One configuration key.
+
+    `path` is dotted: `[]` stands for each entry of a list, `*` for each
+    latency model (its parameters belong to one model `kind`).  `type`
+    names a reader in `_READERS`; `build` makes a map's values, or each
+    list entry's, into an object.  `ge`/`gt`/`le`/`lt` bound numbers, and
+    `rule`, when set, says why instead of the generic bound message.
+    """
+
+    path: str
+    type: str
+    default: object = REQUIRED
+    ge: int | None = None
+    gt: int | None = None
+    le: int | None = None
+    lt: int | None = None
+    choices: tuple[str, ...] = ()
+    kind: str = ""
+    build: Callable | None = None
+    rule: str = ""
+    doc: str = ""
+
+
+GAS_RULE = "gas costs must be positive"
+
+FIELDS: tuple[Field, ...] = (
+    Field("preset", "enum", None, choices=tuple(PRESETS), doc="the other keys override it"),
+    Field("validators", "int", ge=1, le=64, doc="named `v0..v{n-1}`"),
+    Field("member_nodes", "int", ge=0, le=64, doc="non-validating nodes, named `m0..m{k-1}`"),
+    Field("block_interval_ms", "int", ge=1, le=MAX_MS, doc="IBFT 2.0 block period"),
+    Field("base_round_timeout_ms", "int", ge=1, le=MAX_MS, doc="round-0 timeout; doubles per round"),
+    Field("block_gas_limit", "int", ge=1, doc="at least `gas.base`"),
+    Field("gas", "map", {}, build=GasSchedule, doc="costs of the metered operations"),
+    Field("gas.base", "int", 21_000, ge=1, rule=GAS_RULE, doc="flat cost of any transaction"),
+    Field("gas.per_write", "int", 20_000, ge=1, rule=GAS_RULE, doc="cost per state write"),
+    Field("gas.per_read", "int", 2_100, ge=1, rule=GAS_RULE, doc="cost per state read"),
+    Field("latency", "map", {}, doc="delay models, in ms"),
+    Field("latency.consensus", "model", {"kind": "uniform", "low": 600, "high": 1000},
+          choices=tuple(LATENCY_KINDS), doc="validator-to-validator message delay"),
+    Field("latency.rpc", "model", {"kind": "fixed", "value": 50},
+          choices=tuple(LATENCY_KINDS), doc="client submission and gossip delay"),
+    Field("latency.enclave_transfer", "model", {"kind": "uniform", "low": 400, "high": 2600},
+          choices=("uniform",), doc="one leg of a private payload push or ack"),
+    Field("latency.*.value", "int", ge=0, le=MAX_MS, kind="fixed", doc="the delay"),
+    Field("latency.*.low", "int", ge=0, le=MAX_MS, kind="uniform", doc="least delay, at most `high`"),
+    Field("latency.*.high", "int", ge=0, le=MAX_MS, kind="uniform", doc="greatest delay"),
+    Field("latency.*.median", "float", gt=0, le=MAX_MS, kind="lognormal", doc="median delay"),
+    Field("latency.*.sigma", "float", ge=0, le=MAX_SIGMA, kind="lognormal", doc="shape"),
+    Field("enclave_retry_probability", "float", 0.15, ge=0, lt=1,
+          doc="chance a payload push is lost and retried once"),
+    Field("workload", "map", {}, build=WorkloadSpec, doc="client activity"),
+    Field("workload.providers", "int", 0, ge=0, doc="provider identities to register"),
+    Field("workload.consumers", "int", 0, ge=0, doc="consumer identities to register"),
+    Field("workload.publishes_per_provider", "int", 0, ge=0, le=5,
+          rule="a provider may offer at most five services", doc="services each provider lists"),
+    Field("workload.selects_per_consumer", "int", 0, ge=0, doc="services each consumer picks"),
+    Field("workload.breaches_per_group", "int", 0, ge=0, doc="single breach reports per privacy group"),
+    Field("workload.batches_per_group", "int", 0, ge=0, doc="batched report submissions per group"),
+    Field("workload.batch_size", "int", 10, ge=1, doc="reports per batch"),
+    Field("faults", "map", {}, build=FaultPlan, doc="adversity"),
+    Field("faults.crashes", "list", (), build=CrashSpec, doc="nodes that stop"),
+    Field("faults.crashes[].at_ms", "int", ge=0, le=MAX_MS, doc="when the node stops"),
+    Field("faults.crashes[].node", "str", None, doc="node to stop, or else"),
+    Field("faults.crashes[].proposer_of_height", "int", None, ge=1, doc="stop whoever proposes round 0 of it"),
+    Field("faults.byzantine", "list", (), build=ByzantineSpec, doc="misbehaving validators"),
+    Field("faults.byzantine[].node", "str", doc="a validator"),
+    Field("faults.byzantine[].strategy", "enum", choices=STRATEGY_NAMES, doc="how it misbehaves"),
+    Field("faults.partitions", "list", (), build=PartitionSpec, doc="network splits"),
+    Field("faults.partitions[].from_ms", "int", ge=0, le=MAX_MS, doc="split starts"),
+    Field("faults.partitions[].to_ms", "int", ge=0, le=MAX_MS, doc="split heals; after `from_ms`"),
+    Field("faults.partitions[].groups", "groups", doc="lists of node names"),
+    Field("run", "map", {}, build=RunSpec, doc="stopping rules"),
+    Field("run.max_virtual_ms", "int", 3_600_000, gt=0, le=MAX_MS, doc="hard wall on virtual time"),
+    Field("run.grace_ms", "int", 5000, ge=0, le=MAX_MS, doc="settling time after the last operation"),
+    Field("run.target_heights", "int", None, ge=1, doc="stop after this many finalized blocks"),
+)
+
+# Table path of a mapping -> its keys.
+_CHILDREN: dict[str, dict[str, Field]] = {}
+for _field in FIELDS:
+    _parent, _, _key = _field.path.rpartition(".")
+    _CHILDREN.setdefault(_parent, {})[_key] = _field
 
 
 def preset_dict(name: str) -> dict:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return copy.deepcopy(PRESETS[name])
 
@@ -181,187 +264,154 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _int_field(raw: dict, key: str, minimum: int, maximum: int | None = None) -> int:
-    value = raw.get(key)
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
-    _require(value >= minimum, f"{key} must be >= {minimum}")
-    if maximum is not None:
-        _require(value <= maximum, f"{key} must be <= {maximum}")
+# -- the walker -------------------------------------------------------
+
+
+def _walk(raw: object, fields: dict[str, Field], where: str) -> dict:
+    """Check one mapping against `fields`; return every key's value, defaults filled."""
+    _require(isinstance(raw, dict), f"{where} must be a mapping")
+    unknown = sorted(str(key) for key in raw if key not in fields)
+    if unknown:
+        paths = f" ({', '.join(f'{where}.{key}' for key in unknown)})" if where else ""
+        raise ConfigError(f"unknown {where or 'configuration'} keys: {', '.join(unknown)}{paths}")
+    out = {}
+    for key, f in fields.items():
+        value = raw.get(key, f.default)
+        if value is REQUIRED:
+            value = None
+        at = f"{where}.{key}" if where else key
+        out[key] = None if value is None and f.default is None else _READERS[f.type](f, value, at)
+    return out
+
+
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt), ("le", "<=", operator.le), ("lt", "<", operator.lt))
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "str": ((str,), "a string")}
+
+
+def _bound_phrase(sign: str, limit: int) -> str:
+    if (sign, limit) == (">", 0):
+        return "positive"
+    return f"{sign} {f'2**{MAX_MS.bit_length() - 1}' if limit == MAX_MS else limit}"
+
+
+def _read_scalar(f: Field, value, where: str):
+    types, noun = _SCALARS[f.type]
+    _require(isinstance(value, types) and not isinstance(value, bool), f"{where} must be {noun}")
+    for name, sign, holds in _BOUNDS:
+        limit = getattr(f, name)
+        if limit is not None and not holds(value, limit):
+            raise ConfigError(f"{where} is {value!r}, but {f.rule}" if f.rule
+                              else f"{where} must be {_bound_phrase(sign, limit)}")
+    return float(value) if f.type == "float" else value
+
+
+def _read_enum(f: Field, value, where: str) -> str:
+    noun = " ".join(f.path.replace("[]", "").split(".")[-2:])
+    _require(isinstance(value, str) and value in f.choices,
+             f"unknown {noun} {value!r} at {where}; expected one of {', '.join(f.choices)}")
     return value
+
+
+def _read_map(f: Field, value, where: str):
+    values = _walk(value, _CHILDREN[f.path], where)
+    return f.build(**values) if f.build else values
+
+
+def _read_list(f: Field, value, where: str) -> tuple:
+    _require(isinstance(value, (list, tuple)), f"{where} must be a list")
+    return tuple(f.build(**_walk(item, _CHILDREN[f.path + "[]"], f"{where}[{i}]")) for i, item in enumerate(value))
+
+
+def _read_groups(f: Field, value, where: str) -> tuple[tuple[str, ...], ...]:
+    ok = isinstance(value, (list, tuple)) and all(
+        isinstance(group, (list, tuple)) and group and all(isinstance(name, str) for name in group) for group in value
+    )
+    _require(ok, f"{where}: partition groups must be non-empty lists of node names")
+    return tuple(tuple(group) for group in value)
+
+
+def _read_model(f: Field, value, where: str) -> LatencyModel:
+    """A latency model; one of the default's kind inherits the parameters it leaves out."""
+    _require(isinstance(value, dict), f"{where} must be a mapping")
+    if value.get("kind", f.default["kind"]) == f.default["kind"]:
+        value = {**f.default, **value}
+    kind = value["kind"]
+    _require(isinstance(kind, str) and kind in f.choices,
+             f"bad latency model: {where} must be a {' or '.join(f.choices)} model, got kind {kind!r}")
+    params = {key: p for key, p in _CHILDREN["latency.*"].items() if p.kind == kind}
+    model = LATENCY_KINDS[kind](**_walk({k: v for k, v in value.items() if k != "kind"}, params, where))
+    _require(not isinstance(model, Uniform) or model.low <= model.high, f"{where}: low must be in [0, high]")
+    return model
+
+
+_READERS = {
+    "int": _read_scalar,
+    "float": _read_scalar,
+    "str": _read_scalar,
+    "enum": _read_enum,
+    "map": _read_map,
+    "list": _read_list,
+    "groups": _read_groups,
+    "model": _read_model,
+}
+
+
+# -- configurations ---------------------------------------------------
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     _require(isinstance(raw, dict), "configuration must be a mapping")
-    raw = dict(raw)
-    preset = raw.pop("preset", None)
-    if preset is not None:
-        raw = deep_merge(preset_dict(preset), raw)
-
-    unknown = set(raw) - {
-        "validators", "member_nodes", "block_interval_ms", "base_round_timeout_ms",
-        "block_gas_limit", "gas", "latency", "enclave_retry_probability",
-        "workload", "faults", "run",
-    }
-    _require(not unknown, f"unknown configuration keys: {', '.join(sorted(unknown))}")
-
-    validators = _int_field(raw, "validators", 1, 64)
-    member_nodes = _int_field(raw, "member_nodes", 0, 64)
-    interval = _int_field(raw, "block_interval_ms", 1)
-    timeout = _int_field(raw, "base_round_timeout_ms", 1)
-    gas_limit = _int_field(raw, "block_gas_limit", 1)
-
-    gas_raw = raw.get("gas", {})
-    _require(isinstance(gas_raw, dict), "gas must be a mapping")
-    gas = GasSchedule(
-        base=int(gas_raw.get("base", 21_000)),
-        per_write=int(gas_raw.get("per_write", 20_000)),
-        per_read=int(gas_raw.get("per_read", 2_100)),
+    if raw.get("preset") is not None:
+        raw = deep_merge(preset_dict(raw["preset"]), raw)
+    values = _walk(raw, _CHILDREN[""], "")
+    del values["preset"]
+    latency = values.pop("latency")
+    config = ScenarioConfig(
+        **values,
+        consensus_latency=latency["consensus"],
+        rpc_latency=latency["rpc"],
+        enclave_transfer=latency["enclave_transfer"],
     )
-    _require(gas.base > 0 and gas.per_write > 0 and gas.per_read > 0, "gas costs must be positive")
-    _require(gas_limit >= gas.base, "block_gas_limit below the base transaction cost")
+    _check_rules(config)
+    return config
 
-    latency_raw = raw.get("latency", {})
-    _require(isinstance(latency_raw, dict), "latency must be a mapping")
-    try:
-        consensus = latency_from_config(latency_raw.get("consensus", {"kind": "uniform", "low": 600, "high": 1000}))
-        rpc = latency_from_config(latency_raw.get("rpc", {"kind": "fixed", "value": 50}))
-        enclave = latency_from_config(latency_raw.get("enclave_transfer", {"kind": "uniform", "low": 400, "high": 2600}))
-    except (ValueError, KeyError, TypeError) as err:
-        raise ConfigError(f"bad latency model: {err}") from None
-    for name, model in (("consensus", consensus), ("rpc", rpc), ("enclave_transfer", enclave)):
-        if isinstance(model, Uniform):
-            _require(0 <= model.low <= model.high, f"latency.{name}: low must be in [0, high]")
-        elif isinstance(model, Fixed):
-            _require(model.value >= 0, f"latency.{name}: value must be >= 0")
-    _require(isinstance(enclave, Uniform), "latency.enclave_transfer must be a uniform model")
 
-    retry = raw.get("enclave_retry_probability", 0.15)
-    _require(isinstance(retry, (int, float)) and 0.0 <= float(retry) < 1.0,
-             "enclave_retry_probability must be in [0, 1)")
+def _check_rules(c: ScenarioConfig) -> None:
+    """The rules that span several fields."""
+    _require(c.block_gas_limit >= c.gas.base, "block_gas_limit below the base transaction cost")
+    for (contract, function), (writes, reads) in OP_IO.items():
+        cost = c.gas.cost(writes, reads)
+        _require(cost < 2**64, f"gas.base + {writes} * gas.per_write + {reads} * gas.per_read = {cost} "
+                               f"for {contract}.{function} exceeds the u64 a transaction's gas limit encodes")
 
-    workload = _parse_workload(raw.get("workload", {}))
-    node_names = tuple(f"v{i}" for i in range(validators)) + tuple(f"m{i}" for i in range(member_nodes))
-    faults = _parse_faults(raw.get("faults", {}), node_names, validators)
-    run = _parse_run(raw.get("run", {}))
-
-    if not workload.empty:
-        _require(member_nodes >= 1, "workload requires at least one member node")
-    if workload.has_private:
-        _require(member_nodes >= 2,
+    wl = c.workload
+    if wl.selects_per_consumer > 0:
+        _require(wl.providers > 0, "selections require at least one provider")
+        _require(wl.publishes_per_provider > 0, "selections require published services")
+    if not wl.empty:
+        _require(c.member_nodes >= 1, "workload requires at least one member node")
+    if wl.has_private:
+        _require(c.member_nodes >= 2,
                  "private workload requires at least two member nodes so group members sit on distinct nodes")
 
-    return ScenarioConfig(
-        validators=validators,
-        member_nodes=member_nodes,
-        block_interval_ms=interval,
-        base_round_timeout_ms=timeout,
-        block_gas_limit=gas_limit,
-        gas=gas,
-        consensus_latency=consensus,
-        rpc_latency=rpc,
-        enclave_transfer=enclave,
-        enclave_retry_probability=float(retry),
-        workload=workload,
-        faults=faults,
-        run=run,
-    )
-
-
-def _parse_workload(raw: dict) -> WorkloadSpec:
-    _require(isinstance(raw, dict), "workload must be a mapping")
-    unknown = set(raw) - {
-        "providers", "consumers", "publishes_per_provider", "selects_per_consumer",
-        "breaches_per_group", "batches_per_group", "batch_size",
-    }
-    _require(not unknown, f"unknown workload keys: {', '.join(sorted(unknown))}")
-    spec = WorkloadSpec(
-        providers=int(raw.get("providers", 0)),
-        consumers=int(raw.get("consumers", 0)),
-        publishes_per_provider=int(raw.get("publishes_per_provider", 0)),
-        selects_per_consumer=int(raw.get("selects_per_consumer", 0)),
-        breaches_per_group=int(raw.get("breaches_per_group", 0)),
-        batches_per_group=int(raw.get("batches_per_group", 0)),
-        batch_size=int(raw.get("batch_size", 10)),
-    )
-    for name in ("providers", "consumers", "publishes_per_provider", "selects_per_consumer",
-                 "breaches_per_group", "batches_per_group"):
-        _require(getattr(spec, name) >= 0, f"workload.{name} must be >= 0")
-    _require(spec.batch_size >= 1, "workload.batch_size must be >= 1")
-    if spec.selects_per_consumer > 0:
-        _require(spec.providers > 0, "selections require at least one provider")
-        _require(spec.publishes_per_provider > 0, "selections require published services")
-    _require(spec.publishes_per_provider <= 5, "a provider may offer at most five services")
-    return spec
-
-
-def _parse_faults(raw: dict, node_names: tuple[str, ...], validators: int) -> FaultPlan:
-    _require(isinstance(raw, dict), "faults must be a mapping")
-    unknown = set(raw) - {"crashes", "byzantine", "partitions"}
-    _require(not unknown, f"unknown fault keys: {', '.join(sorted(unknown))}")
-
-    crashes = []
-    for item in raw.get("crashes", []):
-        _require(isinstance(item, dict), "each crash must be a mapping")
-        node = item.get("node")
-        height = item.get("proposer_of_height")
-        _require((node is None) != (height is None),
-                 "a crash names either a node or a proposer_of_height")
-        if node is not None:
-            _require(node in node_names, f"crash target {node!r} is not a node")
-        else:
-            _require(isinstance(height, int) and height >= 1, "proposer_of_height must be >= 1")
-        at_ms = item.get("at_ms")
-        _require(isinstance(at_ms, int) and at_ms >= 0, "crash at_ms must be a non-negative integer")
-        crashes.append(CrashSpec(at_ms=at_ms, node=node, proposer_of_height=height))
-
-    byzantine = []
-    byz_nodes = set()
-    for item in raw.get("byzantine", []):
-        _require(isinstance(item, dict), "each byzantine entry must be a mapping")
-        node = item.get("node")
-        strategy = item.get("strategy")
-        _require(node in node_names[:validators], f"byzantine node {node!r} is not a validator")
-        _require(strategy in STRATEGY_NAMES, f"unknown byzantine strategy {strategy!r}")
-        _require(node not in byz_nodes, f"duplicate byzantine entry for {node!r}")
-        byz_nodes.add(node)
-        byzantine.append(ByzantineSpec(node=node, strategy=strategy))
-
-    partitions = []
-    for item in raw.get("partitions", []):
-        _require(isinstance(item, dict), "each partition must be a mapping")
-        from_ms = item.get("from_ms")
-        to_ms = item.get("to_ms")
-        groups = item.get("groups")
-        _require(isinstance(from_ms, int) and isinstance(to_ms, int) and 0 <= from_ms < to_ms,
-                 "partition needs 0 <= from_ms < to_ms")
-        _require(isinstance(groups, list) and len(groups) >= 2, "partition needs at least two groups")
+    for i, crash in enumerate(c.faults.crashes):
+        _require((crash.node is None) != (crash.proposer_of_height is None),
+                 f"faults.crashes[{i}]: a crash names either a node or a proposer_of_height")
+        _require(crash.node in (None, *c.node_names), f"faults.crashes[{i}]: crash target {crash.node!r} is not a node")
+    byz_nodes = [entry.node for entry in c.faults.byzantine]
+    for i, node in enumerate(byz_nodes):
+        _require(node in c.validator_names, f"faults.byzantine[{i}]: byzantine node {node!r} is not a validator")
+        _require(node not in byz_nodes[:i], f"faults.byzantine[{i}]: duplicate byzantine entry for {node!r}")
+    for i, part in enumerate(c.faults.partitions):
+        where = f"faults.partitions[{i}]"
+        _require(part.from_ms < part.to_ms, f"{where}: partition needs 0 <= from_ms < to_ms")
+        _require(len(part.groups) >= 2, f"{where}: partition needs at least two groups")
         seen: set[str] = set()
-        tidy = []
-        for group in groups:
-            _require(isinstance(group, list) and group, "partition groups must be non-empty lists")
-            for name in group:
-                _require(name in node_names, f"partition member {name!r} is not a node")
-                _require(name not in seen, f"node {name!r} appears in two partition groups")
-                seen.add(name)
-            tidy.append(tuple(group))
-        _require(seen == set(node_names), "partition groups must cover every node")
-        partitions.append(PartitionSpec(from_ms=from_ms, to_ms=to_ms, groups=tuple(tidy)))
-
-    return FaultPlan(crashes=tuple(crashes), byzantine=tuple(byzantine), partitions=tuple(partitions))
-
-
-def _parse_run(raw: dict) -> RunSpec:
-    _require(isinstance(raw, dict), "run must be a mapping")
-    unknown = set(raw) - {"max_virtual_ms", "grace_ms", "target_heights"}
-    _require(not unknown, f"unknown run keys: {', '.join(sorted(unknown))}")
-    max_virtual = int(raw.get("max_virtual_ms", 3_600_000))
-    grace = int(raw.get("grace_ms", 5000))
-    target = raw.get("target_heights")
-    _require(max_virtual > 0, "run.max_virtual_ms must be positive")
-    _require(grace >= 0, "run.grace_ms must be >= 0")
-    if target is not None:
-        _require(isinstance(target, int) and target >= 1, "run.target_heights must be >= 1")
-    return RunSpec(max_virtual_ms=max_virtual, grace_ms=grace, target_heights=target)
+        for name in (name for group in part.groups for name in group):
+            _require(name in c.node_names, f"{where}: partition member {name!r} is not a node")
+            _require(name not in seen, f"{where}: node {name!r} appears in two partition groups")
+            seen.add(name)
+        _require(seen == set(c.node_names), f"{where}: partition groups must cover every node")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -375,3 +425,30 @@ def load_config(path: str) -> ScenarioConfig:
     if raw is None:
         raw = {}
     return config_from_dict(raw)
+
+
+# -- docs/config.md ---------------------------------------------------
+
+
+def _doc_row(key: str, f: Field) -> str:
+    bounds = [_bound_phrase(sign, getattr(f, name)) for name, sign, _ in _BOUNDS if getattr(f, name) is not None]
+    if f.choices:
+        bounds.append("one of " + ", ".join(f"`{choice}`" for choice in f.choices))
+    if f.default is REQUIRED:
+        default = "required"
+    elif f.default in (None, {}, ()):
+        default = ""
+    else:
+        default = f"`{json.dumps(f.default)}`"
+    notes = "; ".join(filter(None, [f.kind and f"`{f.kind}` only", f.doc, f.rule]))
+    return f"| `{key}` | {f.type} | {default} | {', '.join(bounds)} | {notes} |\n"
+
+
+def render_doc(text: str) -> str:
+    """Regenerate the key table after each `<!-- fields PATH -->` line of a document from `FIELDS`."""
+
+    def table(match: re.Match) -> str:
+        rows = "".join(_doc_row(key, f) for key, f in _CHILDREN[match[1]].items())
+        return f"{match[0].splitlines()[0]}\n| key | type | default | bounds | notes |\n|---|---|---|---|---|\n{rows}"
+
+    return re.sub(r"<!-- fields ?(\S*) -->\n(?:\|.*\n)*", table, text)

@@ -16,7 +16,7 @@ height would be caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from .encoding import (
@@ -192,78 +192,11 @@ def message_wire(msg: Message) -> bytes:
     return wire
 
 
-class ByzantineStrategy:
-    """Hook points for a misbehaving validator."""
-
-    name = "honest"
-
-    def propose_variants(self, v: "IbftValidator", block: Block) -> list[Block] | None:
-        """Return per-peer-group proposal variants, or None for honest."""
-        return None
-
-    def suppress_all_sends(self) -> bool:
-        return False
-
-    def reactive_only(self) -> bool:
-        """If True, the honest state machine is bypassed entirely."""
-        return False
-
-    def on_receive(self, v: "IbftValidator", msg: Message) -> None:
-        pass
-
-
-class EquivocateStrategy(ByzantineStrategy):
-    """As proposer, show different peers different blocks."""
-
-    name = "equivocate"
-
-    def propose_variants(self, v: "IbftValidator", block: Block) -> list[Block] | None:
-        twin = Block(
-            height=block.height,
-            timestamp=block.timestamp + 1,
-            parent_hash=block.parent_hash,
-            proposer=block.proposer,
-            round=block.round,
-            txs=block.txs,
-        )
-        return [block, twin]
-
-
-class EchoStrategy(ByzantineStrategy):
-    """Vote for every digest seen, without any validation."""
-
-    name = "echo"
-
-    def reactive_only(self) -> bool:
-        return True
-
-    def on_receive(self, v: "IbftValidator", msg: Message) -> None:
-        if isinstance(msg, PrePrepare):
-            digest = hash_block(msg.block)
-            height, round_ = msg.height, msg.round
-        elif isinstance(msg, (Prepare, Commit)):
-            digest = msg.digest
-            height, round_ = msg.height, msg.round
-        else:
-            return
-        v.send_prepare(height, round_, digest)
-        v.send_commit(height, round_, digest)
-
-
-class WithholdStrategy(ByzantineStrategy):
-    """Receive everything, send nothing."""
-
-    name = "withhold"
-
-    def suppress_all_sends(self) -> bool:
-        return True
-
-
-STRATEGIES: dict[str, Callable[[], ByzantineStrategy]] = {
-    "equivocate": EquivocateStrategy,
-    "echo": EchoStrategy,
-    "withhold": WithholdStrategy,
-}
+# What a Byzantine validator does instead of following the protocol:
+# `equivocate` as proposer shows half its peers a twin block, `echo`
+# votes for every digest it sees without validating, and `withhold`
+# receives everything but sends nothing.
+STRATEGY_NAMES = ("equivocate", "echo", "withhold")
 
 
 @dataclass
@@ -296,7 +229,7 @@ class IbftValidator:
         base_round_timeout: int,
         block_gas_limit: int,
         peers: tuple[str, ...],
-        strategy: ByzantineStrategy | None = None,
+        strategy: str | None = None,
     ):
         self.node = node
         self.credential = credential
@@ -309,11 +242,12 @@ class IbftValidator:
         self.base_round_timeout = base_round_timeout
         self.block_gas_limit = block_gas_limit
         self.peers = peers
-        self.strategy = strategy or ByzantineStrategy()
+        self.strategy = strategy
         self.halted = False
         self.future: dict[int, list[Message]] = {}
         self.state = _HeightState(height=0)
         self.dropped_invalid = 0
+        self.echoed: set[tuple[int, int, bytes]] = set()
 
     @property
     def store(self) -> ChainStore:
@@ -358,16 +292,19 @@ class IbftValidator:
     # -- sending ------------------------------------------------------
 
     def _broadcast(self, msg: Message) -> None:
-        if self.strategy.suppress_all_sends():
+        if self.strategy == "withhold":
             return
         wire = message_wire(msg) if self.network.capture_wire else None
         for peer in self.peers:
-            self.network.send(
-                self.name, peer, "consensus",
-                lambda m=msg, p=peer: self.node.cluster.deliver_consensus(p, m),
-                wire=wire,
-            )
+            self._send(peer, msg, wire)
         self._process(msg)
+
+    def _send(self, peer: str, msg: Message, wire: bytes | None) -> None:
+        self.network.send(
+            self.name, peer, "consensus",
+            lambda m=msg, p=peer: self.node.cluster.deliver_consensus(p, m),
+            wire=wire,
+        )
 
     def _sign_vote(self, preimage: bytes) -> bytes:
         return self.credential.sign(preimage)
@@ -423,7 +360,7 @@ class IbftValidator:
         self._propose(0, ())
 
     def _propose(self, round_: int, rc_cert: tuple[RoundChange, ...]) -> None:
-        if round_ in self.state.proposed_rounds or self.strategy.suppress_all_sends():
+        if round_ in self.state.proposed_rounds or self.strategy == "withhold":
             return
         self.state.proposed_rounds.add(round_)
         block = None
@@ -441,44 +378,31 @@ class IbftValidator:
         if block is None:
             block = self._build_block(round_)
 
-        variants = self.strategy.propose_variants(self, block)
         height = self.state.height
-        if variants is None:
-            digest = hash_block(block)
-            msg = PrePrepare(
+        variants = [block]
+        if self.strategy == "equivocate":
+            variants.append(replace(block, timestamp=block.timestamp + 1))
+        msgs = [
+            PrePrepare(
                 height=height,
                 round=round_,
-                block=block,
+                block=variant,
                 rc_cert=rc_cert,
                 sender=self.address,
-                signature=self._sign_vote(PrePrepare.preimage(height, round_, digest)),
+                signature=self._sign_vote(PrePrepare.preimage(height, round_, hash_block(variant))),
             )
-            self._broadcast(msg)
+            for variant in variants
+        ]
+        if len(msgs) == 1:
+            self._broadcast(msgs[0])
             return
 
         # Equivocation: split the peer list across the variants and keep
         # the first variant for ourselves.
-        msgs = []
-        for variant in variants:
-            digest = hash_block(variant)
-            msgs.append(
-                PrePrepare(
-                    height=height,
-                    round=round_,
-                    block=variant,
-                    rc_cert=rc_cert,
-                    sender=self.address,
-                    signature=self._sign_vote(PrePrepare.preimage(height, round_, digest)),
-                )
-            )
         half = (len(self.peers) + 1) // 2
         for i, peer in enumerate(self.peers):
             msg = msgs[0] if i < half else msgs[-1]
-            self.network.send(
-                self.name, peer, "consensus",
-                lambda m=msg, p=peer: self.node.cluster.deliver_consensus(p, m),
-                wire=message_wire(msg) if self.network.capture_wire else None,
-            )
+            self._send(peer, msg, message_wire(msg) if self.network.capture_wire else None)
         self._process(msgs[0])
 
     # -- receiving ----------------------------------------------------
@@ -486,10 +410,29 @@ class IbftValidator:
     def on_message(self, msg: Message) -> None:
         if self.halted:
             return
-        self.strategy.on_receive(self, msg)
-        if self.strategy.reactive_only():
+        if self.strategy == "echo":
+            self._echo(msg)
             return
         self._process(msg)
+
+    def _echo(self, msg: Message) -> None:
+        """Vote for every digest seen, without any validation.
+
+        Once per (height, round, digest): two echoing validators that
+        answered each other's every vote would double their traffic with
+        each hop.
+        """
+        if isinstance(msg, PrePrepare):
+            digest = hash_block(msg.block)
+        elif isinstance(msg, (Prepare, Commit)):
+            digest = msg.digest
+        else:
+            return
+        if (msg.height, msg.round, digest) in self.echoed:
+            return
+        self.echoed.add((msg.height, msg.round, digest))
+        self.send_prepare(msg.height, msg.round, digest)
+        self.send_commit(msg.height, msg.round, digest)
 
     def _process(self, msg: Message) -> None:
         h = self.state.height

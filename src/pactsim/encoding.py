@@ -48,7 +48,7 @@ def enc_u64(value: int) -> bytes:
 
 
 def enc_i64(value: int) -> bytes:
-    """Signed 64-bit, two's complement.  Used only for gas price."""
+    """Signed 64-bit, two's complement.  No field of the wire format uses it."""
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"i64 out of range: {value}")
     return value.to_bytes(8, "big", signed=True)

@@ -31,19 +31,11 @@ SIGNATURE_LEN = 64
 ZERO_ADDRESS = b"\x00" * ADDRESS_LEN
 
 
-class KeyMismatch(Exception):
-    """Credential does not hold the key for the requested signer."""
-
-
 def address_of(public_key_bytes: bytes) -> bytes:
     """Derive the 20-byte address of a public key."""
     if len(public_key_bytes) != PUBKEY_LEN:
         raise ValueError(f"public key must be {PUBKEY_LEN} bytes")
     return hashlib.sha256(public_key_bytes).digest()[:ADDRESS_LEN]
-
-
-def fmt_address(address: bytes) -> str:
-    return "0x" + address.hex()
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,8 @@ def verify(public_key_bytes: bytes, preimage: bytes, signature: bytes) -> bool:
     """Check an Ed25519 signature; False on any mismatch, never raises."""
     if len(signature) != SIGNATURE_LEN or len(public_key_bytes) != PUBKEY_LEN:
         return False
-    # The digest collapses potentially large preimages into a small cache key;
-    # verification itself still runs over the full preimage.
+    # The cache keys on every argument, the full preimage included, so the
+    # digest does not shrink the key; verification runs over the preimage.
     return _verify_cached(public_key_bytes, hashlib.sha256(preimage).digest(), signature, preimage)
 
 

@@ -14,7 +14,6 @@ same seed and configuration produce identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,9 @@ CSV_HEADER = ["tx_id", "kind", "submit_ms", "final_ms", "latency_ms", "enclave_m
 
 PUBLIC_KINDS = ("register", "publish", "select")
 PRIVATE_KINDS = ("deploy_private", "register_breach", "breach_batch")
+# Kinds final on delivery to every counterparty enclave; their anchoring
+# block fills in only the height.
+OFF_CHAIN_FINAL_KINDS = ("register_breach", "breach_batch")
 ALL_KINDS = PUBLIC_KINDS + PRIVATE_KINDS
 
 
@@ -103,9 +105,7 @@ class MetricsCollector:
     def _fill_from_block(self, sample: LatencySample, done: tuple[int, int]) -> None:
         final_ms, height = done
         sample.block_height = height
-        # Off-chain-delivered kinds keep their own final time; the block
-        # only anchors them.
-        if sample.kind not in ("register_breach", "breach_batch"):
+        if sample.kind not in OFF_CHAIN_FINAL_KINDS:
             sample.final_ms = final_ms
 
     # -- finality events ----------------------------------------------
@@ -187,11 +187,6 @@ class MetricsCollector:
                 for v in self.safety_violations
             ],
         }
-
-    def write_summary(self, path: Path, seed: int) -> None:
-        with open(path, "w") as f:
-            json.dump(self.summary(seed), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _cell(value: int | None) -> str | int:

@@ -136,9 +136,6 @@ class Enclave:
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
 
-    def knows_group(self, group_id: bytes) -> bool:
-        return group_id in self.keys
-
     def put(self, group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
         payload = StoredPayload(group_id=group_id, nonce=nonce, ciphertext=ciphertext)
         h = payload.payload_hash

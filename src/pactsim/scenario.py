@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import ScenarioConfig
-from .consensus import STRATEGIES, IbftValidator, ValidatorSet
+from .consensus import IbftValidator, ValidatorSet
 from .contracts import (
     OP_IO,
     AgreementRecord,
@@ -35,7 +35,7 @@ from .contracts import (
 from .encoding import digest, enc_args
 from .identity import Credential, KeyRegistry
 from .ledger import PrivacyMarker, PublicCall, Transaction, make_transaction
-from .metrics import MetricsCollector
+from .metrics import OFF_CHAIN_FINAL_KINDS, MetricsCollector
 from .node import Cluster, NodeRuntime
 from .privacy import DistributionResult, GroupDirectory, GroupInfo, PayloadCourier
 from .simulation import (
@@ -123,7 +123,6 @@ def assemble(
     byz_by_node = {b.node: b.strategy for b in config.faults.byzantine}
     for i, name in enumerate(config.validator_names):
         node = cluster.nodes[name]
-        strategy = STRATEGIES[byz_by_node[name]]() if name in byz_by_node else None
         node.validator = IbftValidator(
             node=node,
             credential=validator_creds[i],
@@ -135,7 +134,7 @@ def assemble(
             base_round_timeout=config.base_round_timeout_ms,
             block_gas_limit=config.block_gas_limit,
             peers=tuple(n for n in config.validator_names if n != name),
-            strategy=strategy,
+            strategy=byz_by_node.get(name),
         )
 
     directory = GroupDirectory(rng_hub)
@@ -237,6 +236,7 @@ class WorkloadDriver:
         self.completed = False
         self.completed_at: int | None = None
         self.stage_log: list[tuple[str, int]] = []
+        self.domains = {d.address: d for d in assembly.providers + assembly.consumers}
 
     # -- machinery ----------------------------------------------------
 
@@ -368,12 +368,6 @@ class WorkloadDriver:
 
     # -- private stages -----------------------------------------------
 
-    def _domain_of(self, address: bytes) -> Domain:
-        for d in self.a.providers + self.a.consumers:
-            if d.address == address:
-                return d
-        raise KeyError(address.hex())
-
     def _marker_gas(self) -> int:
         return gas_for(self.config.gas, "marker", "anchor")
 
@@ -392,7 +386,7 @@ class WorkloadDriver:
 
         def on_complete(result: DistributionResult) -> None:
             sample.enclave_ms = result.enclave_ms
-            if kind in ("register_breach", "breach_batch"):
+            if kind in OFF_CHAIN_FINAL_KINDS:
                 # Delivery to every counterparty enclave is the
                 # operation's completion; the marker anchors it later.
                 sample.final_ms = result.completed_at
@@ -414,7 +408,7 @@ class WorkloadDriver:
 
     def _stage_deploy(self) -> None:
         for group in self._ordered_groups():
-            consumer = self._domain_of(group.consumer)
+            consumer = self.domains[group.consumer]
             agreement = AgreementRecord(
                 consumer=group.consumer,
                 provider=group.provider,
@@ -436,7 +430,7 @@ class WorkloadDriver:
 
     def _stage_breach(self) -> None:
         for group in self._ordered_groups():
-            provider = self._domain_of(group.provider)
+            provider = self.domains[group.provider]
             for k in range(self.config.workload.breaches_per_group):
                 self._outstanding += 1
                 payload_index = self._next_payload_index()
@@ -455,7 +449,7 @@ class WorkloadDriver:
 
     def _stage_batch(self) -> None:
         for group in self._ordered_groups():
-            provider = self._domain_of(group.provider)
+            provider = self.domains[group.provider]
             for b in range(self.config.workload.batches_per_group):
                 self._outstanding += 1
                 payload_index = self._next_payload_index()

@@ -89,17 +89,6 @@ class LogNormal:
 LatencyModel = Fixed | Uniform | LogNormal
 
 
-def latency_from_config(spec: dict) -> LatencyModel:
-    kind = spec.get("kind")
-    if kind == "fixed":
-        return Fixed(value=int(spec["value"]))
-    if kind == "uniform":
-        return Uniform(low=int(spec["low"]), high=int(spec["high"]))
-    if kind == "lognormal":
-        return LogNormal(median=float(spec["median"]), sigma=float(spec["sigma"]))
-    raise ValueError(f"unknown latency model kind: {kind!r}")
-
-
 @dataclass(order=True)
 class _Event:
     fire_at: int

@@ -116,3 +116,44 @@ def test_validate_config_rejects(tmp_path, capsys):
 def test_validate_config_missing_file(capsys):
     assert cli.main(["validate-config", "/no/such/file.yaml"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+# Each probe is merged over `preset: smoke`; the schema must refuse it
+# before the run starts and name the offending dotted path.
+CONFIG_PROBES = [
+    ("gas: {bsae: 5}", "gas.bsae"),
+    ("latency: {rcp: {kind: fixed, value: 1}}", "latency.rcp"),
+    ("latency: {rpc: {kind: uniform, low: 1, high: 2, mid: 3}}", "latency.rpc.mid"),
+    ("latency: {rpc: {kind: fixed, value: 1.5}}", "latency.rpc.value"),
+    ("latency: {consensus: {kind: lognormal, median: -5, sigma: 0.3}}", "latency.consensus.median"),
+    ("gas: {base: true}", "gas.base"),
+    ('gas: {base: "30000"}', "gas.base"),
+    ("gas: {base: 590295810358705651712}\nblock_gas_limit: 1180591620717411303424", "gas.base"),
+    ("workload: {providers: true}", "workload.providers"),
+    ("workload: {providers: 2.7}", "workload.providers"),
+    ("workload: {batch_size: null}", "workload.batch_size"),
+    ("enclave_retry_probability: false", "enclave_retry_probability"),
+    ('run: {grace_ms: "100"}', "run.grace_ms"),
+    ("run: {max_virtual_ms: 1.5}", "run.max_virtual_ms"),
+    ("run: {target_heights: true}", "run.target_heights"),
+    ("faults: {crashes: 5}", "faults.crashes"),
+    ("faults: {crashes: [{node: v1, at_ms: true}]}", "faults.crashes[0].at_ms"),
+    ("faults: {crashes: [{node: v1, at_ms: 5, delay_ms: 3}]}", "faults.crashes[0].delay_ms"),
+    ("faults: {byzantine: [{node: v1, strategy: echo, rounds: 2}]}", "faults.byzantine[0].rounds"),
+    ("faults: {partitions: [{from_ms: 0, to_ms: 9, groups: [[v0, v1, v2, v3], [m0, m1, m2]], heal: 1}]}",
+     "faults.partitions[0].heal"),
+]
+
+
+@pytest.mark.parametrize("probe, path", CONFIG_PROBES, ids=[p for _, p in CONFIG_PROBES])
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_schema_probe_exits_two(probe, path, command, tmp_path, capsys):
+    config = tmp_path / "probe.yaml"
+    config.write_text(f"preset: smoke\n{probe}\n")
+    args = [command, str(config)]
+    if command == "run":
+        args = ["run", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert path in err

@@ -1,16 +1,24 @@
 """Configuration schema: presets, merging, validation, YAML loading."""
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pactsim.config import (
+    FIELDS,
     ConfigError,
     STRATEGY_NAMES,
     config_from_dict,
     deep_merge,
     load_config,
     preset_dict,
+    render_doc,
 )
-from pactsim.simulation import Fixed, Uniform
+from pactsim.scenario import run_scenario
+from pactsim.simulation import Fixed, LogNormal, Uniform
 
 
 def cfg(**overrides):
@@ -141,6 +149,85 @@ def test_fixed_must_be_non_negative():
 def test_enclave_transfer_must_be_uniform():
     with pytest.raises(ConfigError, match="enclave_transfer must be a uniform model"):
         cfg(latency={"enclave_transfer": {"kind": "fixed", "value": 900}})
+
+
+def test_latency_from_config():
+    # The config walker builds the latency models.
+    def model(spec):
+        return cfg(latency={"consensus": spec}).consensus_latency
+
+    assert model({"kind": "fixed", "value": 50}) == Fixed(50)
+    assert model({"kind": "uniform", "low": 1, "high": 2}) == Uniform(1, 2)
+    assert model({"kind": "lognormal", "median": 5, "sigma": 0.3}) == LogNormal(5.0, 0.3)
+    with pytest.raises(ValueError):
+        model({"kind": "pareto"})
+
+
+def test_latency_model_merges_only_over_a_model_of_its_kind():
+    assert cfg(latency={"consensus": {"high": 2000}}).consensus_latency == Uniform(600, 2000)
+    assert cfg(latency={"rpc": {"kind": "uniform", "low": 1, "high": 2}}).rpc_latency == Uniform(1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [
+        ({"median": -5, "sigma": 0.3}, "latency.consensus.median must be positive"),
+        ({"median": 0, "sigma": 0.3}, "latency.consensus.median must be positive"),
+        ({"median": True, "sigma": 0.3}, "latency.consensus.median must be a number"),
+        ({"median": "5", "sigma": 0.3}, "latency.consensus.median must be a number"),
+        ({"median": 5, "sigma": -0.1}, "latency.consensus.sigma must be >= 0"),
+        ({"median": 5, "sigma": False}, "latency.consensus.sigma must be a number"),
+        ({"median": 5, "sigma": 11}, "latency.consensus.sigma must be <= 10"),
+        ({"median": 5}, "latency.consensus.sigma must be a number"),
+        ({"median": 5, "sigma": 0.3, "value": 1}, r"unknown latency.consensus keys: value"),
+    ],
+)
+def test_lognormal_parameters_checked(spec, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        cfg(latency={"consensus": {"kind": "lognormal", **spec}})
+
+
+def test_lognormal_runs():
+    c = cfg(latency={"consensus": {"kind": "lognormal", "median": 700, "sigma": 0.5}})
+    assert run_scenario(c, seed=3).completed
+
+
+# -- types and unknown keys -------------------------------------------
+# More cases, one per probe file, run through the CLI in test_cli.py.
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"latency": {"rpc": "fast"}}, "latency.rpc must be a mapping"),
+        ({"workload": 3}, "workload must be a mapping"),
+        ({"run": {"grace_ms": 2**62 + 1}}, r"run.grace_ms must be <= 2\*\*62"),
+        ({"faults": {"crashes": ["v1"]}}, r"faults.crashes\[0\] must be a mapping"),
+        ({"faults": {"partitions": [{"from_ms": 0, "to_ms": 5, "groups": [["v0"], []]}]}},
+         "partition groups must be non-empty lists"),
+        ({"preset": ["smoke"]}, "unknown preset"),
+    ],
+)
+def test_types_and_keys_checked_at_every_level(overrides, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        cfg(**overrides)
+
+
+def test_gas_costs_must_fit_the_encoded_u64():
+    with pytest.raises(ConfigError, match="exceeds the u64"):
+        cfg(gas={"base": 2**69}, block_gas_limit=2**70)
+    assert cfg(gas={"base": 2**63}, block_gas_limit=2**63).gas.base == 2**63
+
+
+def test_config_doc_tables_match_schema():
+    # The key tables in docs/config.md are generated; regenerate with
+    # PYTHONPATH=src python -c "from pathlib import Path; from pactsim.config import render_doc;
+    #   p = Path('docs/config.md'); p.write_text(render_doc(p.read_text()))"
+    doc = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+    text = doc.read_text()
+    sections = {f.path.rpartition(".")[0] for f in FIELDS}
+    assert set(re.findall(r"<!-- fields ?(\S*) -->", text)) == sections
+    assert render_doc(text) == text
 
 
 # -- workload ---------------------------------------------------------
@@ -296,3 +383,119 @@ def test_load_config_empty_file_lacks_required_fields(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError, match="validators must be an integer"):
         load_config(str(path))
+
+
+# -- property: every mapping either loads and runs, or is refused -------
+
+WRONG = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+NAMES = st.sampled_from(("v0", "v1", "v2", "v3", "v5", "m0", "m1", "m2", "m4"))
+SMOKE_NODES = ("v0", "v1", "v2", "v3", "m0", "m1", "m2")
+
+
+def value(valid, out_of_range=None):
+    """Mostly a valid value; one time in 60 a wrong type, one in 60 an out-of-range integer."""
+    return st.integers(0, 59).flatmap(
+        lambda i: WRONG if i == 0 else out_of_range if i == 1 and out_of_range is not None else valid
+    )
+
+
+def misspell(pair):
+    mapping, key = pair
+    if key in mapping:
+        mapping = dict(mapping)
+        mapping[key[:-1]] = mapping.pop(key)
+    return mapping
+
+
+def section(keys, required=()):
+    """Some of `keys`, each drawn from its strategy; now and then one misspelled."""
+    mapping = st.fixed_dictionaries(
+        {k: keys[k] for k in required},
+        optional={k: s for k, s in keys.items() if k not in required},
+    )
+    typo = st.integers(0, 39).flatmap(lambda i: st.sampled_from(sorted(keys)) if i == 0 else st.none())
+    return st.tuples(mapping, typo).map(misspell)
+
+
+MS = st.integers(0, 30_000)
+MODEL = st.one_of(
+    section({"kind": st.just("fixed"), "value": value(st.integers(0, 400), st.just(-1))}),
+    section({"kind": st.just("uniform"), "low": value(st.integers(0, 400), st.just(-1)),
+             "high": value(st.integers(0, 1200), st.just(2**62 + 1))}),
+    section({"kind": st.sampled_from(("lognormal", "pareto")),
+             "median": value(st.floats(1, 900), st.just(0)), "sigma": value(st.floats(0, 2), st.just(-1))}),
+)
+GROUPS = st.one_of(
+    st.permutations(SMOKE_NODES).flatmap(lambda p: st.integers(1, 6).map(lambda k: [p[:k], p[k:]])),
+    st.lists(st.lists(NAMES, max_size=3), max_size=3),
+)
+COUNT = value(st.integers(0, 3), st.just(-1))
+AT_MS = value(MS, st.just(-1))
+HEIGHT = value(st.integers(1, 6), st.just(0))
+CRASH_NODE = section({"at_ms": AT_MS, "node": value(NAMES)}, required=("at_ms", "node"))
+CRASH_PROPOSER = section({"at_ms": AT_MS, "proposer_of_height": HEIGHT}, required=("at_ms", "proposer_of_height"))
+CRASH_ANY = section({"at_ms": AT_MS, "node": value(NAMES), "proposer_of_height": HEIGHT})
+BYZANTINE = section(
+    {"node": value(st.sampled_from(SMOKE_NODES[:4])), "strategy": value(st.sampled_from(STRATEGY_NAMES))},
+    required=("node", "strategy"),
+)
+PARTITION = section(
+    {"from_ms": value(MS, st.just(-1)), "to_ms": value(MS, st.just(2**62 + 1)), "groups": value(GROUPS)},
+    required=("from_ms", "to_ms", "groups"),
+)
+CONFIGS = section(
+    {
+        "validators": value(st.integers(1, 5), st.sampled_from((0, 65))),
+        "member_nodes": value(st.integers(0, 3), st.just(-1)),
+        "block_interval_ms": value(st.integers(500, 2000), st.sampled_from((0, 2**62 + 1))),
+        "base_round_timeout_ms": value(st.integers(300, 4000), st.just(0)),
+        "block_gas_limit": value(st.integers(20_000, 10**7), st.just(0)),
+        "gas": value(section({
+            "base": value(st.integers(1, 30_000), st.sampled_from((0, 2**64))),
+            "per_write": value(st.integers(1, 30_000), st.just(0)),
+            "per_read": value(st.integers(1, 3000), st.just(-1)),
+        })),
+        "latency": value(section({"consensus": MODEL, "rpc": MODEL, "enclave_transfer": MODEL})),
+        "enclave_retry_probability": value(st.floats(0, 0.99), st.sampled_from((-0.5, 1.0))),
+        "workload": value(section({
+            "providers": COUNT,
+            "consumers": COUNT,
+            "publishes_per_provider": value(st.integers(0, 2), st.just(6)),
+            "selects_per_consumer": COUNT,
+            "breaches_per_group": COUNT,
+            "batches_per_group": COUNT,
+            "batch_size": value(st.integers(1, 4), st.just(0)),
+        })),
+        "faults": value(section({
+            "crashes": value(st.lists(st.one_of(CRASH_NODE, CRASH_PROPOSER, CRASH_ANY), max_size=2)),
+            "byzantine": value(st.lists(BYZANTINE, max_size=2, unique_by=lambda e: str(e.get("node")))),
+            "partitions": value(st.lists(PARTITION, max_size=1)),
+        })),
+        # The only long-running input is max_virtual_ms: keep it short.
+        "run": section(
+            {
+                "max_virtual_ms": value(st.one_of(st.integers(1, 60_000), st.just(60_000)), st.sampled_from((0, 2**62 + 1))),
+                "grace_ms": value(st.integers(0, 2000), st.just(-1)),
+                "target_heights": value(st.integers(1, 4), st.just(0)),
+            },
+            required=("max_virtual_ms",),
+        ),
+    },
+    required=("faults", "run"),
+).map(lambda raw: {"preset": "smoke", **raw})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(CONFIGS)
+def test_any_mapping_is_refused_or_runs(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    run_scenario(config, seed=1)

@@ -228,3 +228,12 @@ def test_withholding_validator_still_syncs_finalized_blocks():
     result = run_scenario(cfg, 11)
     # It never votes, but sealed-block broadcasts keep its chain moving.
     assert result.cluster.nodes["v1"].store.height >= 3
+
+
+def test_echoing_validators_do_not_answer_each_other_forever():
+    # Echo validators that answered each other's every vote would double
+    # their traffic with each hop.
+    byzantine = [{"node": "v1", "strategy": "echo"}, {"node": "v2", "strategy": "echo"}]
+    result = run_scenario(heights_config({"faults": {"byzantine": byzantine}}), 11)
+    assert result.completed
+    assert result.cluster.network.delivered < 2000

@@ -1,7 +1,6 @@
 """Latency samples, stats, safety detection, and run outputs."""
 
 import csv
-import json
 
 import pytest
 
@@ -198,15 +197,13 @@ def test_csv_shape_and_empty_cells(tmp_path):
     assert rows[1]["group_id"] == "01010101"
 
 
-def test_summary_counts_and_violations(tmp_path):
+def test_summary_counts_and_violations():
     mc = MetricsCollector()
     done = mc.new_sample(b"\x01", "register", submit_ms=0)
     done.final_ms = 10
     mc.new_sample(b"\x02", "select", submit_ms=0)  # never finalizes
     mc.record_safety_violation("v3", 9, "fork")
-    out = tmp_path / "summary.json"
-    mc.write_summary(out, seed=42)
-    data = json.loads(out.read_text())
+    data = mc.summary(42)
     assert data["seed"] == 42
     assert data["unresolved_samples"] == 1
     assert data["kinds"]["register"]["count"] == 1

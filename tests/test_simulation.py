@@ -14,7 +14,6 @@ from pactsim.simulation import (
     RngHub,
     Simulator,
     Uniform,
-    latency_from_config,
 )
 
 
@@ -141,14 +140,6 @@ def test_lognormal_median_property():
     draws = sorted(LogNormal(700, 0.5).sample(rng) for _ in range(4001))
     assert abs(draws[2000] - 700) < 60
     assert all(d >= 0 for d in draws)
-
-
-def test_latency_from_config():
-    assert latency_from_config({"kind": "fixed", "value": 50}) == Fixed(50)
-    assert latency_from_config({"kind": "uniform", "low": 1, "high": 2}) == Uniform(1, 2)
-    assert latency_from_config({"kind": "lognormal", "median": 5, "sigma": 0.3}) == LogNormal(5.0, 0.3)
-    with pytest.raises(ValueError):
-        latency_from_config({"kind": "pareto"})
 
 
 # -- network ----------------------------------------------------------
