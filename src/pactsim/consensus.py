@@ -7,6 +7,10 @@ implicitly its proposer's prepare vote.  Once a validator has prepared
 a block it carries that block in its round-change messages, and a new
 proposer holding such a certificate must re-propose the same block, so
 a block that may have been committed anywhere can never be displaced.
+A re-proposed block keeps its original `proposer` (the field is part of
+the block hash), so peers accept a proposal whose block names someone
+other than the sender only when the round-change certificate binds that
+block.
 
 Finalized blocks are broadcast, fully sealed, to every node.  That is
 how non-validator nodes follow the chain, how a validator that fell
@@ -29,7 +33,7 @@ from .encoding import (
     enc_u8,
 )
 from .identity import Credential, KeyRegistry, verify
-from .ledger import Block, ChainStore, block_wire, hash_block, make_seal, seal_preimage
+from .ledger import Block, ChainStore, block_wire, seal_preimage
 from .simulation import Network, Simulator
 
 if TYPE_CHECKING:
@@ -129,7 +133,7 @@ class PreparedCert:
     prepares: tuple[Prepare, ...]
 
     def verify(self, height: int, validators: ValidatorSet, registry: KeyRegistry) -> bool:
-        digest = hash_block(self.block)
+        digest = self.block.hash
         proposer = validators.proposer_for(height, self.round)
         pub = registry.public_key_of(proposer)
         if pub is None or not verify(pub, PrePrepare.preimage(height, self.round, digest), self.proposer_sig):
@@ -141,7 +145,7 @@ class PreparedCert:
             if p.sender in senders or p.sender not in validators:
                 return False
             pub = registry.public_key_of(p.sender)
-            if pub is None or not verify(pub, Prepare.preimage(p.height, p.round, p.digest), p.signature):
+            if pub is None or not verify(pub, signed_preimage(p), p.signature):
                 return False
             senders.add(p.sender)
         return len(senders) >= validators.quorum
@@ -164,28 +168,30 @@ class RoundChange:
             base
             + enc_u8(1)
             + enc_u32(prepared.round)
-            + enc_fixed(hash_block(prepared.block), HASH_LEN)
+            + enc_fixed(prepared.block.hash, HASH_LEN)
         )
 
 
 Message = PrePrepare | Prepare | Commit | RoundChange
 
 
+def signed_preimage(msg: Message) -> bytes:
+    """The bytes a message's sender signed."""
+    if isinstance(msg, PrePrepare):
+        return PrePrepare.preimage(msg.height, msg.round, msg.block.hash)
+    if isinstance(msg, Prepare):
+        return Prepare.preimage(msg.height, msg.round, msg.digest)
+    if isinstance(msg, Commit):
+        return Commit.preimage(msg.height, msg.round, msg.digest, msg.seal)
+    return RoundChange.preimage(msg.height, msg.target_round, msg.prepared)
+
+
 def message_wire(msg: Message) -> bytes:
     """Serialized form of a consensus message as it crosses the network."""
+    wire = signed_preimage(msg) + enc_bytes(msg.signature)
     if isinstance(msg, PrePrepare):
-        return (
-            PrePrepare.preimage(msg.height, msg.round, hash_block(msg.block))
-            + enc_bytes(msg.signature)
-            + block_wire(msg.block)
-            + b"".join(message_wire(rc) for rc in msg.rc_cert)
-        )
-    if isinstance(msg, Prepare):
-        return Prepare.preimage(msg.height, msg.round, msg.digest) + enc_bytes(msg.signature)
-    if isinstance(msg, Commit):
-        return Commit.preimage(msg.height, msg.round, msg.digest, msg.seal) + enc_bytes(msg.signature)
-    wire = RoundChange.preimage(msg.height, msg.target_round, msg.prepared) + enc_bytes(msg.signature)
-    if msg.prepared is not None:
+        return wire + block_wire(msg.block) + b"".join(message_wire(rc) for rc in msg.rc_cert)
+    if isinstance(msg, RoundChange) and msg.prepared is not None:
         cert = msg.prepared
         wire += block_wire(cert.block) + enc_bytes(cert.proposer_sig)
         wire += b"".join(message_wire(p) for p in cert.prepares)
@@ -204,7 +210,7 @@ class _HeightState:
     height: int
     round: int = 0
     started_at: int = 0
-    proposals: dict[int, tuple[Block, bytes, PrePrepare]] = field(default_factory=dict)
+    proposals: dict[int, PrePrepare] = field(default_factory=dict)
     prepares: dict[tuple[int, bytes], dict[bytes, Prepare | None]] = field(default_factory=dict)
     commits: dict[tuple[int, bytes], dict[bytes, Commit]] = field(default_factory=dict)
     round_changes: dict[int, dict[bytes, RoundChange]] = field(default_factory=dict)
@@ -350,7 +356,7 @@ class IbftValidator:
         return Block(
             height=self.state.height,
             timestamp=timestamp,
-            parent_hash=self.store.hash_at(self.store.height),
+            parent_hash=self.store.head.hash,
             proposer=self.address,
             round=round_,
             txs=txs,
@@ -363,20 +369,8 @@ class IbftValidator:
         if round_ in self.state.proposed_rounds or self.strategy == "withhold":
             return
         self.state.proposed_rounds.add(round_)
-        block = None
-        if rc_cert:
-            best = _highest_prepared(rc_cert)
-            if best is not None:
-                block = Block(
-                    height=best.block.height,
-                    timestamp=best.block.timestamp,
-                    parent_hash=best.block.parent_hash,
-                    proposer=best.block.proposer,
-                    round=round_,
-                    txs=best.block.txs,
-                )
-        if block is None:
-            block = self._build_block(round_)
+        best = _highest_prepared(rc_cert)
+        block = replace(best.block, round=round_) if best is not None else self._build_block(round_)
 
         height = self.state.height
         variants = [block]
@@ -389,7 +383,7 @@ class IbftValidator:
                 block=variant,
                 rc_cert=rc_cert,
                 sender=self.address,
-                signature=self._sign_vote(PrePrepare.preimage(height, round_, hash_block(variant))),
+                signature=self._sign_vote(PrePrepare.preimage(height, round_, variant.hash)),
             )
             for variant in variants
         ]
@@ -423,7 +417,7 @@ class IbftValidator:
         each hop.
         """
         if isinstance(msg, PrePrepare):
-            digest = hash_block(msg.block)
+            digest = msg.block.hash
         elif isinstance(msg, (Prepare, Commit)):
             digest = msg.digest
         else:
@@ -446,6 +440,11 @@ class IbftValidator:
         if msg.sender not in self.validators:
             self.dropped_invalid += 1
             return
+        if msg.sender != self.address:
+            pub = self.registry.public_key_of(msg.sender)
+            if pub is None or not verify(pub, signed_preimage(msg), msg.signature):
+                self.dropped_invalid += 1
+                return
         if isinstance(msg, PrePrepare):
             self._on_preprepare(msg)
         elif isinstance(msg, Prepare):
@@ -455,30 +454,22 @@ class IbftValidator:
         else:
             self._on_round_change(msg)
 
-    def _verify_sig(self, msg: Message, preimage: bytes) -> bool:
-        if msg.sender == self.address:
-            return True
-        pub = self.registry.public_key_of(msg.sender)
-        ok = pub is not None and verify(pub, preimage, msg.signature)
-        if not ok:
-            self.dropped_invalid += 1
-        return ok
-
     def _on_preprepare(self, msg: PrePrepare) -> None:
         st = self.state
-        digest = hash_block(msg.block)
-        if not self._verify_sig(msg, PrePrepare.preimage(msg.height, msg.round, digest)):
-            return
         if msg.sender != self.validators.proposer_for(msg.height, msg.round):
             self.dropped_invalid += 1
             return
         if msg.round < st.round or msg.round in st.proposals:
             return
         block = msg.block
-        if block.height != msg.height or block.proposer != msg.sender:
+        digest = block.hash
+        # A re-proposed prepared block names its original proposer; the
+        # round-change certificate, checked below, binds it to this digest.
+        rebound = msg.round > 0 and _highest_prepared(msg.rc_cert) is not None
+        if block.height != msg.height or (block.proposer != msg.sender and not rebound):
             self.dropped_invalid += 1
             return
-        if block.parent_hash != self.store.hash_at(self.store.height):
+        if block.parent_hash != self.store.head.hash:
             self.dropped_invalid += 1
             return
         if block.timestamp < self.store.head.timestamp:
@@ -490,7 +481,7 @@ class IbftValidator:
                 return
         if msg.round > st.round:
             self._advance_round(msg.round, send_rc=False)
-        st.proposals[msg.round] = (block, digest, msg)
+        st.proposals[msg.round] = msg
         # The proposal is the proposer's prepare.
         self._add_prepare_vote(msg.round, digest, msg.sender, None)
         if msg.round not in st.sent_prepare and msg.sender != self.address:
@@ -504,40 +495,31 @@ class IbftValidator:
     def _verify_rc_cert(self, cert: tuple[RoundChange, ...], round_: int, digest: bytes) -> bool:
         h = self.state.height
         senders: set[bytes] = set()
-        best: PreparedCert | None = None
         for rc in cert:
             if rc.height != h or rc.target_round != round_:
                 return False
             if rc.sender in senders or rc.sender not in self.validators:
                 return False
             pub = self.registry.public_key_of(rc.sender)
-            if pub is None or not verify(pub, RoundChange.preimage(rc.height, rc.target_round, rc.prepared), rc.signature):
+            if pub is None or not verify(pub, signed_preimage(rc), rc.signature):
                 return False
-            if rc.prepared is not None:
-                if not rc.prepared.verify(h, self.validators, self.registry):
-                    return False
-                if best is None or rc.prepared.round > best.round:
-                    best = rc.prepared
+            if rc.prepared is not None and not rc.prepared.verify(h, self.validators, self.registry):
+                return False
             senders.add(rc.sender)
         if len(senders) < self.validators.quorum:
             return False
         # A proposer holding a prepared certificate is bound to its block.
-        if best is not None and hash_block(best.block) != digest:
-            return False
-        return True
+        best = _highest_prepared(cert)
+        return best is None or best.block.hash == digest
 
     def _add_prepare_vote(self, round_: int, digest: bytes, sender: bytes, msg: Prepare | None) -> None:
         self.state.prepares.setdefault((round_, digest), {})[sender] = msg
 
     def _on_prepare(self, msg: Prepare) -> None:
-        if not self._verify_sig(msg, Prepare.preimage(msg.height, msg.round, msg.digest)):
-            return
         self._add_prepare_vote(msg.round, msg.digest, msg.sender, msg)
         self._check_prepare_quorum(msg.round, msg.digest)
 
     def _on_commit(self, msg: Commit) -> None:
-        if not self._verify_sig(msg, Commit.preimage(msg.height, msg.round, msg.digest, msg.seal)):
-            return
         pub = self.registry.public_key_of(msg.sender)
         if msg.sender != self.address and (pub is None or not verify(pub, seal_preimage(msg.digest), msg.seal)):
             self.dropped_invalid += 1
@@ -549,19 +531,18 @@ class IbftValidator:
         st = self.state
         if round_ != st.round:
             return
-        entry = st.proposals.get(round_)
-        if entry is None or entry[1] != digest:
+        proposal = st.proposals.get(round_)
+        if proposal is None or proposal.block.hash != digest:
             return
         votes = st.prepares.get((round_, digest), {})
         if len(votes) < self.validators.quorum:
             return
         if st.prepared is None or st.prepared.round < round_:
-            block, _, preprepare = entry
             proofs = tuple(v for v in votes.values() if v is not None)
             st.prepared = PreparedCert(
-                block=block,
+                block=proposal.block,
                 round=round_,
-                proposer_sig=preprepare.signature,
+                proposer_sig=proposal.signature,
                 prepares=proofs,
             )
         if round_ not in st.sent_commit:
@@ -570,16 +551,15 @@ class IbftValidator:
 
     def _check_commit_quorum(self, round_: int, digest: bytes) -> None:
         st = self.state
-        entry = st.proposals.get(round_)
-        if entry is None or entry[1] != digest:
+        proposal = st.proposals.get(round_)
+        if proposal is None or proposal.block.hash != digest:
             return
         commits = st.commits.get((round_, digest), {})
         if len(commits) < self.validators.quorum:
             return
-        block = entry[0]
         seals = tuple(sorted(((c.sender, c.seal) for c in commits.values()), key=lambda s: s[0]))
-        sealed = block.with_seals(seals)
-        self.sim.trace("finalize", node=self.name, height=block.height, round=round_)
+        sealed = replace(proposal.block, seals=seals)
+        self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)
         self.node.on_self_finalized(sealed)
 
     # -- round changes ------------------------------------------------
@@ -599,9 +579,9 @@ class IbftValidator:
         if send_rc:
             self._send_round_change(target)
         self._maybe_propose_for(target)
-        entry = st.proposals.get(target)
-        if entry is not None:
-            _, digest, _ = entry
+        proposal = st.proposals.get(target)
+        if proposal is not None:
+            digest = proposal.block.hash
             if target not in st.sent_prepare:
                 st.sent_prepare.add(target)
                 self.send_prepare(st.height, target, digest)
@@ -609,8 +589,6 @@ class IbftValidator:
             self._check_commit_quorum(target, digest)
 
     def _on_round_change(self, msg: RoundChange) -> None:
-        if not self._verify_sig(msg, RoundChange.preimage(msg.height, msg.target_round, msg.prepared)):
-            return
         if msg.prepared is not None and not msg.prepared.verify(msg.height, self.validators, self.registry):
             self.dropped_invalid += 1
             return

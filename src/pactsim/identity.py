@@ -62,13 +62,13 @@ def verify(public_key_bytes: bytes, preimage: bytes, signature: bytes) -> bool:
     """Check an Ed25519 signature; False on any mismatch, never raises."""
     if len(signature) != SIGNATURE_LEN or len(public_key_bytes) != PUBKEY_LEN:
         return False
-    # The cache keys on every argument, the full preimage included, so the
-    # digest does not shrink the key; verification runs over the preimage.
-    return _verify_cached(public_key_bytes, hashlib.sha256(preimage).digest(), signature, preimage)
+    # The cache keys on the full preimage: a repeated check of the same
+    # signed bytes, which every node makes for a broadcast message, runs once.
+    return _verify_cached(public_key_bytes, signature, preimage)
 
 
 @lru_cache(maxsize=1 << 16)
-def _verify_cached(pub: bytes, preimage_digest: bytes, sig: bytes, preimage: bytes) -> bool:
+def _verify_cached(pub: bytes, sig: bytes, preimage: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(pub).verify(sig, preimage)
         return True

@@ -5,12 +5,17 @@ privacy marker (a group id plus the hash of an encrypted payload that
 travels off-chain).  Blocks are finalized with a quorum of commit seals
 over the block hash; the store verifies seals against the validator key
 set fixed at genesis and refuses conflicting blocks at the same height.
+
+A block's `hash` and a transaction's `tx_id` are derived from content,
+once per object: neither is a constructor argument, and a copy made
+with `dataclasses.replace` derives its own.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .encoding import (
     ADDRESS_LEN,
@@ -99,16 +104,13 @@ class Transaction:
     gas_limit: int
     payload: PublicCall | PrivacyMarker
     signature: bytes
-    tx_id: bytes
+
+    @cached_property
+    def tx_id(self) -> bytes:
+        return digest(self.sign_preimage() + self.signature)
 
     def body(self) -> bytes:
-        return (
-            enc_fixed(self.sender, ADDRESS_LEN)
-            + enc_fixed(self.sender_pubkey, 32)
-            + enc_u64(self.nonce)
-            + enc_u64(self.gas_limit)
-            + self.payload.encode()
-        )
+        return _tx_body(self.sender, self.sender_pubkey, self.nonce, self.gas_limit, self.payload)
 
     def sign_preimage(self) -> bytes:
         return TAG_TX + self.body()
@@ -124,31 +126,32 @@ class Transaction:
         return verify(self.sender_pubkey, self.sign_preimage(), self.signature)
 
 
+def _tx_body(
+    sender: bytes, sender_pubkey: bytes, nonce: int, gas_limit: int, payload: PublicCall | PrivacyMarker
+) -> bytes:
+    return (
+        enc_fixed(sender, ADDRESS_LEN)
+        + enc_fixed(sender_pubkey, 32)
+        + enc_u64(nonce)
+        + enc_u64(gas_limit)
+        + payload.encode()
+    )
+
+
 def make_transaction(
     credential: Credential,
     nonce: int,
     gas_limit: int,
     payload: PublicCall | PrivacyMarker,
 ) -> Transaction:
-    unsigned = Transaction(
-        sender=credential.address,
-        sender_pubkey=credential.public_key,
-        nonce=nonce,
-        gas_limit=gas_limit,
-        payload=payload,
-        signature=b"",
-        tx_id=b"",
-    )
-    sig = credential.sign(unsigned.sign_preimage())
-    tx_id = digest(unsigned.sign_preimage() + sig)
+    preimage = TAG_TX + _tx_body(credential.address, credential.public_key, nonce, gas_limit, payload)
     return Transaction(
         sender=credential.address,
         sender_pubkey=credential.public_key,
         nonce=nonce,
         gas_limit=gas_limit,
         payload=payload,
-        signature=sig,
-        tx_id=tx_id,
+        signature=credential.sign(preimage),
     )
 
 
@@ -158,10 +161,7 @@ def decode_transaction(cur: Cursor) -> Transaction:
     nonce = cur.u64()
     gas_limit = cur.u64()
     payload = decode_payload(cur)
-    signature = cur.bytes_()
-    unsigned = Transaction(sender, pubkey, nonce, gas_limit, payload, b"", b"")
-    tx_id = digest(unsigned.sign_preimage() + signature)
-    return Transaction(sender, pubkey, nonce, gas_limit, payload, signature, tx_id)
+    return Transaction(sender, pubkey, nonce, gas_limit, payload, signature=cur.bytes_())
 
 
 @dataclass(frozen=True)
@@ -186,16 +186,9 @@ class Block:
             + enc_list(tx.encode() for tx in self.txs)
         )
 
-    def with_seals(self, seals: tuple[tuple[bytes, bytes], ...]) -> "Block":
-        return Block(
-            height=self.height,
-            timestamp=self.timestamp,
-            parent_hash=self.parent_hash,
-            proposer=self.proposer,
-            round=self.round,
-            txs=self.txs,
-            seals=seals,
-        )
+    @cached_property
+    def hash(self) -> bytes:
+        return hash_block(self)
 
 
 def hash_block(block: Block) -> bytes:
@@ -240,7 +233,6 @@ class ChainStore:
         self.validator_keys = validator_keys
         self.quorum = quorum
         self.blocks: list[Block] = [genesis_block()]
-        self.hashes: list[bytes] = [hash_block(self.blocks[0])]
 
     @property
     def head(self) -> Block:
@@ -254,11 +246,11 @@ class ChainStore:
         return self.blocks[height]
 
     def hash_at(self, height: int) -> bytes:
-        return self.hashes[height]
+        return self.blocks[height].hash
 
-    def verify_seals(self, block: Block, block_hash: bytes) -> None:
+    def verify_seals(self, block: Block) -> None:
         seen: set[bytes] = set()
-        preimage = seal_preimage(block_hash)
+        preimage = seal_preimage(block.hash)
         for sealer, sig in block.seals:
             if sealer in seen:
                 raise InvalidBlock(f"duplicate seal from {sealer.hex()}")
@@ -279,45 +271,26 @@ class ChainStore:
         is finalized at an occupied height: that is a consensus safety
         violation and the caller must not continue silently.
         """
-        block_hash = hash_block(block)
         if block.height <= self.height:
-            if self.hashes[block.height] == block_hash:
+            known = self.hash_at(block.height)
+            if known == block.hash:
                 return False
             raise DuplicateHeight(
                 f"conflicting block at height {block.height}: "
-                f"{self.hashes[block.height].hex()[:16]} vs {block_hash.hex()[:16]}"
+                f"{known.hex()[:16]} vs {block.hash.hex()[:16]}"
             )
         if block.height != self.height + 1:
             raise HeightGap(f"got height {block.height}, head is {self.height}")
-        if block.parent_hash != self.hashes[-1]:
+        if block.parent_hash != self.head.hash:
             raise InvalidBlock("parent hash does not match head")
         if block.timestamp < self.head.timestamp:
             raise InvalidBlock("timestamp went backwards")
-        self.verify_seals(block, block_hash)
+        self.verify_seals(block)
         for tx in block.txs:
             if not tx.verify_signature():
                 raise InvalidBlock(f"bad tx signature in block {block.height}")
         self.blocks.append(block)
-        self.hashes.append(block_hash)
         return True
-
-    def dump(self) -> list[dict]:
-        """Chain as plain dicts for traces and debugging output."""
-        out = []
-        for block, h in zip(self.blocks, self.hashes):
-            out.append(
-                {
-                    "height": block.height,
-                    "hash": h.hex(),
-                    "parent": block.parent_hash.hex(),
-                    "timestamp": block.timestamp,
-                    "proposer": block.proposer.hex(),
-                    "round": block.round,
-                    "txs": [tx.tx_id.hex() for tx in block.txs],
-                    "sealers": sorted(s.hex() for s, _ in block.seals),
-                }
-            )
-        return out
 
 
 @dataclass

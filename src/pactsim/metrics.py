@@ -110,14 +110,14 @@ class MetricsCollector:
 
     # -- finality events ----------------------------------------------
 
-    def on_validator_finalized(self, validator: str, block: Block, now: int, block_hash: bytes) -> None:
+    def on_validator_finalized(self, validator: str, block: Block, now: int) -> None:
         known = self._block_hash.get(block.height)
         if known is None:
-            self._block_hash[block.height] = block_hash
-        elif known != block_hash:
+            self._block_hash[block.height] = block.hash
+        elif known != block.hash:
             self.record_safety_violation(
                 validator, block.height,
-                f"finalized {block_hash.hex()[:16]} but {known.hex()[:16]} was already final",
+                f"finalized {block.hash.hex()[:16]} but {known.hex()[:16]} was already final",
             )
             return
         if block.height in self._block_final:

@@ -146,9 +146,7 @@ class NodeRuntime:
     def _after_append(self, block: Block, self_finalized: bool) -> None:
         self._apply_block(block)
         if self.validator is not None:
-            self.cluster.metrics.on_validator_finalized(
-                self.name, block, self.sim.now, self.store.hash_at(block.height)
-            )
+            self.cluster.metrics.on_validator_finalized(self.name, block, self.sim.now)
         if self_finalized:
             self.cluster.broadcast_sealed(self.name, block)
         if self.validator is not None:
@@ -185,7 +183,7 @@ class NodeRuntime:
                 if tx.tx_id in self.receipts
             )
             lines.append(
-                f"{block.height} {self.store.hash_at(block.height).hex()} "
+                f"{block.height} {block.hash.hex()} "
                 f"{block.parent_hash.hex()} {block.proposer.hex()} "
                 f"{block.round} {len(block.txs)} {gas}"
             )

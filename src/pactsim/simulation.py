@@ -200,20 +200,9 @@ class Network:
         model, rng = self.channels[channel]
         # The draw happens even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
-        delay = model.sample(rng)
-        self._dispatch(src, dst, delay, deliver, wire)
+        self.send_after(src, dst, model.sample(rng), deliver, wire)
 
     def send_after(
-        self,
-        src: str,
-        dst: str,
-        delay: int,
-        deliver: Callable[[], None],
-        wire: bytes | None = None,
-    ) -> None:
-        self._dispatch(src, dst, delay, deliver, wire)
-
-    def _dispatch(
         self,
         src: str,
         dst: str,

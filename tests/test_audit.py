@@ -1,5 +1,7 @@
 """Post-run audits: clean runs pass, planted violations are caught."""
 
+from dataclasses import replace
+
 import pytest
 
 from pactsim.audit import (
@@ -123,7 +125,8 @@ def test_missing_member_ledger_is_found():
 
 def test_tampered_chain_hash_is_found():
     result = fresh()
-    result.cluster.nodes["m2"].store.hashes[1] = b"\x00" * 32
+    blocks = result.cluster.nodes["m2"].store.blocks
+    blocks[1] = replace(blocks[1], timestamp=blocks[1].timestamp + 1)
     found = convergence(result)
     assert any(f.node == "m2" and "chain hash differs at height 1" in f.detail for f in found)
 
@@ -152,7 +155,7 @@ def test_marker_from_non_member_is_found():
         Block(
             height=head.height + 1,
             timestamp=head.timestamp + 1,
-            parent_hash=ref.store.hashes[-1],
+            parent_hash=ref.store.head.hash,
             proposer=b"\x00" * 20,
             round=0,
             txs=(tx,),

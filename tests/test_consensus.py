@@ -237,3 +237,20 @@ def test_echoing_validators_do_not_answer_each_other_forever():
     result = run_scenario(heights_config({"faults": {"byzantine": byzantine}}), 11)
     assert result.completed
     assert result.cluster.network.delivered < 2000
+
+
+def test_reproposed_prepared_block_is_accepted():
+    # The split lands after height 1's block prepared on one side but
+    # before it committed, so the round-1 proposer re-proposes that block.
+    # The block still names its round-0 proposer; peers must take it on
+    # the strength of the round-change certificate.
+    split = {"from_ms": 1150, "to_ms": 4150, "groups": [["v0", "v1"], ["v2", "v3"]]}
+    cfg = heights_config(
+        {"member_nodes": 0, "run": {"target_heights": 5}, "faults": {"partitions": [split]}}
+    )
+    result = run_scenario(cfg, 0)
+    assert result.completed
+    store = result.cluster.nodes["v0"].store
+    assert store.height >= 5
+    assert max(block.round for block in store.blocks) <= 1
+    assert [result.cluster.nodes[n].validator.dropped_invalid for n in cfg.node_names] == [0] * 4

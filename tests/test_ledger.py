@@ -1,5 +1,7 @@
 """Transactions, blocks, the chain store, and pool packing."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,9 +49,8 @@ def sealed_block(store: ChainStore, txs=(), timestamp=None, round_=0, sealers=No
         round=round_,
         txs=tuple(txs),
     )
-    h = hash_block(block)
     sealers = VALIDATORS[:QUORUM] if sealers is None else sealers
-    return block.with_seals(tuple(make_seal(v, h) for v in sealers))
+    return replace(block, seals=tuple(make_seal(v, block.hash) for v in sealers))
 
 
 # -- transactions -----------------------------------------------------
@@ -77,7 +78,6 @@ def test_tx_signature_binds_sender_address():
         gas_limit=tx.gas_limit,
         payload=tx.payload,
         signature=tx.signature,
-        tx_id=tx.tx_id,
     )
     assert not forged.verify_signature()
 
@@ -98,6 +98,15 @@ def test_block_hash_ignores_round_and_seals():
     b1 = sealed_block(store, round_=2, sealers=VALIDATORS[1:])
     assert b0.round != b1.round and b0.seals != b1.seals
     assert hash_block(b0) == hash_block(b1)
+    assert b0.hash == hash_block(b0) == b1.hash
+
+
+def test_copies_derive_their_own_identity():
+    store = fresh_store()
+    block = sealed_block(store)
+    assert replace(block, timestamp=block.timestamp + 1).hash != block.hash
+    tx = call_tx(cred(1), 0, "registry", "register", 1)
+    assert replace(tx, nonce=1).tx_id != tx.tx_id
 
 
 def test_block_hash_covers_content():
@@ -193,7 +202,7 @@ def test_bad_seal_signature_rejected():
     store = fresh_store()
     block = sealed_block(store)
     wrong = sealed_block(store, timestamp=7777)
-    mixed = block.with_seals((block.seals[0], block.seals[1], wrong.seals[2]))
+    mixed = replace(block, seals=(block.seals[0], block.seals[1], wrong.seals[2]))
     with pytest.raises(InvalidBlock):
         store.append_block(mixed)
 
@@ -208,7 +217,6 @@ def test_bad_tx_signature_rejected():
         gas_limit=good.gas_limit,
         payload=good.payload,
         signature=good.signature,
-        tx_id=good.tx_id,
     )
     block = sealed_block(store, txs=(bad,))
     with pytest.raises(InvalidBlock):

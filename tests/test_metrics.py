@@ -30,7 +30,7 @@ def block_with(txs, height=1):
 
 
 def finalize(mc, block, validator="v0", now=5000):
-    mc.on_validator_finalized(validator, block, now, hash_block(block))
+    mc.on_validator_finalized(validator, block, now)
 
 
 # -- stats ------------------------------------------------------------

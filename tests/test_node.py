@@ -65,8 +65,8 @@ def build_chain(count, txs_by_height=None):
             round=0,
             txs=txs,
         )
-        block = block.with_seals(
-            tuple(make_seal(v, hash_block(block)) for v in VALIDATORS[:QUORUM])
+        block = dataclasses.replace(
+            block, seals=tuple(make_seal(v, block.hash) for v in VALIDATORS[:QUORUM])
         )
         ref.append_block(block)
         blocks.append(block)
@@ -103,7 +103,7 @@ def test_unverifiable_block_dropped_and_counted():
     _, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
     (b1,) = build_chain(1)
-    thin = b1.with_seals(b1.seals[:1])
+    thin = dataclasses.replace(b1, seals=b1.seals[:1])
     node.on_sealed_block(thin)
     assert node.store.height == 0
     assert node.dropped_invalid_blocks == 1

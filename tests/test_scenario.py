@@ -65,9 +65,9 @@ def test_identical_seed_and_config_reproduce_everything():
     assert a.summary == b.summary
     assert [s.__dict__ for s in a.metrics.samples] == [s.__dict__ for s in b.metrics.samples]
     for name in a.cluster.node_names:
-        assert (
-            a.cluster.nodes[name].store.hashes == b.cluster.nodes[name].store.hashes
-        )
+        assert [blk.hash for blk in a.cluster.nodes[name].store.blocks] == [
+            blk.hash for blk in b.cluster.nodes[name].store.blocks
+        ]
 
 
 def test_different_seeds_differ():
