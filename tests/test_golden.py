@@ -29,6 +29,20 @@ CASES: dict[str, tuple[dict, int]] = {
         {"preset": "smoke", "faults": {"crashes": [{"proposer_of_height": 2, "at_ms": 500}]}},
         7,
     ),
+    "smoke-multigroup": (
+        {
+            "preset": "smoke",
+            "workload": {
+                "providers": 3,
+                "consumers": 3,
+                "publishes_per_provider": 2,
+                "selects_per_consumer": 2,
+                "breaches_per_group": 2,
+                "batches_per_group": 2,
+            },
+        },
+        7,
+    ),
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -67,6 +81,18 @@ GOLDEN: dict[str, dict[str, str]] = {
         "chain:v1": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
         "chain:v2": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
         "chain:v3": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+    },
+    "smoke-multigroup": {
+        "latency.csv": "1f3f4dc63cf5705c1f450d4d967cee56b4b088adea581cdda999baaedd195797",
+        "summary.json": "f454a5103ac1ebdee66d77cd9990b229aa5268d6a8889e007e4ca093a9455c17",
+        "trace.jsonl": "24c46930562eef34499a5b6af0a9f205f1f8b473ff592bf647fb4a67398432da",
+        "chain:m0": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:m1": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:m2": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:v0": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:v1": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:v2": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "chain:v3": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
     },
     "smoke-proposer-crash": {
         "latency.csv": "d1af7ad3f05421b1edb6bb30a97c09dd237671e075f9e74ea8b3635264607a3f",
