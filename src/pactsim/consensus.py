@@ -12,10 +12,11 @@ the block hash), so peers accept a proposal whose block names someone
 other than the sender only when the round-change certificate binds that
 block.
 
-Finalized blocks are broadcast, fully sealed, to every node.  That is
-how non-validator nodes follow the chain, how a validator that fell
-behind catches up, and where a conflicting finalization at the same
-height would be caught.
+Finalized blocks are broadcast, fully sealed, to every node, once.  That
+is how non-validator nodes follow the chain and where a conflicting
+finalization at the same height would be caught.  Nothing resends a
+block: a node that misses the push (say, across a partition) stays
+behind until a block-sync protocol exists.
 """
 
 from __future__ import annotations
@@ -312,16 +313,13 @@ class IbftValidator:
             wire=wire,
         )
 
-    def _sign_vote(self, preimage: bytes) -> bytes:
-        return self.credential.sign(preimage)
-
     def send_prepare(self, height: int, round_: int, digest: bytes) -> None:
         msg = Prepare(
             height=height,
             round=round_,
             digest=digest,
             sender=self.address,
-            signature=self._sign_vote(Prepare.preimage(height, round_, digest)),
+            signature=self.credential.sign(Prepare.preimage(height, round_, digest)),
         )
         self._broadcast(msg)
 
@@ -333,7 +331,7 @@ class IbftValidator:
             digest=digest,
             seal=seal,
             sender=self.address,
-            signature=self._sign_vote(Commit.preimage(height, round_, digest, seal)),
+            signature=self.credential.sign(Commit.preimage(height, round_, digest, seal)),
         )
         self._broadcast(msg)
 
@@ -343,7 +341,7 @@ class IbftValidator:
             target_round=target,
             prepared=self.state.prepared,
             sender=self.address,
-            signature=self._sign_vote(RoundChange.preimage(self.state.height, target, self.state.prepared)),
+            signature=self.credential.sign(RoundChange.preimage(self.state.height, target, self.state.prepared)),
         )
         self._broadcast(msg)
 
@@ -383,7 +381,7 @@ class IbftValidator:
                 block=variant,
                 rc_cert=rc_cert,
                 sender=self.address,
-                signature=self._sign_vote(PrePrepare.preimage(height, round_, variant.hash)),
+                signature=self.credential.sign(PrePrepare.preimage(height, round_, variant.hash)),
             )
             for variant in variants
         ]
@@ -578,15 +576,9 @@ class IbftValidator:
         self.sim.schedule(delay, self._guarded(st.height, target, self._on_timeout))
         if send_rc:
             self._send_round_change(target)
+        # Proposals for `target` arrive only after this returns; our own,
+        # if the nested call below makes one, is handled in `_on_preprepare`.
         self._maybe_propose_for(target)
-        proposal = st.proposals.get(target)
-        if proposal is not None:
-            digest = proposal.block.hash
-            if target not in st.sent_prepare:
-                st.sent_prepare.add(target)
-                self.send_prepare(st.height, target, digest)
-            self._check_prepare_quorum(target, digest)
-            self._check_commit_quorum(target, digest)
 
     def _on_round_change(self, msg: RoundChange) -> None:
         if msg.prepared is not None and not msg.prepared.verify(msg.height, self.validators, self.registry):

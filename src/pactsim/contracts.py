@@ -362,17 +362,16 @@ class BreachLedger:
             if self.agreement is not None:
                 raise ExecError("ledger already initialized")
             self.agreement = op.agreement
-        elif isinstance(op, OpBreach):
-            if self.agreement is None:
-                raise ExecError("ledger not initialized")
-            if op.record.reporter != sender:
-                raise ExecError("breach reporter must be the sender")
-            self.records.append(op.record)
+        elif self.agreement is None:
+            raise ExecError("ledger not initialized")
         else:
-            if self.agreement is None:
-                raise ExecError("ledger not initialized")
-            self.records.extend(op.records)
-            self.batches.append(BatchSummary(summary_hash=payload_hash, count=len(op.records)))
+            records = (op.record,) if isinstance(op, OpBreach) else op.records
+            # Every record is checked before any is stored.
+            if any(r.reporter != sender for r in records):
+                raise ExecError("breach reporter must be the sender")
+            self.records.extend(records)
+            if isinstance(op, OpBatch):
+                self.batches.append(BatchSummary(summary_hash=payload_hash, count=len(records)))
 
     def encode(self) -> bytes:
         agreement = self.agreement.encode() if self.agreement is not None else b""

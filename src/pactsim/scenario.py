@@ -7,7 +7,10 @@ registers, providers publish services, consumers select one, each new
 consumer/provider pair gets a privacy group, the consumer deploys the
 group's private ledger, and providers report breaches, individually or
 batched.  Each stage starts once every receipt from the previous stage
-has resolved at the submitting node.
+has resolved at the submitting node.  A stage only names its
+operations: each is either a public call (`WorkloadDriver._submit`) or
+a private operation distributed to its group and anchored by a marker
+(`WorkloadDriver._submit_private`).
 
 Submission instants inside a stage are jittered uniformly across one
 block interval, so arrivals hit the block cadence at random offsets.
@@ -16,8 +19,10 @@ block interval, so arrivals hit the block cadence at random offsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .config import ScenarioConfig
 from .consensus import IbftValidator, ValidatorSet
@@ -276,108 +281,39 @@ class WorkloadDriver:
         if self._outstanding == 0:
             self.sim.schedule(0, self._advance)
 
-    def _submit_public(self, domain: Domain, kind: str, tx: Transaction) -> None:
-        self.metrics.new_sample(tx.tx_id, kind, self.sim.now)
-        node = self.cluster.nodes[domain.node_name]
-        node.wait_for_receipt(tx.tx_id, lambda entry: self._task_done())
+    def _submit_and_wait(self, domain: Domain, tx: Transaction, on_final: Callable[[], None] | None = None) -> None:
+        """Submit at the domain's node; the task ends when its receipt resolves."""
+        def on_receipt(entry) -> None:
+            if on_final is not None:
+                on_final()
+            self._task_done()
+
+        self.cluster.nodes[domain.node_name].wait_for_receipt(tx.tx_id, on_receipt)
         self.cluster.submit(domain.node_name, tx)
 
-    def _next_payload_index(self) -> int:
-        n = self._payload_seq
+    def _submit(self, domain: Domain, kind: str, call: PublicCall, on_final: Callable[[], None] | None = None) -> None:
+        """One public call: signed now, submitted at a jittered instant."""
+        gas = gas_for(self.config.gas, call.contract, call.function)
+        tx = make_transaction(domain.credential, domain.take_nonce(), gas, call)
+        self._outstanding += 1
+
+        def fire() -> None:
+            self.metrics.new_sample(tx.tx_id, kind, self.sim.now)
+            self._submit_and_wait(domain, tx, on_final)
+
+        self.sim.schedule(self._jitter(), fire)
+
+    def _submit_private(self, group: GroupInfo, sender: Domain, kind: str, make_op: Callable[[], PrivateOp]) -> None:
+        """One private operation: built at a jittered instant, then distributed and anchored."""
+        payload_index = self._payload_seq
         self._payload_seq += 1
-        return n
-
-    # -- public stages ------------------------------------------------
-
-    def _stage_register(self) -> None:
-        schedule = self.config.gas
-        for domain in self.a.providers + self.a.consumers:
-            tx = make_transaction(
-                domain.credential,
-                domain.take_nonce(),
-                gas_for(schedule, "registry", "register"),
-                PublicCall("registry", "register", enc_args(("u8",), (int(domain.role),))),
-            )
-            self._outstanding += 1
-            self.sim.schedule(self._jitter(), lambda d=domain, t=tx: self._submit_public(d, "register", t))
-
-    def _stage_publish(self) -> None:
-        schedule = self.config.gas
-        for provider in self.a.providers:
-            for j in range(self.config.workload.publishes_per_provider):
-                name = f"{provider.name}-svc{j}"
-                sla_hash = digest(f"sla terms for {name}".encode())
-                tx = make_transaction(
-                    provider.credential,
-                    provider.take_nonce(),
-                    gas_for(schedule, "catalog", "publish"),
-                    PublicCall("catalog", "publish", enc_args(("str", "hash"), (name, sla_hash))),
-                )
-                self._outstanding += 1
-                self.sim.schedule(self._jitter(), lambda d=provider, t=tx: self._submit_public(d, "publish", t))
-
-    def _stage_select(self) -> None:
-        schedule = self.config.gas
-        wl = self.config.workload
-        pair_seq = 0
-        for i, consumer in enumerate(self.a.consumers):
-            for j in range(wl.selects_per_consumer):
-                provider = self.a.providers[(wl.selects_per_consumer * i + j) % len(self.a.providers)]
-                service_index = j % wl.publishes_per_provider
-                tx = make_transaction(
-                    consumer.credential,
-                    consumer.take_nonce(),
-                    gas_for(schedule, "selection", "select"),
-                    PublicCall(
-                        "selection",
-                        "select",
-                        enc_args(("address", "u64"), (provider.address, service_index)),
-                    ),
-                )
-                self._outstanding += 1
-                pair_index = pair_seq
-                pair_seq += 1
-                self.sim.schedule(
-                    self._jitter(),
-                    lambda c=consumer, p=provider, t=tx, k=pair_index: self._submit_select(c, p, t, k),
-                )
-
-    def _submit_select(self, consumer: Domain, provider: Domain, tx: Transaction, pair_index: int) -> None:
-        self.metrics.new_sample(tx.tx_id, "select", self.sim.now)
-        node = self.cluster.nodes[consumer.node_name]
-        node.wait_for_receipt(
-            tx.tx_id,
-            lambda entry, c=consumer, p=provider, k=pair_index: self._on_select_final(c, p, k),
+        self._outstanding += 1
+        self.sim.schedule(
+            self._jitter(), lambda: self._distribute_then_anchor(group, sender, make_op(), payload_index, kind)
         )
-        self.cluster.submit(consumer.node_name, tx)
-
-    def _on_select_final(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
-        info, formed = self.a.directory.get_or_form(
-            consumer=consumer.address,
-            provider=provider.address,
-            member_pubkeys=[consumer.credential.public_key, provider.credential.public_key],
-            member_nodes=(consumer.node_name, provider.node_name),
-            pair_index=pair_index,
-        )
-        if formed:
-            for node_name in info.member_nodes:
-                self.cluster.nodes[node_name].join_group(info)
-            self.groups.append(info)
-            self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
-        self._task_done()
-
-    # -- private stages -----------------------------------------------
-
-    def _marker_gas(self) -> int:
-        return gas_for(self.config.gas, "marker", "anchor")
 
     def _distribute_then_anchor(
-        self,
-        group: GroupInfo,
-        sender: Domain,
-        op: PrivateOp,
-        payload_index: int,
-        kind: str,
+        self, group: GroupInfo, sender: Domain, op: PrivateOp, payload_index: int, kind: str
     ) -> None:
         """One private operation: sample, distribute, anchor a marker."""
         sample = self.metrics.new_private_sample(kind, self.sim.now, group.group_id)
@@ -393,22 +329,61 @@ class WorkloadDriver:
             tx = make_transaction(
                 sender.credential,
                 sender.take_nonce(),
-                self._marker_gas(),
+                gas_for(self.config.gas, "marker", "anchor"),
                 PrivacyMarker(group_id=group.group_id, payload_hash=result.payload_hash),
             )
             self.metrics.bind_tx(sample, tx.tx_id)
-            node = self.cluster.nodes[sender.node_name]
-            node.wait_for_receipt(tx.tx_id, lambda entry: self._task_done())
-            self.cluster.submit(sender.node_name, tx)
+            self._submit_and_wait(sender, tx)
 
         self.a.courier.distribute(group, sender.node_name, plaintext, payload_index, on_complete)
 
     def _ordered_groups(self) -> list[GroupInfo]:
         return sorted(self.groups, key=lambda g: g.pair_index)
 
+    def _breach(self, provider: Domain, details: str) -> BreachRecord:
+        """A breach record stamped when the operation fires."""
+        return BreachRecord(reporter=provider.address, details=details, reported_at=self.sim.now)
+
+    # -- stages -------------------------------------------------------
+
+    def _stage_register(self) -> None:
+        for domain in self.a.providers + self.a.consumers:
+            args = enc_args(("u8",), (int(domain.role),))
+            self._submit(domain, "register", PublicCall("registry", "register", args))
+
+    def _stage_publish(self) -> None:
+        for provider in self.a.providers:
+            for j in range(self.config.workload.publishes_per_provider):
+                name = f"{provider.name}-svc{j}"
+                args = enc_args(("str", "hash"), (name, digest(f"sla terms for {name}".encode())))
+                self._submit(provider, "publish", PublicCall("catalog", "publish", args))
+
+    def _stage_select(self) -> None:
+        wl = self.config.workload
+        for i, consumer in enumerate(self.a.consumers):
+            for j in range(wl.selects_per_consumer):
+                pair_index = wl.selects_per_consumer * i + j
+                provider = self.a.providers[pair_index % len(self.a.providers)]
+                args = enc_args(("address", "u64"), (provider.address, j % wl.publishes_per_provider))
+                on_final = partial(self._form_group, consumer, provider, pair_index)
+                self._submit(consumer, "select", PublicCall("selection", "select", args), on_final)
+
+    def _form_group(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
+        info, formed = self.a.directory.get_or_form(
+            consumer=consumer.address,
+            provider=provider.address,
+            member_pubkeys=[consumer.credential.public_key, provider.credential.public_key],
+            member_nodes=(consumer.node_name, provider.node_name),
+            pair_index=pair_index,
+        )
+        if formed:
+            for node_name in info.member_nodes:
+                self.cluster.nodes[node_name].join_group(info)
+            self.groups.append(info)
+            self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
+
     def _stage_deploy(self) -> None:
         for group in self._ordered_groups():
-            consumer = self.domains[group.consumer]
             agreement = AgreementRecord(
                 consumer=group.consumer,
                 provider=group.provider,
@@ -418,56 +393,31 @@ class WorkloadDriver:
                     f"latency <= {150 + 10 * group.pair_index}ms, penalty tier B"
                 ),
             )
-            op = OpInit(agreement=agreement)
-            self._outstanding += 1
-            payload_index = self._next_payload_index()
-            self.sim.schedule(
-                self._jitter(),
-                lambda g=group, c=consumer, o=op, k=payload_index: self._distribute_then_anchor(
-                    g, c, o, k, "deploy_private"
-                ),
-            )
+            self._submit_private(group, self.domains[group.consumer], "deploy_private", partial(OpInit, agreement))
 
     def _stage_breach(self) -> None:
         for group in self._ordered_groups():
             provider = self.domains[group.provider]
             for k in range(self.config.workload.breaches_per_group):
-                self._outstanding += 1
-                payload_index = self._next_payload_index()
-                self.sim.schedule(
-                    self._jitter(),
-                    lambda g=group, p=provider, i=k, idx=payload_index: self._fire_breach(g, p, i, idx),
+                details = f"sla violation pair={group.pair_index} seq={k} by {provider.name}"
+                self._submit_private(
+                    group, provider, "register_breach", lambda p=provider, d=details: OpBreach(self._breach(p, d))
                 )
-
-    def _fire_breach(self, group: GroupInfo, provider: Domain, seq: int, payload_index: int) -> None:
-        record = BreachRecord(
-            reporter=provider.address,
-            details=f"sla violation pair={group.pair_index} seq={seq} by {provider.name}",
-            reported_at=self.sim.now,
-        )
-        self._distribute_then_anchor(group, provider, OpBreach(record=record), payload_index, "register_breach")
 
     def _stage_batch(self) -> None:
+        wl = self.config.workload
         for group in self._ordered_groups():
             provider = self.domains[group.provider]
-            for b in range(self.config.workload.batches_per_group):
-                self._outstanding += 1
-                payload_index = self._next_payload_index()
-                self.sim.schedule(
-                    self._jitter(),
-                    lambda g=group, p=provider, i=b, idx=payload_index: self._fire_batch(g, p, i, idx),
+            for b in range(wl.batches_per_group):
+                details = [
+                    f"batched violation pair={group.pair_index} batch={b} item={i}" for i in range(wl.batch_size)
+                ]
+                self._submit_private(
+                    group,
+                    provider,
+                    "breach_batch",
+                    lambda p=provider, ds=details: OpBatch(tuple(self._breach(p, d) for d in ds)),
                 )
-
-    def _fire_batch(self, group: GroupInfo, provider: Domain, batch_seq: int, payload_index: int) -> None:
-        records = tuple(
-            BreachRecord(
-                reporter=provider.address,
-                details=f"batched violation pair={group.pair_index} batch={batch_seq} item={i}",
-                reported_at=self.sim.now,
-            )
-            for i in range(self.config.workload.batch_size)
-        )
-        self._distribute_then_anchor(group, provider, OpBatch(records=records), payload_index, "breach_batch")
 
 
 @dataclass

@@ -12,7 +12,7 @@ integer keys.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -89,19 +89,13 @@ class LogNormal:
 LatencyModel = Fixed | Uniform | LogNormal
 
 
-@dataclass(order=True)
-class _Event:
-    fire_at: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-
-
 class Simulator:
     """Event loop with tracing hooks."""
 
     def __init__(self, trace_enabled: bool = False, max_events: int = MAX_EVENTS):
         self.now = 0
-        self._queue: list[_Event] = []
+        # (fire_at, seq, action): seq is unique, so actions are never compared.
+        self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._fired = 0
         self.max_events = max_events
@@ -112,7 +106,7 @@ class Simulator:
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._queue, _Event(self.now + delay, self._seq, action))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
         self._seq += 1
 
     def schedule_at(self, when: int, action: Callable[[], None]) -> None:
@@ -124,18 +118,18 @@ class Simulator:
     def run(self, until: int | None = None) -> None:
         """Drain the queue, optionally not past virtual time `until`."""
         while self._queue and not self._stopped:
-            if until is not None and self._queue[0].fire_at > until:
+            if until is not None and self._queue[0][0] > until:
                 self.now = until
                 return
-            event = heapq.heappop(self._queue)
+            fire_at, _, action = heapq.heappop(self._queue)
             self._fired += 1
             if self._fired > self.max_events:
                 raise LivelockError(
                     f"exceeded {self.max_events} events at t={self.now}ms; "
                     "the scenario is not making progress"
                 )
-            self.now = event.fire_at
-            event.action()
+            self.now = fire_at
+            action()
         if until is not None and not self._stopped:
             self.now = max(self.now, until)
 

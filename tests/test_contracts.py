@@ -275,6 +275,19 @@ def test_breach_reporter_must_be_sender():
     assert "reporter must be the sender" in str(e.value)
 
 
+def test_batch_reporters_must_all_be_the_sender():
+    ledger = fresh_ledger()
+    ledger.apply(CONSUMER.address, OpInit(agreement()), b"\x00" * 32)
+    before = ledger.state_digest()
+    # One forged record among honest ones refuses the whole batch.
+    batch = OpBatch((breach(CONSUMER, 0), breach(PROVIDER, 1), breach(CONSUMER, 2)))
+    with pytest.raises(Exception) as e:
+        ledger.apply(CONSUMER.address, batch, digest(b"batch"))
+    assert "reporter must be the sender" in str(e.value)
+    assert ledger.records == [] and ledger.batches == []
+    assert ledger.state_digest() == before
+
+
 def test_breach_before_init_fails():
     ledger = fresh_ledger()
     with pytest.raises(Exception) as e:
