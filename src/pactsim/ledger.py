@@ -6,9 +6,12 @@ travels off-chain).  Blocks are finalized with a quorum of commit seals
 over the block hash; the store verifies seals against the validator key
 set fixed at genesis and refuses conflicting blocks at the same height.
 
-A block's `hash` and a transaction's `tx_id` are derived from content,
-once per object: neither is a constructor argument, and a copy made
-with `dataclasses.replace` derives its own.
+A block's `hash` and a transaction's `tx_id` and signature check are
+derived from content, once per object: none is a constructor argument,
+and a copy made with `dataclasses.replace` or decoded from bytes
+derives its own.  Block append re-checks every transaction's signature,
+including ones the node already admitted at gossip; for the same
+object that re-check reads the stored result.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .encoding import (
     enc_u8,
     enc_u64,
 )
-from .identity import Credential, KeyRegistry, verify
+from .identity import Credential, KeyRegistry, address_of, verify
 
 ZERO_HASH = b"\x00" * HASH_LEN
 
@@ -119,8 +122,10 @@ class Transaction:
         return self.body() + enc_bytes(self.signature)
 
     def verify_signature(self) -> bool:
-        from .identity import address_of
+        return self._signature_ok
 
+    @cached_property
+    def _signature_ok(self) -> bool:
         if address_of(self.sender_pubkey) != self.sender:
             return False
         return verify(self.sender_pubkey, self.sign_preimage(), self.signature)

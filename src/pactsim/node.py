@@ -5,6 +5,12 @@ chain, executed world state, transaction pool, and receipts for
 transactions it saw land in blocks.  Nodes hosting a privacy-group
 member additionally keep that group's key and replay its encrypted
 operations in block order as the anchoring markers finalize.
+
+A transaction's signature is checked at gossip intake and again when a
+block holding it is appended.  The check is derived once per
+transaction object, so the second check of an object the node already
+admitted costs a lookup, while a tampered copy is checked afresh and,
+inside a block, gets the block dropped.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ class NodeRuntime:
             return
         if not self.pool.add(tx, self.sim.now):
             return
-        self.sim.trace("tx_accepted", node=self.name, tx=tx.tx_id.hex()[:16])
+        if self.sim.trace_enabled:
+            self.sim.trace("tx_accepted", node=self.name, tx=tx.tx_id.hex()[:16])
         wire = tx.encode() if self.network.capture_wire else None
         for other in self.cluster.node_names:
             if other != self.name:
@@ -237,10 +244,11 @@ class NodeRuntime:
             try:
                 op = decode_private_op(plaintext)
                 ledger.apply(task.sender, op, task.payload_hash)
-                self.sim.trace(
-                    "private_op", node=self.name, group=group_id.hex()[:16],
-                    op=type(op).__name__, height=task.height,
-                )
+                if self.sim.trace_enabled:
+                    self.sim.trace(
+                        "private_op", node=self.name, group=group_id.hex()[:16],
+                        op=type(op).__name__, height=task.height,
+                    )
             except (ExecError, ValueError) as err:
                 reason = err.reason if isinstance(err, ExecError) else str(err)
                 self.private_op_failures.append((task.payload_hash, reason))
@@ -256,7 +264,8 @@ class NodeRuntime:
         ledger.halted = True
         queue.clear()
         self.private_op_failures.append((task.payload_hash, "payload never arrived; group halted"))
-        self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
+        if self.sim.trace_enabled:
+            self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
 
 
 class Cluster:

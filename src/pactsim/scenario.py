@@ -380,7 +380,8 @@ class WorkloadDriver:
             for node_name in info.member_nodes:
                 self.cluster.nodes[node_name].join_group(info)
             self.groups.append(info)
-            self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
+            if self.sim.trace_enabled:
+                self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
 
     def _stage_deploy(self) -> None:
         for group in self._ordered_groups():

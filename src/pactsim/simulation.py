@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 MAX_EVENTS = 10_000_000
+
+# Channel delays are drawn this many at a time.  A block draw returns
+# the values that as many scalar draws would (docs/rng.md), so the size
+# never changes an output.
+DRAW_BLOCK = 1024
 
 STREAM_CONSENSUS = 1
 STREAM_RPC = 2
@@ -65,6 +70,9 @@ class Fixed:
     def sample(self, rng: np.random.Generator) -> int:
         return self.value
 
+    def block(self, rng: np.random.Generator, n: int) -> list[int]:
+        return [self.value] * n
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -73,6 +81,9 @@ class Uniform:
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.low, self.high, endpoint=True))
+
+    def block(self, rng: np.random.Generator, n: int) -> list[int]:
+        return rng.integers(self.low, self.high, endpoint=True, size=n).tolist()
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,17 @@ class LogNormal:
     def sample(self, rng: np.random.Generator) -> int:
         return max(0, int(round(rng.lognormal(mean=np.log(self.median), sigma=self.sigma))))
 
+    def block(self, rng: np.random.Generator, n: int) -> list[int]:
+        draws = rng.lognormal(mean=np.log(self.median), sigma=self.sigma, size=n).tolist()
+        return [max(0, int(round(x))) for x in draws]
+
 
 LatencyModel = Fixed | Uniform | LogNormal
+
+
+def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
+    while True:
+        yield from model.block(rng, DRAW_BLOCK)
 
 
 class Simulator:
@@ -141,16 +161,17 @@ class Simulator:
 class Network:
     """Point-to-point message fabric with crashes and partitions.
 
-    Delivery delay is drawn per message from the channel's latency
-    model.  A message is dropped if either endpoint is crashed at send
-    time, if the destination is crashed at delivery time, or if the two
-    endpoints are in different partition groups at send time.
+    Each message takes the next delay of its channel, drawn from the
+    channel's latency model `DRAW_BLOCK` values at a time.  A message is
+    dropped if either endpoint is crashed at send time, if the
+    destination is crashed at delivery time, or if the two endpoints are
+    in different partition groups at send time.
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
         self.sim = sim
         self.rng_hub = rng_hub
-        self.channels: dict[str, tuple[LatencyModel, np.random.Generator]] = {}
+        self.channels: dict[str, Iterator[int]] = {}
         self.crashed: set[str] = set()
         self.partition: list[set[str]] | None = None
         self.delivered = 0
@@ -165,7 +186,7 @@ class Network:
         return self.wire_log is not None
 
     def add_channel(self, name: str, model: LatencyModel, stream_tag: int) -> None:
-        self.channels[name] = (model, self.rng_hub.stream(stream_tag))
+        self.channels[name] = _delays(model, self.rng_hub.stream(stream_tag))
 
     def crash(self, node: str) -> None:
         self.crashed.add(node)
@@ -173,7 +194,8 @@ class Network:
 
     def set_partition(self, groups: Iterable[Iterable[str]] | None) -> None:
         self.partition = [set(g) for g in groups] if groups is not None else None
-        self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
+        if self.sim.trace_enabled:
+            self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
 
     def _connected(self, src: str, dst: str) -> bool:
         if self.partition is None:
@@ -191,10 +213,9 @@ class Network:
         deliver: Callable[[], None],
         wire: bytes | None = None,
     ) -> None:
-        model, rng = self.channels[channel]
-        # The draw happens even for dropped messages so that crashing a
+        # The delay is taken even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
-        self.send_after(src, dst, model.sample(rng), deliver, wire)
+        self.send_after(src, dst, next(self.channels[channel]), deliver, wire)
 
     def send_after(
         self,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pactsim.encoding import Cursor, digest
+from pactsim import ledger
+from pactsim.encoding import ADDRESS_LEN, Cursor, digest
 from pactsim.identity import KeyRegistry
 from pactsim.ledger import (
     Block,
@@ -107,6 +108,24 @@ def test_copies_derive_their_own_identity():
     assert replace(block, timestamp=block.timestamp + 1).hash != block.hash
     tx = call_tx(cred(1), 0, "registry", "register", 1)
     assert replace(tx, nonce=1).tx_id != tx.tx_id
+
+
+def test_signature_check_runs_once_per_object(monkeypatch):
+    calls = []
+    real_verify = ledger.verify
+    monkeypatch.setattr(ledger, "verify", lambda *a: calls.append(a) or real_verify(*a))
+    tx = call_tx(cred(1), 0, "registry", "register", 1)
+    assert tx.verify_signature() and tx.verify_signature()
+    assert len(calls) == 1
+    assert not replace(tx, nonce=tx.nonce + 1).verify_signature()
+    wire = bytearray(tx.encode())
+    wire[ADDRESS_LEN + 32 + 7] ^= 1  # last byte of the nonce
+    tampered = decode_transaction(Cursor(bytes(wire)))
+    assert tampered.nonce == tx.nonce ^ 1
+    assert not tampered.verify_signature()
+    assert decode_transaction(Cursor(tx.encode())).verify_signature()
+    assert len(calls) == 4
+    assert tx.verify_signature()
 
 
 def test_block_hash_covers_content():

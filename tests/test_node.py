@@ -109,6 +109,26 @@ def test_unverifiable_block_dropped_and_counted():
     assert node.dropped_invalid_blocks == 1
 
 
+def test_tampered_copy_of_admitted_tx_refused_at_gossip_and_append():
+    _, cluster = make_cluster(("n0",))
+    node = cluster.nodes["n0"]
+    tx = call_tx(ALICE, 0, "registry", "register", 1)
+    node.receive_tx(tx)
+    assert len(node.pool) == 1
+    tampered = dataclasses.replace(tx, nonce=tx.nonce + 1)
+    node.receive_gossip(tampered)
+    assert len(node.pool) == 1
+    (b1,) = build_chain(1, {1: [tx]})
+    bad = dataclasses.replace(b1, txs=(tampered,))
+    bad = dataclasses.replace(bad, seals=tuple(make_seal(v, bad.hash) for v in VALIDATORS[:QUORUM]))
+    node.on_sealed_block(bad)
+    assert node.store.height == 0
+    assert node.dropped_invalid_blocks == 1
+    node.on_sealed_block(b1)
+    assert node.store.height == 1
+    assert node.dropped_invalid_blocks == 1
+
+
 # -- receipts ---------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from pactsim.simulation import (
+    DRAW_BLOCK,
     STREAM_CONSENSUS,
     STREAM_RPC,
     Fixed,
@@ -198,6 +199,27 @@ def test_crash_does_not_shift_shared_stream():
         return seen
 
     assert delays(False) == delays(True)
+
+
+@pytest.mark.parametrize("model", [Fixed(25), Uniform(10, 90), LogNormal(700, 0.5)])
+def test_channel_delays_equal_scalar_draws(model):
+    # Channels draw delays DRAW_BLOCK at a time; the outputs stay those
+    # of one scalar draw per message only while numpy's block and
+    # scalar draws agree value for value.
+    n = 2 * DRAW_BLOCK + 1
+    sim = Simulator()
+    net = Network(sim, RngHub(13))
+    net.add_channel("link", model, STREAM_CONSENSUS)
+    net.crash("x")
+    arrivals = {}
+    for i in range(n):
+        dst = "x" if i % 7 == 3 else "b"
+        net.send("a", dst, "link", lambda i=i: arrivals.__setitem__(i, sim.now))
+    sim.run()
+    ref = RngHub(13).stream(STREAM_CONSENSUS)
+    expected = [model.sample(ref) for _ in range(n)]
+    assert net.dropped_crash == n - len(arrivals) > 0
+    assert arrivals == {i: d for i, d in enumerate(expected) if i % 7 != 3}
 
 
 def test_partition_blocks_cross_group_traffic():
