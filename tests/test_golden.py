@@ -5,6 +5,12 @@ Each case runs with tracing on and compares SHA-256 digests of
 `chain_dump()` against committed values.  A change that moves any of
 them must say why and re-baseline here; print the current digests with
 `PYTHONPATH=src python tests/test_golden.py`.
+
+Two more digests hold no hash, address or signature: `latency-shape`
+is `latency.csv` without its `tx_id` and `group_id` columns, and
+`shape:<node>` is `chain_dump()` reduced to height, round, transaction
+count and gas.  A change to how keys, signatures or hashes are derived
+moves the full digests but must leave these, and `summary.json`, alone.
 """
 
 from __future__ import annotations
@@ -50,63 +56,111 @@ GOLDEN: dict[str, dict[str, str]] = {
         "latency.csv": "5414c6db52c7d39ecc6d2cc74bdc91ad1eeefe54007d599ac40acf6edec1d6e5",
         "summary.json": "0302c819f88c244190f397e71d7e0befbe10c75ab9dd46ac033792c88c33b45c",
         "trace.jsonl": "f444ac5b04d2041204241b4f9fe8dfa2d6286e17ad83fb4f5e1f51c3d5b3db33",
+        "latency-shape": "37e7c12d1a6675a2697b084775479a8e5bcd7b2acf1522c08fb2da306bc6a438",
         "chain:m0": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:m0": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:m1": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:m1": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:m2": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:m2": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:v0": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:v0": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:v1": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:v1": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:v2": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:v2": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
         "chain:v3": "a854a267494b2c91264faf7a82cd1a6391c3041e542c879b6b61f9c51b8d3e4b",
+        "shape:v3": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
     },
     "smoke-batches": {
         "latency.csv": "6e10438a169434bd15f3a4466b625fbc03777d090006520ba5076d9187b53c5c",
         "summary.json": "2fddbce9027cf63d6b4f13ab84624cc5ffa669e9077cc66a61a79073e9907426",
         "trace.jsonl": "a2e1a65adf2d81f02109432c55e411d0d7bd4180090a9a4c4bdd312e4c195933",
+        "latency-shape": "d1d7586f3b10854761584d92a73a566af9ba4c12ab2f7359b4d9998614b33c32",
         "chain:m0": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:m0": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:m1": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:m1": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:m2": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:m2": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:v0": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:v0": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:v1": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:v1": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:v2": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:v2": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
         "chain:v3": "3cec5ef6036df3d20ecd2ad5c2ff553907d0911f3a20bcb7153cad3c018e103d",
+        "shape:v3": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
     },
     "smoke-equivocate": {
         "latency.csv": "3f1ca5c86af07f293367978abcaec5e5d64bee0e361ee3bec993aec2b693fd1e",
         "summary.json": "7cc91d7350c4c9baf26a206c509a5e12297a46f4ee09754225afa9ea74593a05",
         "trace.jsonl": "7f0ee99a4e48c94e6d327553e716a2e071701c69d39acb0a16126be00ce4c617",
+        "latency-shape": "9f0e8bcdc71d81e286ea3c1a5c76ff9abae3103544a93de0071464a89490da17",
         "chain:m0": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:m0": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:m1": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:m1": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:m2": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:m2": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:v0": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:v0": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:v1": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:v1": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:v2": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:v2": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
         "chain:v3": "07e599e9e12e2dfe0bb8cfd473a3f4668bf0f7628efa8c260a557ec3a34fee5a",
+        "shape:v3": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
     },
     "smoke-multigroup": {
         "latency.csv": "1f3f4dc63cf5705c1f450d4d967cee56b4b088adea581cdda999baaedd195797",
         "summary.json": "f454a5103ac1ebdee66d77cd9990b229aa5268d6a8889e007e4ca093a9455c17",
         "trace.jsonl": "24c46930562eef34499a5b6af0a9f205f1f8b473ff592bf647fb4a67398432da",
+        "latency-shape": "2ca9b3ed3490ea83ee52b082c7428fb328016db6d2b11ca4219e8bd0528091d4",
         "chain:m0": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:m0": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:m1": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:m1": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:m2": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:m2": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:v0": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:v0": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:v1": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:v1": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:v2": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:v2": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
         "chain:v3": "2f74fd5f13159162a4ac637cd635d4a7acf77cd5f186ff5b89e9478b6a5768d1",
+        "shape:v3": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
     },
     "smoke-proposer-crash": {
         "latency.csv": "d1af7ad3f05421b1edb6bb30a97c09dd237671e075f9e74ea8b3635264607a3f",
         "summary.json": "35477da66f8de8f6c29de2f6666b01172c90c363ad53c004c54ce6dab4659ab8",
         "trace.jsonl": "d715c88c7190b8701c463db958841f55752c0b219ee9472c7c285f066d4e9c0f",
+        "latency-shape": "44181db8776bb6ad265239b663887f300e82a1665d05d98ab08f7b79c7da89a8",
         "chain:m0": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:m0": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
         "chain:m1": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:m1": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
         "chain:m2": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:m2": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
         "chain:v0": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:v0": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
         "chain:v1": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:v1": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
         "chain:v2": "cab0a5eafc4ef82a07232e9ec3132bc9d26921f513af1f0d9aa8a4811bbbbf57",
+        "shape:v2": "f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16",
         "chain:v3": "eb387a12cd350cf57e604f361d182c425201372e198ba7da1114a846ee90cda7",
+        "shape:v3": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
     },
 }
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def drop_columns(lines: list[str], keep: tuple[int, ...], sep: str) -> str:
+    return "\n".join(sep.join(line.split(sep)[i] for i in keep) for line in lines)
 
 
 def run_digests(raw: dict, seed: int, out_dir: Path) -> dict[str, str]:
@@ -115,8 +169,14 @@ def run_digests(raw: dict, seed: int, out_dir: Path) -> dict[str, str]:
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("latency.csv", "summary.json", "trace.jsonl")
     }
+    # latency.csv columns: tx_id kind submit final latency enclave height group_id
+    csv_lines = (out_dir / "latency.csv").read_text().splitlines()
+    digests["latency-shape"] = sha256_hex(drop_columns(csv_lines, (1, 2, 3, 4, 5, 6), ","))
     for node_name, node in sorted(result.cluster.nodes.items()):
-        digests[f"chain:{node_name}"] = hashlib.sha256(node.chain_dump().encode()).hexdigest()
+        dump = node.chain_dump()
+        digests[f"chain:{node_name}"] = sha256_hex(dump)
+        # chain_dump columns: height hash parent proposer round txs gas
+        digests[f"shape:{node_name}"] = sha256_hex(drop_columns(dump.splitlines(), (0, 4, 5, 6), " "))
     return digests
 
 
