@@ -26,7 +26,7 @@ TAG_MSG = b"PMS1"
 TAG_SEAL = b"PSL1"
 TAG_GROUP = b"PGR1"
 TAG_STATE = b"PST1"
-TAG_PAYLOAD = b"PPL1"
+TAG_KEY = b"PKY1"
 
 
 def enc_u8(value: int) -> bytes:
@@ -148,8 +148,6 @@ class DecodeError(ValueError):
 # Argument schemas are sequences of type names; the supported types are the
 # ones contract operations actually take.  docs/encoding.md lists them.
 # ---------------------------------------------------------------------------
-
-ARG_TYPES = ("address", "hash", "u64", "str", "bool", "u8")
 
 
 def enc_args(schema: Sequence[str], values: Sequence[object]) -> bytes:

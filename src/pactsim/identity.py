@@ -1,10 +1,12 @@
-"""Keys, addresses, and signatures.
+"""Keys, addresses, and signatures from an ideal signature oracle.
 
-Each domain account and each node identity is an Ed25519 keypair whose
-key material comes from the run's seeded RNG, so a given scenario seed
-always produces the same addresses and the same (deterministic, RFC 8032)
-signatures.  An address is the first 20 bytes of the SHA-256 digest of
-the public key.
+Signatures stand in for Canetti's ideal signature functionality F_SIG:
+a verifier asks whether a key signed some bytes, and no party can forge.
+A credential is a 32-byte seed from the run's seeded RNG.  Its public key
+is SHA-256 of `PKY1` and the seed, a signature is keyed BLAKE2b of the
+preimage under the seed, and verification recomputes that MAC with the
+seed issued for the key (docs/encoding.md).  An address is the first 20
+bytes of the SHA-256 digest of the public key.
 """
 
 from __future__ import annotations
@@ -13,22 +15,15 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
-
-from .encoding import ADDRESS_LEN
+from .encoding import ADDRESS_LEN, TAG_KEY, tagged_digest
 
 PUBKEY_LEN = 32
 SIGNATURE_LEN = 64
 
-ZERO_ADDRESS = b"\x00" * ADDRESS_LEN
+# Public key -> seed of every credential issued in this process.  Each
+# entry is a pure function of its key, so runs sharing the table cannot
+# change each other's results.
+_SEEDS: dict[bytes, bytes] = {}
 
 
 def address_of(public_key_bytes: bytes) -> bytes:
@@ -40,9 +35,9 @@ def address_of(public_key_bytes: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class Credential:
-    """A private signing key plus its derived public identity."""
+    """A secret signing seed plus its derived public identity."""
 
-    signing_key: Ed25519PrivateKey = field(repr=False)
+    seed: bytes = field(repr=False)
     public_key: bytes
     address: bytes
 
@@ -50,16 +45,20 @@ class Credential:
     def from_seed_bytes(cls, seed32: bytes) -> "Credential":
         if len(seed32) != 32:
             raise ValueError("credential seed must be 32 bytes")
-        sk = Ed25519PrivateKey.from_private_bytes(seed32)
-        pub = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return cls(signing_key=sk, public_key=pub, address=address_of(pub))
+        pub = tagged_digest(TAG_KEY, seed32)
+        _SEEDS[pub] = seed32
+        return cls(seed=seed32, public_key=pub, address=address_of(pub))
 
     def sign(self, preimage: bytes) -> bytes:
-        return self.signing_key.sign(preimage)
+        return _mac(self.seed, preimage)
+
+
+def _mac(seed: bytes, preimage: bytes) -> bytes:
+    return hashlib.blake2b(preimage, key=seed, digest_size=SIGNATURE_LEN).digest()
 
 
 def verify(public_key_bytes: bytes, preimage: bytes, signature: bytes) -> bool:
-    """Check an Ed25519 signature; False on any mismatch, never raises."""
+    """Check a signature against the oracle; False on any mismatch, never raises."""
     if len(signature) != SIGNATURE_LEN or len(public_key_bytes) != PUBKEY_LEN:
         return False
     # The cache keys on the full preimage: a repeated check of the same
@@ -69,11 +68,10 @@ def verify(public_key_bytes: bytes, preimage: bytes, signature: bytes) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def _verify_cached(pub: bytes, sig: bytes, preimage: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(pub).verify(sig, preimage)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    # A cached False cannot go stale: a valid signature under a key exists
+    # only after `from_seed_bytes` has registered that key.
+    seed = _SEEDS.get(pub)
+    return seed is not None and _mac(seed, preimage) == sig
 
 
 @dataclass

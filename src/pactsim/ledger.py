@@ -9,15 +9,16 @@ set fixed at genesis and refuses conflicting blocks at the same height.
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
 and a copy made with `dataclasses.replace` or decoded from bytes
-derives its own.  Block append re-checks every transaction's signature,
-including ones the node already admitted at gossip; for the same
-object that re-check reads the stored result.
+derives its own.  A transaction derives both when it is built, from
+one encoding of its signed preimage.  Block append re-checks every
+transaction's signature, including ones the node already admitted at
+gossip; for the same object that re-check reads the stored result.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .encoding import (
@@ -99,7 +100,7 @@ def decode_payload(cur: Cursor) -> PublicCall | PrivacyMarker:
     raise ValueError(f"unknown payload kind {kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     sender: bytes
     sender_pubkey: bytes
@@ -107,10 +108,14 @@ class Transaction:
     gas_limit: int
     payload: PublicCall | PrivacyMarker
     signature: bytes
+    tx_id: bytes = field(init=False, compare=False, repr=False)
+    _signature_ok: bool = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def tx_id(self) -> bytes:
-        return digest(self.sign_preimage() + self.signature)
+    def __post_init__(self) -> None:
+        preimage = self.sign_preimage()
+        ok = address_of(self.sender_pubkey) == self.sender and verify(self.sender_pubkey, preimage, self.signature)
+        object.__setattr__(self, "tx_id", digest(preimage + self.signature))
+        object.__setattr__(self, "_signature_ok", ok)
 
     def body(self) -> bytes:
         return _tx_body(self.sender, self.sender_pubkey, self.nonce, self.gas_limit, self.payload)
@@ -123,12 +128,6 @@ class Transaction:
 
     def verify_signature(self) -> bool:
         return self._signature_ok
-
-    @cached_property
-    def _signature_ok(self) -> bool:
-        if address_of(self.sender_pubkey) != self.sender:
-            return False
-        return verify(self.sender_pubkey, self.sign_preimage(), self.signature)
 
 
 def _tx_body(

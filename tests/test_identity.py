@@ -1,4 +1,4 @@
-"""Key handling: address derivation, signatures, verification cache."""
+"""Key handling: address derivation, signing, and verification by the oracle."""
 
 import hashlib
 
@@ -43,11 +43,16 @@ def test_verify_rejects_mangled_signature():
     sig = bytearray(c.sign(b"m"))
     sig[0] ^= 0x01
     assert not verify(c.public_key, b"m", bytes(sig))
+    pub = bytearray(c.public_key)
+    pub[-1] ^= 0x01
+    assert not verify(bytes(pub), b"m", c.sign(b"m"))
 
 
 def test_verify_rejects_malformed_inputs():
     c = cred(7)
     assert not verify(b"\x00" * PUBKEY_LEN, b"m", c.sign(b"m"))
+    # well formed, but no credential was issued for it
+    assert not verify(hashlib.sha256(b"never issued").digest(), b"m", c.sign(b"m"))
     assert not verify(c.public_key, b"m", b"short")
 
 
