@@ -17,11 +17,18 @@ is how non-validator nodes follow the chain and where a conflicting
 finalization at the same height would be caught.  Nothing resends a
 block: a node that misses the push (say, across a partition) stays
 behind until a block-sync protocol exists.
+
+A message carries the bytes its sender signed as a cached attribute
+(`signed`; a commit's `sealed` holds its seal preimage).  Every
+recipient of a broadcast gets the same object, so the bytes are built
+once per message, not once per recipient; a `replace` copy builds its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
 from .encoding import (
@@ -59,20 +66,20 @@ def quorum_size(n: int) -> int:
 @dataclass(frozen=True)
 class ValidatorSet:
     addresses: tuple[bytes, ...]
+    n: int = field(init=False, compare=False)
+    quorum: int = field(init=False, compare=False)
+    members: frozenset[bytes] = field(init=False, compare=False, repr=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(self.n)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", len(self.addresses))
+        object.__setattr__(self, "quorum", quorum_size(self.n))
+        object.__setattr__(self, "members", frozenset(self.addresses))
 
     def proposer_for(self, height: int, round_: int) -> bytes:
         return self.addresses[(height + round_) % self.n]
 
     def __contains__(self, address: bytes) -> bool:
-        return address in self.addresses
+        return address in self.members
 
 
 def _vote_preimage(msg_type: int, height: int, round_: int, digest: bytes) -> bytes:
@@ -92,6 +99,10 @@ class PrePrepare:
     def preimage(height: int, round_: int, digest: bytes) -> bytes:
         return _vote_preimage(MSG_PREPREPARE, height, round_, digest)
 
+    @cached_property
+    def signed(self) -> bytes:
+        return PrePrepare.preimage(self.height, self.round, self.block.hash)
+
 
 @dataclass(frozen=True)
 class Prepare:
@@ -104,6 +115,10 @@ class Prepare:
     @staticmethod
     def preimage(height: int, round_: int, digest: bytes) -> bytes:
         return _vote_preimage(MSG_PREPARE, height, round_, digest)
+
+    @cached_property
+    def signed(self) -> bytes:
+        return Prepare.preimage(self.height, self.round, self.digest)
 
 
 @dataclass(frozen=True)
@@ -118,6 +133,15 @@ class Commit:
     @staticmethod
     def preimage(height: int, round_: int, digest: bytes, seal: bytes) -> bytes:
         return _vote_preimage(MSG_COMMIT, height, round_, digest) + enc_bytes(seal)
+
+    @cached_property
+    def signed(self) -> bytes:
+        return Commit.preimage(self.height, self.round, self.digest, self.seal)
+
+    @cached_property
+    def sealed(self) -> bytes:
+        """The bytes `seal` signs: the block hash this commit votes for."""
+        return seal_preimage(self.digest)
 
 
 @dataclass(frozen=True)
@@ -172,19 +196,17 @@ class RoundChange:
             + enc_fixed(prepared.block.hash, HASH_LEN)
         )
 
+    @cached_property
+    def signed(self) -> bytes:
+        return RoundChange.preimage(self.height, self.target_round, self.prepared)
+
 
 Message = PrePrepare | Prepare | Commit | RoundChange
 
 
 def signed_preimage(msg: Message) -> bytes:
-    """The bytes a message's sender signed."""
-    if isinstance(msg, PrePrepare):
-        return PrePrepare.preimage(msg.height, msg.round, msg.block.hash)
-    if isinstance(msg, Prepare):
-        return Prepare.preimage(msg.height, msg.round, msg.digest)
-    if isinstance(msg, Commit):
-        return Commit.preimage(msg.height, msg.round, msg.digest, msg.seal)
-    return RoundChange.preimage(msg.height, msg.target_round, msg.prepared)
+    """The bytes a message's sender signed, built once per message object."""
+    return msg.signed
 
 
 def message_wire(msg: Message) -> bytes:
@@ -255,6 +277,8 @@ class IbftValidator:
         self.state = _HeightState(height=0)
         self.dropped_invalid = 0
         self.echoed: set[tuple[int, int, bytes]] = set()
+        # Peer name -> that peer's `on_message`, resolved on first send.
+        self._inboxes: dict[str, Callable[[Message], None]] = {}
 
     @property
     def store(self) -> ChainStore:
@@ -307,11 +331,10 @@ class IbftValidator:
         self._process(msg)
 
     def _send(self, peer: str, msg: Message, wire: bytes | None) -> None:
-        self.network.send(
-            self.name, peer, "consensus",
-            lambda m=msg, p=peer: self.node.cluster.deliver_consensus(p, m),
-            wire=wire,
-        )
+        inbox = self._inboxes.get(peer)
+        if inbox is None:
+            inbox = self._inboxes[peer] = self.node.cluster.nodes[peer].validator.on_message
+        self.network.send(self.name, peer, "consensus", partial(inbox, msg), wire=wire)
 
     def send_prepare(self, height: int, round_: int, digest: bytes) -> None:
         msg = Prepare(
@@ -368,11 +391,12 @@ class IbftValidator:
             return
         self.state.proposed_rounds.add(round_)
         best = _highest_prepared(rc_cert)
-        block = replace(best.block, round=round_) if best is not None else self._build_block(round_)
+        block = best.block.replace_unhashed(round=round_) if best is not None else self._build_block(round_)
 
         height = self.state.height
         variants = [block]
         if self.strategy == "equivocate":
+            # The timestamp is hashed, so the twin derives its own hash.
             variants.append(replace(block, timestamp=block.timestamp + 1))
         msgs = [
             PrePrepare(
@@ -519,7 +543,7 @@ class IbftValidator:
 
     def _on_commit(self, msg: Commit) -> None:
         pub = self.registry.public_key_of(msg.sender)
-        if msg.sender != self.address and (pub is None or not verify(pub, seal_preimage(msg.digest), msg.seal)):
+        if msg.sender != self.address and (pub is None or not verify(pub, msg.sealed, msg.seal)):
             self.dropped_invalid += 1
             return
         self.state.commits.setdefault((msg.round, msg.digest), {})[msg.sender] = msg
@@ -556,7 +580,7 @@ class IbftValidator:
         if len(commits) < self.validators.quorum:
             return
         seals = tuple(sorted(((c.sender, c.seal) for c in commits.values()), key=lambda s: s[0]))
-        sealed = replace(proposal.block, seals=seals)
+        sealed = proposal.block.replace_unhashed(seals=seals)
         self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)
         self.node.on_self_finalized(sealed)
 

@@ -9,16 +9,19 @@ set fixed at genesis and refuses conflicting blocks at the same height.
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
 and a copy made with `dataclasses.replace` or decoded from bytes
-derives its own.  A transaction derives both when it is built, from
-one encoding of its signed preimage.  Block append re-checks every
-transaction's signature, including ones the node already admitted at
-gossip; for the same object that re-check reads the stored result.
+derives its own.  The one exception is `Block.replace_unhashed`: its
+copies differ only in `round` and `seals`, which the hash leaves out,
+so they carry over their source's hash.  A transaction derives both
+when it is built, from one encoding of its signed preimage.  Block
+append re-checks every transaction's signature, including ones the
+node already admitted at gossip; for the same object that re-check
+reads the stored result.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .encoding import (
@@ -193,6 +196,14 @@ class Block:
     @cached_property
     def hash(self) -> bytes:
         return hash_block(self)
+
+    def replace_unhashed(self, **changes) -> "Block":
+        """A copy with another `round` or `seals`; it keeps this block's hash."""
+        if not changes.keys() <= {"round", "seals"}:
+            raise ValueError(f"{sorted(changes)} are not all outside the block hash")
+        copy = replace(self, **changes)
+        copy.__dict__["hash"] = self.hash
+        return copy
 
 
 def hash_block(block: Block) -> bytes:

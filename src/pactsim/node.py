@@ -43,7 +43,7 @@ from .privacy import PAYLOAD_WAIT_MS, Enclave, GroupInfo
 from .simulation import Network, Simulator
 
 if TYPE_CHECKING:
-    from .consensus import IbftValidator, Message
+    from .consensus import IbftValidator
     from .metrics import MetricsCollector
 
 
@@ -282,11 +282,6 @@ class Cluster:
         self.nodes[node.name] = node
         node.cluster = self
         self.node_names = tuple(self.nodes)
-
-    def deliver_consensus(self, dst: str, msg: "Message") -> None:
-        node = self.nodes[dst]
-        if node.validator is not None:
-            node.validator.on_message(msg)
 
     def broadcast_sealed(self, src: str, block: Block) -> None:
         wire = block_wire(block) if self.network.capture_wire else None

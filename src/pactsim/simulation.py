@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -137,13 +138,16 @@ class Simulator:
 
     def run(self, until: int | None = None) -> None:
         """Drain the queue, optionally not past virtual time `until`."""
-        while self._queue and not self._stopped:
-            if until is not None and self._queue[0][0] > until:
+        queue = self._queue
+        pop = heapq.heappop
+        max_events = self.max_events
+        while queue and not self._stopped:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return
-            fire_at, _, action = heapq.heappop(self._queue)
+            fire_at, _, action = pop(queue)
             self._fired += 1
-            if self._fired > self.max_events:
+            if self._fired > max_events:
                 raise LivelockError(
                     f"exceeded {self.max_events} events at t={self.now}ms; "
                     "the scenario is not making progress"
@@ -163,9 +167,11 @@ class Network:
 
     Each message takes the next delay of its channel, drawn from the
     channel's latency model `DRAW_BLOCK` values at a time.  A message is
-    dropped if either endpoint is crashed at send time, if the
-    destination is crashed at delivery time, or if the two endpoints are
-    in different partition groups at send time.
+    dropped if either endpoint is crashed at send time, or if the two
+    endpoints are in different partition groups at send time.  Otherwise
+    the kernel fires `_arrive(dst, deliver)` after the delay; that drops
+    the message if the destination has crashed meanwhile and calls
+    `deliver()` if not.
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
@@ -233,12 +239,11 @@ class Network:
         if not self._connected(src, dst):
             self.dropped_partition += 1
             return
+        self.sim.schedule(delay, partial(self._arrive, dst, deliver))
 
-        def arrive() -> None:
-            if dst in self.crashed:
-                self.dropped_crash += 1
-                return
-            self.delivered += 1
-            deliver()
-
-        self.sim.schedule(delay, arrive)
+    def _arrive(self, dst: str, deliver: Callable[[], None]) -> None:
+        if dst in self.crashed:
+            self.dropped_crash += 1
+            return
+        self.delivered += 1
+        deliver()

@@ -1,6 +1,9 @@
 """Validator agreement: quorums, certificates, rounds, fault handling."""
 
 import itertools
+from dataclasses import replace
+
+import pytest
 
 from pactsim.consensus import (
     Commit,
@@ -11,10 +14,11 @@ from pactsim.consensus import (
     ValidatorSet,
     fault_tolerance,
     quorum_size,
+    signed_preimage,
 )
 from pactsim.config import config_from_dict
-from pactsim.identity import KeyRegistry
-from pactsim.ledger import Block, genesis_block, hash_block
+from pactsim.identity import KeyRegistry, verify
+from pactsim.ledger import Block, genesis_block, hash_block, seal_preimage
 from pactsim.scenario import run_scenario
 
 from .conftest import cred
@@ -38,6 +42,17 @@ def test_any_two_quorums_share_an_honest_validator():
             list(itertools.combinations(range(n), q)), 2
         ):
             assert len(set(a) & set(b)) >= f + 1
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 31])
+def test_validator_set_size_quorum_and_membership(n):
+    addresses = tuple(cred(200 + i).address for i in range(n))
+    vset = ValidatorSet(addresses=addresses)
+    assert vset.n == n
+    assert vset.quorum == quorum_size(n)
+    assert all(a in vset for a in addresses)
+    assert cred(199).address not in vset
+    assert vset == ValidatorSet(addresses=addresses)
 
 
 def test_proposer_rotation_frozen():
@@ -254,3 +269,52 @@ def test_reproposed_prepared_block_is_accepted():
     assert store.height >= 5
     assert max(block.round for block in store.blocks) <= 1
     assert [result.cluster.nodes[n].validator.dropped_invalid for n in cfg.node_names] == [0] * 4
+
+
+# -- signed bytes -----------------------------------------------------
+
+
+def test_signed_bytes_are_built_once_per_message_object(monkeypatch):
+    block = build_block()
+    digest = hash_block(block)
+    cert = make_cert()
+    sender = VALIDATORS[1].address
+    cases = [
+        (PrePrepare(1, 0, block, (), sender, b""), PrePrepare.preimage(1, 0, digest)),
+        (Prepare(1, 0, digest, sender, b""), Prepare.preimage(1, 0, digest)),
+        (Commit(1, 0, digest, b"seal", sender, b""), Commit.preimage(1, 0, digest, b"seal")),
+        (RoundChange(1, 1, cert, sender, b""), RoundChange.preimage(1, 1, cert)),
+    ]
+    builds = []
+    for cls in (PrePrepare, Prepare, Commit, RoundChange):
+        real = cls.preimage
+        monkeypatch.setattr(cls, "preimage", staticmethod(lambda *a, cls=cls, real=real: builds.append(cls) or real(*a)))
+    for msg, expected in cases:
+        first = signed_preimage(msg)
+        assert first == expected
+        # Every recipient of a broadcast gets this object: no rebuild.
+        assert signed_preimage(msg) is first
+    assert builds == [PrePrepare, Prepare, Commit, RoundChange]
+    commit = cases[2][0]
+    assert commit.sealed == seal_preimage(digest)
+    assert commit.sealed is commit.sealed
+
+
+def test_replaced_message_signs_its_own_bytes():
+    signer = VALIDATORS[1]
+    digest = hash_block(build_block())
+    other = b"\x01" * 32
+    prepare = Prepare(1, 0, digest, signer.address, signer.sign(Prepare.preimage(1, 0, digest)))
+    assert verify(signer.public_key, signed_preimage(prepare), prepare.signature)
+    for copy in (replace(prepare, round=1), replace(prepare, digest=other)):
+        assert signed_preimage(copy) == Prepare.preimage(copy.height, copy.round, copy.digest)
+        assert not verify(signer.public_key, signed_preimage(copy), prepare.signature)
+
+    seal = signer.sign(seal_preimage(digest))
+    commit = Commit(1, 0, digest, seal, signer.address, signer.sign(Commit.preimage(1, 0, digest, seal)))
+    assert verify(signer.public_key, signed_preimage(commit), commit.signature)
+    assert verify(signer.public_key, commit.sealed, commit.seal)
+    moved = replace(commit, digest=other)
+    assert moved.sealed == seal_preimage(other)
+    assert not verify(signer.public_key, signed_preimage(moved), commit.signature)
+    assert not verify(signer.public_key, moved.sealed, commit.seal)

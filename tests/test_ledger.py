@@ -110,6 +110,29 @@ def test_copies_derive_their_own_identity():
     assert replace(tx, nonce=1).tx_id != tx.tx_id
 
 
+def test_unhashed_copies_keep_the_source_hash(monkeypatch):
+    block = sealed_block(fresh_store())
+    source_hash = block.hash
+    calls = []
+    monkeypatch.setattr(ledger, "hash_block", lambda b: calls.append(b) or hash_block(b))
+    sealed = block.replace_unhashed(seals=block.seals[:2])
+    reproposed = block.replace_unhashed(round=3, seals=())
+    assert sealed.hash == reproposed.hash == source_hash
+    assert calls == []
+    assert sealed.hash == hash_block(sealed)
+    assert reproposed.hash == hash_block(reproposed)
+
+
+def test_hashed_field_copy_derives_its_own_hash():
+    block = sealed_block(fresh_store())
+    assert block.hash
+    twin = replace(block, timestamp=block.timestamp + 1)
+    assert "hash" not in twin.__dict__
+    assert twin.hash == hash_block(twin) != block.hash
+    with pytest.raises(ValueError):
+        block.replace_unhashed(timestamp=block.timestamp + 1)
+
+
 def test_signature_check_runs_once_per_object(monkeypatch):
     calls = []
     real_verify = ledger.verify
