@@ -12,11 +12,15 @@ the block hash), so peers accept a proposal whose block names someone
 other than the sender only when the round-change certificate binds that
 block.
 
-Finalized blocks are broadcast, fully sealed, to every node, once.  That
-is how non-validator nodes follow the chain and where a conflicting
-finalization at the same height would be caught.  Nothing resends a
-block: a node that misses the push (say, across a partition) stays
-behind until a block-sync protocol exists.
+Each validator that finalizes a height pushes its own sealed copy of
+the block to every other node, so a node gets one copy per finalizing
+validator.  That is how non-validator nodes follow the chain and where a
+conflicting finalization at the same height would be caught.  Nothing
+resends a block later: a node that misses every push (say, across a
+partition) stays behind until a block-sync protocol exists.
+
+Senders, prepared-certificate signers and seals are checked against
+the genesis `ValidatorSet` alone (`ValidatorSet.signed`).
 
 A message carries the bytes its sender signed as a cached attribute
 (`signed`; a commit's `sealed` holds its seal preimage).  Every
@@ -40,7 +44,9 @@ from .encoding import (
     enc_u64,
     enc_u8,
 )
-from .identity import Credential, KeyRegistry, verify
+# `quorum_size` and `verify` are unused here but stay importable from this
+# module; perfbench's tracer test reads `consensus.verify`.
+from .identity import Credential, ValidatorSet, fault_tolerance, quorum_size, verify
 from .ledger import Block, ChainStore, block_wire, seal_preimage
 from .simulation import Network, Simulator
 
@@ -53,33 +59,6 @@ MSG_COMMIT = 3
 MSG_ROUND_CHANGE = 4
 
 FUTURE_BUFFER_FACTOR = 4
-
-
-def fault_tolerance(n: int) -> int:
-    return (n - 1) // 3
-
-
-def quorum_size(n: int) -> int:
-    return 2 * fault_tolerance(n) + 1
-
-
-@dataclass(frozen=True)
-class ValidatorSet:
-    addresses: tuple[bytes, ...]
-    n: int = field(init=False, compare=False)
-    quorum: int = field(init=False, compare=False)
-    members: frozenset[bytes] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", len(self.addresses))
-        object.__setattr__(self, "quorum", quorum_size(self.n))
-        object.__setattr__(self, "members", frozenset(self.addresses))
-
-    def proposer_for(self, height: int, round_: int) -> bytes:
-        return self.addresses[(height + round_) % self.n]
-
-    def __contains__(self, address: bytes) -> bool:
-        return address in self.members
 
 
 def _vote_preimage(msg_type: int, height: int, round_: int, digest: bytes) -> bytes:
@@ -157,20 +136,16 @@ class PreparedCert:
     proposer_sig: bytes
     prepares: tuple[Prepare, ...]
 
-    def verify(self, height: int, validators: ValidatorSet, registry: KeyRegistry) -> bool:
+    def verify(self, height: int, validators: ValidatorSet) -> bool:
         digest = self.block.hash
         proposer = validators.proposer_for(height, self.round)
-        pub = registry.public_key_of(proposer)
-        if pub is None or not verify(pub, PrePrepare.preimage(height, self.round, digest), self.proposer_sig):
+        if not validators.signed(proposer, PrePrepare.preimage(height, self.round, digest), self.proposer_sig):
             return False
         senders = {proposer}
         for p in self.prepares:
             if p.height != height or p.round != self.round or p.digest != digest:
                 return False
-            if p.sender in senders or p.sender not in validators:
-                return False
-            pub = registry.public_key_of(p.sender)
-            if pub is None or not verify(pub, signed_preimage(p), p.signature):
+            if p.sender in senders or not validators.signed(p.sender, p.signed, p.signature):
                 return False
             senders.add(p.sender)
         return len(senders) >= validators.quorum
@@ -204,14 +179,9 @@ class RoundChange:
 Message = PrePrepare | Prepare | Commit | RoundChange
 
 
-def signed_preimage(msg: Message) -> bytes:
-    """The bytes a message's sender signed, built once per message object."""
-    return msg.signed
-
-
 def message_wire(msg: Message) -> bytes:
     """Serialized form of a consensus message as it crosses the network."""
-    wire = signed_preimage(msg) + enc_bytes(msg.signature)
+    wire = msg.signed + enc_bytes(msg.signature)
     if isinstance(msg, PrePrepare):
         return wire + block_wire(msg.block) + b"".join(message_wire(rc) for rc in msg.rc_cert)
     if isinstance(msg, RoundChange) and msg.prepared is not None:
@@ -251,7 +221,6 @@ class IbftValidator:
         node: "NodeRuntime",
         credential: Credential,
         validators: ValidatorSet,
-        registry: KeyRegistry,
         sim: Simulator,
         network: Network,
         block_interval: int,
@@ -264,7 +233,6 @@ class IbftValidator:
         self.credential = credential
         self.address = credential.address
         self.validators = validators
-        self.registry = registry
         self.sim = sim
         self.network = network
         self.block_interval = block_interval
@@ -459,14 +427,9 @@ class IbftValidator:
             if len(buf) < FUTURE_BUFFER_FACTOR * self.validators.n:
                 buf.append(msg)
             return
-        if msg.sender not in self.validators:
+        if msg.sender != self.address and not self.validators.signed(msg.sender, msg.signed, msg.signature):
             self.dropped_invalid += 1
             return
-        if msg.sender != self.address:
-            pub = self.registry.public_key_of(msg.sender)
-            if pub is None or not verify(pub, signed_preimage(msg), msg.signature):
-                self.dropped_invalid += 1
-                return
         if isinstance(msg, PrePrepare):
             self._on_preprepare(msg)
         elif isinstance(msg, Prepare):
@@ -520,12 +483,9 @@ class IbftValidator:
         for rc in cert:
             if rc.height != h or rc.target_round != round_:
                 return False
-            if rc.sender in senders or rc.sender not in self.validators:
+            if rc.sender in senders or not self.validators.signed(rc.sender, rc.signed, rc.signature):
                 return False
-            pub = self.registry.public_key_of(rc.sender)
-            if pub is None or not verify(pub, signed_preimage(rc), rc.signature):
-                return False
-            if rc.prepared is not None and not rc.prepared.verify(h, self.validators, self.registry):
+            if rc.prepared is not None and not rc.prepared.verify(h, self.validators):
                 return False
             senders.add(rc.sender)
         if len(senders) < self.validators.quorum:
@@ -542,8 +502,7 @@ class IbftValidator:
         self._check_prepare_quorum(msg.round, msg.digest)
 
     def _on_commit(self, msg: Commit) -> None:
-        pub = self.registry.public_key_of(msg.sender)
-        if msg.sender != self.address and (pub is None or not verify(pub, msg.sealed, msg.seal)):
+        if msg.sender != self.address and not self.validators.signed(msg.sender, msg.sealed, msg.seal):
             self.dropped_invalid += 1
             return
         self.state.commits.setdefault((msg.round, msg.digest), {})[msg.sender] = msg
@@ -605,7 +564,7 @@ class IbftValidator:
         self._maybe_propose_for(target)
 
     def _on_round_change(self, msg: RoundChange) -> None:
-        if msg.prepared is not None and not msg.prepared.verify(msg.height, self.validators, self.registry):
+        if msg.prepared is not None and not msg.prepared.verify(msg.height, self.validators):
             self.dropped_invalid += 1
             return
         st = self.state

@@ -7,6 +7,10 @@ is SHA-256 of `PKY1` and the seed, a signature is keyed BLAKE2b of the
 preimage under the seed, and verification recomputes that MAC with the
 seed issued for the key (docs/encoding.md).  An address is the first 20
 bytes of the SHA-256 digest of the public key.
+
+`ValidatorSet` holds the genesis validators: their proposer order, the
+quorum, and the only keys that consensus messages and block seals are
+checked against.
 """
 
 from __future__ import annotations
@@ -74,24 +78,42 @@ def _verify_cached(pub: bytes, sig: bytes, preimage: bytes) -> bool:
     return seed is not None and _mac(seed, preimage) == sig
 
 
-@dataclass
-class KeyRegistry:
-    """Address -> public key map for identities fixed at genesis.
+def fault_tolerance(n: int) -> int:
+    return (n - 1) // 3
 
-    Validator message and seal verification looks senders up here;
-    ordinary transactions carry their public key inline instead.
+
+def quorum_size(n: int) -> int:
+    return 2 * fault_tolerance(n) + 1
+
+
+@dataclass(frozen=True)
+class ValidatorSet:
+    """The validators fixed at genesis: proposer order, quorum, and keys.
+
+    Built from (address, public key) pairs in proposer order.  Consensus
+    messages, prepared certificates and block seals are checked against
+    these keys only; ordinary transactions carry their public key inline.
     """
 
-    _keys: dict = field(default_factory=dict)
+    keys: tuple[tuple[bytes, bytes], ...]
+    addresses: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
+    n: int = field(init=False, compare=False)
+    quorum: int = field(init=False, compare=False)
+    _key_of: dict[bytes, bytes] = field(init=False, compare=False, repr=False)
 
-    def add(self, credential: Credential) -> None:
-        self._keys[credential.address] = credential.public_key
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "addresses", tuple(address for address, _ in self.keys))
+        object.__setattr__(self, "n", len(self.keys))
+        object.__setattr__(self, "quorum", quorum_size(self.n))
+        object.__setattr__(self, "_key_of", dict(self.keys))
 
-    def add_public(self, address: bytes, public_key: bytes) -> None:
-        self._keys[address] = public_key
-
-    def public_key_of(self, address: bytes) -> bytes | None:
-        return self._keys.get(address)
+    def proposer_for(self, height: int, round_: int) -> bytes:
+        return self.addresses[(height + round_) % self.n]
 
     def __contains__(self, address: bytes) -> bool:
-        return address in self._keys
+        return address in self._key_of
+
+    def signed(self, address: bytes, preimage: bytes, signature: bytes) -> bool:
+        """Whether a validator of this set signed `preimage`; False for any outsider."""
+        pub = self._key_of.get(address)
+        return pub is not None and verify(pub, preimage, signature)

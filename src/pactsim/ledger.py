@@ -3,8 +3,8 @@
 A transaction either calls a public contract function or carries a
 privacy marker (a group id plus the hash of an encrypted payload that
 travels off-chain).  Blocks are finalized with a quorum of commit seals
-over the block hash; the store verifies seals against the validator key
-set fixed at genesis and refuses conflicting blocks at the same height.
+over the block hash; the store verifies seals against the genesis
+`ValidatorSet` and refuses conflicting blocks at the same height.
 
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
@@ -39,7 +39,7 @@ from .encoding import (
     enc_u8,
     enc_u64,
 )
-from .identity import Credential, KeyRegistry, address_of, verify
+from .identity import Credential, ValidatorSet, address_of, verify
 
 ZERO_HASH = b"\x00" * HASH_LEN
 
@@ -244,9 +244,8 @@ def genesis_block() -> Block:
 class ChainStore:
     """Finalized blocks of one node, genesis upward, no gaps."""
 
-    def __init__(self, validator_keys: KeyRegistry, quorum: int):
-        self.validator_keys = validator_keys
-        self.quorum = quorum
+    def __init__(self, validators: ValidatorSet):
+        self.validators = validators
         self.blocks: list[Block] = [genesis_block()]
 
     @property
@@ -270,13 +269,12 @@ class ChainStore:
             if sealer in seen:
                 raise InvalidBlock(f"duplicate seal from {sealer.hex()}")
             seen.add(sealer)
-            pub = self.validator_keys.public_key_of(sealer)
-            if pub is None:
+            if sealer not in self.validators:
                 raise UnknownValidatorSeal(f"seal from non-validator {sealer.hex()}")
-            if not verify(pub, preimage, sig):
+            if not self.validators.signed(sealer, preimage, sig):
                 raise InvalidBlock(f"bad seal signature from {sealer.hex()}")
-        if len(seen) < self.quorum:
-            raise InsufficientSeals(f"{len(seen)} seals, need {self.quorum}")
+        if len(seen) < self.validators.quorum:
+            raise InsufficientSeals(f"{len(seen)} seals, need {self.validators.quorum}")
 
     def append_block(self, block: Block) -> bool:
         """Validate and append a sealed block.

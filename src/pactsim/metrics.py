@@ -56,14 +56,17 @@ class SafetyViolation:
 
 
 class MetricsCollector:
-    """Aggregates finality events and latency samples for one run."""
+    """Aggregates finality events and latency samples for one run.
+
+    A sample is registered before its transaction is submitted, so the
+    block that finalizes the transaction always finds it.
+    """
 
     def __init__(self):
         self.samples: list[LatencySample] = []
         self._by_tx: dict[bytes, LatencySample] = {}
         self._block_final: dict[int, int] = {}
         self._block_hash: dict[int, bytes] = {}
-        self._tx_final: dict[bytes, tuple[int, int]] = {}
         self.safety_violations: list[SafetyViolation] = []
         self.finalized_heights = 0
         self.height_callbacks: list = []
@@ -79,9 +82,6 @@ class MetricsCollector:
         )
         self.samples.append(sample)
         self._by_tx[tx_id] = sample
-        done = self._tx_final.get(tx_id)
-        if done is not None:
-            self._fill_from_block(sample, done)
         return sample
 
     def new_private_sample(self, kind: str, submit_ms: int, group_id: bytes) -> LatencySample:
@@ -98,15 +98,6 @@ class MetricsCollector:
     def bind_tx(self, sample: LatencySample, tx_id: bytes) -> None:
         sample.tx_id = tx_id
         self._by_tx[tx_id] = sample
-        done = self._tx_final.get(tx_id)
-        if done is not None:
-            self._fill_from_block(sample, done)
-
-    def _fill_from_block(self, sample: LatencySample, done: tuple[int, int]) -> None:
-        final_ms, height = done
-        sample.block_height = height
-        if sample.kind not in OFF_CHAIN_FINAL_KINDS:
-            sample.final_ms = final_ms
 
     # -- finality events ----------------------------------------------
 
@@ -125,10 +116,11 @@ class MetricsCollector:
         self._block_final[block.height] = now
         self.finalized_heights = max(self.finalized_heights, block.height)
         for tx in block.txs:
-            self._tx_final[tx.tx_id] = (now, block.height)
             sample = self._by_tx.get(tx.tx_id)
             if sample is not None:
-                self._fill_from_block(sample, (now, block.height))
+                sample.block_height = block.height
+                if sample.kind not in OFF_CHAIN_FINAL_KINDS:
+                    sample.final_ms = now
         for cb in list(self.height_callbacks):
             cb(block.height)
 

@@ -27,7 +27,7 @@ from .contracts import (
     Receipt,
     decode_private_op,
 )
-from .identity import KeyRegistry
+from .identity import ValidatorSet
 from .ledger import (
     Block,
     ChainStore,
@@ -70,14 +70,13 @@ class NodeRuntime:
         name: str,
         sim: Simulator,
         network: Network,
-        registry: KeyRegistry,
-        quorum: int,
+        validators: ValidatorSet,
         schedule: GasSchedule,
     ):
         self.name = name
         self.sim = sim
         self.network = network
-        self.store = ChainStore(registry, quorum)
+        self.store = ChainStore(validators)
         self.state = PublicState(schedule)
         self.pool = TxPool()
         self.enclave = Enclave(name)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import ScenarioConfig
-from .consensus import IbftValidator, ValidatorSet
+from .consensus import IbftValidator
 from .contracts import (
     OP_IO,
     AgreementRecord,
@@ -38,7 +38,7 @@ from .contracts import (
     Role,
 )
 from .encoding import digest, enc_args
-from .identity import Credential, KeyRegistry
+from .identity import Credential, ValidatorSet
 from .ledger import PrivacyMarker, PublicCall, Transaction, make_transaction
 from .metrics import OFF_CHAIN_FINAL_KINDS, MetricsCollector
 from .node import Cluster, NodeRuntime
@@ -90,7 +90,6 @@ class Assembly:
     metrics: MetricsCollector
     cluster: Cluster
     validator_set: ValidatorSet
-    registry: KeyRegistry
     directory: GroupDirectory
     courier: PayloadCourier
     providers: list[Domain]
@@ -112,17 +111,15 @@ def assemble(
     network.add_channel("consensus", config.consensus_latency, STREAM_CONSENSUS)
     network.add_channel("rpc", config.rpc_latency, STREAM_RPC)
 
-    registry = KeyRegistry()
-    validator_creds = []
-    for i in range(config.validators):
-        cred = Credential.from_seed_bytes(rng_hub.derived(STREAM_KEYS, 1, i).bytes(32))
-        validator_creds.append(cred)
-        registry.add(cred)
-    validator_set = ValidatorSet(addresses=tuple(c.address for c in validator_creds))
+    validator_creds = [
+        Credential.from_seed_bytes(rng_hub.derived(STREAM_KEYS, 1, i).bytes(32))
+        for i in range(config.validators)
+    ]
+    validator_set = ValidatorSet(tuple((c.address, c.public_key) for c in validator_creds))
 
     cluster = Cluster(sim, network, metrics)
     for name in config.node_names:
-        node = NodeRuntime(name, sim, network, registry, validator_set.quorum, config.gas)
+        node = NodeRuntime(name, sim, network, validator_set, config.gas)
         cluster.add_node(node)
 
     byz_by_node = {b.node: b.strategy for b in config.faults.byzantine}
@@ -132,7 +129,6 @@ def assemble(
             node=node,
             credential=validator_creds[i],
             validators=validator_set,
-            registry=registry,
             sim=sim,
             network=network,
             block_interval=config.block_interval_ms,
@@ -187,7 +183,6 @@ def assemble(
         metrics=metrics,
         cluster=cluster,
         validator_set=validator_set,
-        registry=registry,
         directory=directory,
         courier=courier,
         providers=providers,

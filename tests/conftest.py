@@ -11,12 +11,16 @@ import pytest
 
 from pactsim.contracts import GasSchedule, PublicState, abi_arg_schema
 from pactsim.encoding import enc_args
-from pactsim.identity import Credential
+from pactsim.identity import Credential, ValidatorSet
 from pactsim.ledger import PublicCall, Transaction, make_transaction
 
 
 def cred(i: int) -> Credential:
     return Credential.from_seed_bytes(i.to_bytes(32, "big"))
+
+
+def validator_set(validators) -> ValidatorSet:
+    return ValidatorSet(tuple((v.address, v.public_key) for v in validators))
 
 
 def make_call(contract: str, function: str, *args) -> PublicCall:

@@ -11,14 +11,13 @@ import pytest
 
 from pactsim.audit import isolation_scan, member_state_consistency
 from pactsim.config import config_from_dict
-from pactsim.consensus import ValidatorSet
 from pactsim.contracts import BreachLedger, BreachRecord, GasSchedule, OpBatch, OpBreach, OpInit, AgreementRecord, PublicState, Role
 from pactsim.encoding import digest
 from pactsim.ledger import PrivacyMarker, TxPool
 from pactsim.privacy import encrypt_payload
 from pactsim.scenario import run_scenario, run_sweep
 
-from .conftest import call_tx, cred
+from .conftest import call_tx, cred, validator_set
 from .test_ledger import ref_pack
 
 PAPER_DEFAULT = config_from_dict({"preset": "paper-default"})
@@ -144,10 +143,7 @@ def test_liveness_under_proposer_crash(capsys):
     good = 0
     for seed in range(100):
         r = run_scenario(cfg, seed)
-        addresses = tuple(
-            r.cluster.nodes[n].validator.credential.address for n in cfg.validator_names
-        )
-        vs = ValidatorSet(addresses=addresses)
+        vs = validator_set(r.cluster.nodes[n].validator.credential for n in cfg.validator_names)
         block = next(iter(r.cluster.nodes.values())).store.block_at(2)
         delta = r.metrics.first_finalized_at(2) - r.metrics.first_finalized_at(1)
         if (

@@ -14,17 +14,16 @@ from pactsim.consensus import (
     ValidatorSet,
     fault_tolerance,
     quorum_size,
-    signed_preimage,
 )
 from pactsim.config import config_from_dict
-from pactsim.identity import KeyRegistry, verify
+from pactsim.identity import verify
 from pactsim.ledger import Block, genesis_block, hash_block, seal_preimage
-from pactsim.scenario import run_scenario
+from pactsim.scenario import assemble, run_scenario
 
-from .conftest import cred
+from .conftest import cred, validator_set
 
 VALIDATORS = [cred(70 + i) for i in range(4)]
-VSET = ValidatorSet(addresses=tuple(v.address for v in VALIDATORS))
+VSET = validator_set(VALIDATORS)
 
 
 def test_fault_tolerance_and_quorum_frozen():
@@ -46,13 +45,14 @@ def test_any_two_quorums_share_an_honest_validator():
 
 @pytest.mark.parametrize("n", [1, 4, 7, 31])
 def test_validator_set_size_quorum_and_membership(n):
-    addresses = tuple(cred(200 + i).address for i in range(n))
-    vset = ValidatorSet(addresses=addresses)
+    members = [cred(200 + i) for i in range(n)]
+    vset = validator_set(members)
     assert vset.n == n
     assert vset.quorum == quorum_size(n)
-    assert all(a in vset for a in addresses)
+    assert vset.addresses == tuple(m.address for m in members)
+    assert all(m.address in vset for m in members)
     assert cred(199).address not in vset
-    assert vset == ValidatorSet(addresses=addresses)
+    assert vset == ValidatorSet(tuple((m.address, m.public_key) for m in members))
 
 
 def test_proposer_rotation_frozen():
@@ -89,13 +89,6 @@ def build_block(round_=0) -> Block:
     )
 
 
-def registry() -> KeyRegistry:
-    reg = KeyRegistry()
-    for v in VALIDATORS:
-        reg.add(v)
-    return reg
-
-
 def make_cert(round_=0, prepare_count=2) -> PreparedCert:
     block = build_block(round_)
     digest = hash_block(block)
@@ -116,13 +109,12 @@ def make_cert(round_=0, prepare_count=2) -> PreparedCert:
 
 
 def test_prepared_cert_verifies():
-    assert make_cert().verify(1, VSET, registry())
-    assert make_cert(round_=2).verify(1, VSET, registry())
+    assert make_cert().verify(1, VSET)
+    assert make_cert(round_=2).verify(1, VSET)
 
 
 def test_prepared_cert_rejects_thin_or_forged_quorums():
-    reg = registry()
-    assert not make_cert(prepare_count=1).verify(1, VSET, reg)
+    assert not make_cert(prepare_count=1).verify(1, VSET)
 
     cert = make_cert()
     doubled = PreparedCert(
@@ -131,7 +123,7 @@ def test_prepared_cert_rejects_thin_or_forged_quorums():
         proposer_sig=cert.proposer_sig,
         prepares=(cert.prepares[0], cert.prepares[0]),
     )
-    assert not doubled.verify(1, VSET, reg)
+    assert not doubled.verify(1, VSET)
 
     wrong_sig = PreparedCert(
         block=cert.block,
@@ -139,7 +131,7 @@ def test_prepared_cert_rejects_thin_or_forged_quorums():
         proposer_sig=VALIDATORS[0].sign(b"other"),
         prepares=cert.prepares,
     )
-    assert not wrong_sig.verify(1, VSET, reg)
+    assert not wrong_sig.verify(1, VSET)
 
     outsider = cred(99)
     foreign = PreparedCert(
@@ -157,7 +149,7 @@ def test_prepared_cert_rejects_thin_or_forged_quorums():
             ),
         ),
     )
-    assert not foreign.verify(1, VSET, reg)
+    assert not foreign.verify(1, VSET)
 
 
 # -- whole-cluster behaviour ------------------------------------------
@@ -271,6 +263,32 @@ def test_reproposed_prepared_block_is_accepted():
     assert [result.cluster.nodes[n].validator.dropped_invalid for n in cfg.node_names] == [0] * 4
 
 
+def test_correctly_signed_message_from_outside_the_set_is_dropped():
+    # A real credential: every signature below verifies under its own key,
+    # but its address is not in the genesis validator set.
+    outsider = cred(99)
+    validator = assemble(heights_config(), 5).cluster.nodes["v0"].validator
+    validator.start()
+    assert outsider.address not in validator.validators
+    head = validator.store.head
+    block = Block(1, head.timestamp + 1000, head.hash, outsider.address, 0, ())
+    digest = block.hash
+    seal = outsider.sign(seal_preimage(digest))
+    messages = [
+        PrePrepare(1, 0, block, (), outsider.address, outsider.sign(PrePrepare.preimage(1, 0, digest))),
+        Prepare(1, 0, digest, outsider.address, outsider.sign(Prepare.preimage(1, 0, digest))),
+        Commit(1, 0, digest, seal, outsider.address, outsider.sign(Commit.preimage(1, 0, digest, seal))),
+        RoundChange(1, 1, None, outsider.address, outsider.sign(RoundChange.preimage(1, 1, None))),
+    ]
+    st = validator.state
+    for dropped, msg in enumerate(messages, start=1):
+        assert verify(outsider.public_key, msg.signed, msg.signature)
+        validator.on_message(msg)
+        assert validator.dropped_invalid == dropped, type(msg).__name__
+    assert (st.height, st.round) == (1, 0)
+    assert st.proposals == st.prepares == st.commits == st.round_changes == {}
+
+
 # -- signed bytes -----------------------------------------------------
 
 
@@ -290,10 +308,10 @@ def test_signed_bytes_are_built_once_per_message_object(monkeypatch):
         real = cls.preimage
         monkeypatch.setattr(cls, "preimage", staticmethod(lambda *a, cls=cls, real=real: builds.append(cls) or real(*a)))
     for msg, expected in cases:
-        first = signed_preimage(msg)
+        first = msg.signed
         assert first == expected
         # Every recipient of a broadcast gets this object: no rebuild.
-        assert signed_preimage(msg) is first
+        assert msg.signed is first
     assert builds == [PrePrepare, Prepare, Commit, RoundChange]
     commit = cases[2][0]
     assert commit.sealed == seal_preimage(digest)
@@ -305,16 +323,16 @@ def test_replaced_message_signs_its_own_bytes():
     digest = hash_block(build_block())
     other = b"\x01" * 32
     prepare = Prepare(1, 0, digest, signer.address, signer.sign(Prepare.preimage(1, 0, digest)))
-    assert verify(signer.public_key, signed_preimage(prepare), prepare.signature)
+    assert verify(signer.public_key, prepare.signed, prepare.signature)
     for copy in (replace(prepare, round=1), replace(prepare, digest=other)):
-        assert signed_preimage(copy) == Prepare.preimage(copy.height, copy.round, copy.digest)
-        assert not verify(signer.public_key, signed_preimage(copy), prepare.signature)
+        assert copy.signed == Prepare.preimage(copy.height, copy.round, copy.digest)
+        assert not verify(signer.public_key, copy.signed, prepare.signature)
 
     seal = signer.sign(seal_preimage(digest))
     commit = Commit(1, 0, digest, seal, signer.address, signer.sign(Commit.preimage(1, 0, digest, seal)))
-    assert verify(signer.public_key, signed_preimage(commit), commit.signature)
+    assert verify(signer.public_key, commit.signed, commit.signature)
     assert verify(signer.public_key, commit.sealed, commit.seal)
     moved = replace(commit, digest=other)
     assert moved.sealed == seal_preimage(other)
-    assert not verify(signer.public_key, signed_preimage(moved), commit.signature)
+    assert not verify(signer.public_key, moved.signed, commit.signature)
     assert not verify(signer.public_key, moved.sealed, commit.seal)

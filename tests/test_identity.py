@@ -8,12 +8,11 @@ from pactsim.identity import (
     PUBKEY_LEN,
     SIGNATURE_LEN,
     Credential,
-    KeyRegistry,
     address_of,
     verify,
 )
 
-from .conftest import cred
+from .conftest import cred, validator_set
 
 
 def test_address_is_truncated_pubkey_digest():
@@ -61,16 +60,17 @@ def test_signature_is_deterministic():
     assert c.sign(b"payload") == c.sign(b"payload")
 
 
-def test_registry_lookup():
-    reg = KeyRegistry()
-    a, b = cred(10), cred(11)
-    reg.add(a)
-    reg.add_public(b.address, b.public_key)
-    assert a.address in reg
-    assert b.address in reg
-    assert cred(12).address not in reg
-    assert reg.public_key_of(a.address) == a.public_key
-    assert reg.public_key_of(cred(12).address) is None
+def test_validator_set_checks_signers_against_its_own_keys():
+    a, b, outsider = cred(10), cred(11), cred(12)
+    vset = validator_set([a, b])
+    assert a.address in vset and b.address in vset
+    assert outsider.address not in vset
+    assert vset.signed(a.address, b"m", a.sign(b"m"))
+    assert not vset.signed(a.address, b"m", b.sign(b"m"))
+    assert not vset.signed(a.address, b"n", a.sign(b"m"))
+    # A real signature from an issued key counts only inside the set.
+    assert verify(outsider.public_key, b"m", outsider.sign(b"m"))
+    assert not vset.signed(outsider.address, b"m", outsider.sign(b"m"))
 
 
 def test_seed_must_be_32_bytes():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pactsim import ledger
 from pactsim.encoding import ADDRESS_LEN, Cursor, digest
-from pactsim.identity import KeyRegistry
 from pactsim.ledger import (
     Block,
     ChainStore,
@@ -27,17 +26,14 @@ from pactsim.ledger import (
     make_transaction,
 )
 
-from .conftest import call_tx, cred
+from .conftest import call_tx, cred, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
 
 
 def fresh_store() -> ChainStore:
-    registry = KeyRegistry()
-    for v in VALIDATORS:
-        registry.add(v)
-    return ChainStore(registry, QUORUM)
+    return ChainStore(validator_set(VALIDATORS))
 
 
 def sealed_block(store: ChainStore, txs=(), timestamp=None, round_=0, sealers=None) -> Block:

@@ -106,15 +106,6 @@ def test_finalization_fills_pending_sample():
     assert sample.block_height == 1
 
 
-def test_sample_created_after_finalization_backfills():
-    mc = MetricsCollector()
-    tx = call_tx(ALICE, 0, "registry", "register", 1)
-    finalize(mc, block_with([tx]), now=4400)
-    sample = mc.new_sample(tx.tx_id, "register", submit_ms=400)
-    assert sample.final_ms == 4400
-    assert sample.block_height == 1
-
-
 def test_bind_tx_links_private_sample_to_its_anchor():
     mc = MetricsCollector()
     tx = call_tx(ALICE, 0, "registry", "register", 1)

@@ -4,7 +4,6 @@ import dataclasses
 
 from pactsim.contracts import AgreementRecord, GasSchedule, OpInit
 from pactsim.encoding import digest
-from pactsim.identity import KeyRegistry
 from pactsim.ledger import (
     Block,
     ChainStore,
@@ -25,7 +24,7 @@ from pactsim.simulation import (
     Simulator,
 )
 
-from .conftest import call_tx, cred
+from .conftest import call_tx, cred, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
@@ -39,21 +38,16 @@ def make_cluster(names=("n0", "n1")):
     network = Network(sim, rng)
     network.add_channel("consensus", Fixed(5), STREAM_CONSENSUS)
     network.add_channel("rpc", Fixed(5), STREAM_RPC)
-    registry = KeyRegistry()
-    for c in (*VALIDATORS, ALICE, BOB):
-        registry.add(c)
+    validators = validator_set(VALIDATORS)
     cluster = Cluster(sim, network, MetricsCollector())
     for name in names:
-        cluster.add_node(NodeRuntime(name, sim, network, registry, QUORUM, GasSchedule()))
+        cluster.add_node(NodeRuntime(name, sim, network, validators, GasSchedule()))
     return sim, cluster
 
 
 def build_chain(count, txs_by_height=None):
     """Sealed blocks 1..count consistent with every node's genesis."""
-    registry = KeyRegistry()
-    for v in VALIDATORS:
-        registry.add(v)
-    ref = ChainStore(registry, QUORUM)
+    ref = ChainStore(validator_set(VALIDATORS))
     blocks = []
     for h in range(1, count + 1):
         txs = tuple((txs_by_height or {}).get(h, ()))
