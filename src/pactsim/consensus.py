@@ -47,7 +47,7 @@ from .encoding import (
 # `quorum_size` and `verify` are unused here but stay importable from this
 # module; perfbench's tracer test reads `consensus.verify`.
 from .identity import Credential, ValidatorSet, fault_tolerance, quorum_size, verify
-from .ledger import Block, ChainStore, block_wire, seal_preimage
+from .ledger import Block, ChainStore, LedgerError, block_wire, seal_preimage
 from .simulation import Network, Simulator
 
 if TYPE_CHECKING:
@@ -427,7 +427,7 @@ class IbftValidator:
             if len(buf) < FUTURE_BUFFER_FACTOR * self.validators.n:
                 buf.append(msg)
             return
-        if msg.sender != self.address and not self.validators.signed(msg.sender, msg.signed, msg.signature):
+        if not self.validators.signed(msg.sender, msg.signed, msg.signature):
             self.dropped_invalid += 1
             return
         if isinstance(msg, PrePrepare):
@@ -451,13 +451,12 @@ class IbftValidator:
         # A re-proposed prepared block names its original proposer; the
         # round-change certificate, checked below, binds it to this digest.
         rebound = msg.round > 0 and _highest_prepared(msg.rc_cert) is not None
-        if block.height != msg.height or (block.proposer != msg.sender and not rebound):
+        if block.proposer != msg.sender and not rebound:
             self.dropped_invalid += 1
             return
-        if block.parent_hash != self.store.head.hash:
-            self.dropped_invalid += 1
-            return
-        if block.timestamp < self.store.head.timestamp:
+        try:
+            self.store.check_extends(block)
+        except LedgerError:
             self.dropped_invalid += 1
             return
         if msg.round > 0:
@@ -502,7 +501,7 @@ class IbftValidator:
         self._check_prepare_quorum(msg.round, msg.digest)
 
     def _on_commit(self, msg: Commit) -> None:
-        if msg.sender != self.address and not self.validators.signed(msg.sender, msg.sealed, msg.seal):
+        if not self.validators.signed(msg.sender, msg.sealed, msg.seal):
             self.dropped_invalid += 1
             return
         self.state.commits.setdefault((msg.round, msg.digest), {})[msg.sender] = msg

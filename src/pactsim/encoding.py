@@ -110,9 +110,6 @@ class Cursor:
     def u64(self) -> int:
         return int.from_bytes(self._take(8), "big")
 
-    def i64(self) -> int:
-        return int.from_bytes(self._take(8), "big", signed=True)
-
     def bytes_(self) -> bytes:
         return self._take(self.u32())
 

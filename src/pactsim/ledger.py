@@ -13,9 +13,9 @@ derives its own.  The one exception is `Block.replace_unhashed`: its
 copies differ only in `round` and `seals`, which the hash leaves out,
 so they carry over their source's hash.  A transaction derives both
 when it is built, from one encoding of its signed preimage.  Block
-append re-checks every transaction's signature, including ones the
-node already admitted at gossip; for the same object that re-check
-reads the stored result.
+append, and each validator's check of a proposal, re-check every
+transaction's signature, including ones the node already admitted at
+gossip; for the same object that re-check reads the stored result.
 """
 
 from __future__ import annotations
@@ -292,18 +292,27 @@ class ChainStore:
                 f"conflicting block at height {block.height}: "
                 f"{known.hex()[:16]} vs {block.hash.hex()[:16]}"
             )
+        self.check_extends(block)
+        self.verify_seals(block)
+        self.blocks.append(block)
+        return True
+
+    def check_extends(self, block: Block) -> None:
+        """Raise unless `block`, seals aside, may extend the head.
+
+        It must sit at head + 1 on the head's hash, not go back in time,
+        and hold only correctly signed transactions.  Consensus checks a
+        proposal with this before voting for it.
+        """
         if block.height != self.height + 1:
             raise HeightGap(f"got height {block.height}, head is {self.height}")
         if block.parent_hash != self.head.hash:
             raise InvalidBlock("parent hash does not match head")
         if block.timestamp < self.head.timestamp:
             raise InvalidBlock("timestamp went backwards")
-        self.verify_seals(block)
         for tx in block.txs:
             if not tx.verify_signature():
                 raise InvalidBlock(f"bad tx signature in block {block.height}")
-        self.blocks.append(block)
-        return True
 
 
 @dataclass

@@ -32,7 +32,6 @@ ALL_KINDS = PUBLIC_KINDS + PRIVATE_KINDS
 
 @dataclass
 class LatencySample:
-    seq: int
     tx_id: bytes
     kind: str
     submit_ms: int
@@ -73,13 +72,10 @@ class MetricsCollector:
 
     # -- sample registration ------------------------------------------
 
-    def new_sample(self, tx_id: bytes, kind: str, submit_ms: int, group_id: bytes | None = None) -> LatencySample:
+    def new_sample(self, tx_id: bytes, kind: str, submit_ms: int) -> LatencySample:
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown sample kind {kind!r}")
-        sample = LatencySample(
-            seq=len(self.samples), tx_id=tx_id, kind=kind,
-            submit_ms=submit_ms, group_id=group_id,
-        )
+        sample = LatencySample(tx_id=tx_id, kind=kind, submit_ms=submit_ms)
         self.samples.append(sample)
         self._by_tx[tx_id] = sample
         return sample
@@ -88,10 +84,7 @@ class MetricsCollector:
         """A sample whose anchoring transaction does not exist yet."""
         if kind not in PRIVATE_KINDS:
             raise ValueError(f"not a private kind: {kind!r}")
-        sample = LatencySample(
-            seq=len(self.samples), tx_id=b"", kind=kind,
-            submit_ms=submit_ms, group_id=group_id,
-        )
+        sample = LatencySample(tx_id=b"", kind=kind, submit_ms=submit_ms, group_id=group_id)
         self.samples.append(sample)
         return sample
 

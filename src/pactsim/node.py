@@ -4,18 +4,22 @@ Every node, validator or not, keeps the full public picture: finalized
 chain, executed world state, transaction pool, and receipts for
 transactions it saw land in blocks.  Nodes hosting a privacy-group
 member additionally keep that group's key and replay its encrypted
-operations in block order as the anchoring markers finalize.
+operations in block order as the anchoring markers finalize.  A marker
+is submitted only after every member enclave has acknowledged its
+payload, so each operation is opened and applied in the block that
+executes its marker; a member that finds the payload missing halts the
+group instead of applying past the gap.
 
-A transaction's signature is checked at gossip intake and again when a
-block holding it is appended.  The check is derived once per
-transaction object, so the second check of an object the node already
-admitted costs a lookup, while a tampered copy is checked afresh and,
-inside a block, gets the block dropped.
+A transaction's signature is checked at gossip intake, by each
+validator in a proposal holding it, and when a block holding it is
+appended.  The check is derived once per transaction object, so a
+later check of an object the node already admitted costs a lookup,
+while a tampered copy is checked afresh and, inside a proposal or a
+block, gets it dropped.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -39,7 +43,7 @@ from .ledger import (
     TxPool,
     block_wire,
 )
-from .privacy import PAYLOAD_WAIT_MS, Enclave, GroupInfo
+from .privacy import Enclave, GroupInfo
 from .simulation import Network, Simulator
 
 if TYPE_CHECKING:
@@ -52,14 +56,6 @@ class ReceiptEntry:
     receipt: Receipt
     height: int
     seen_at: int
-
-
-@dataclass
-class _MarkerTask:
-    height: int
-    sender: bytes
-    payload_hash: bytes
-    deadline: int | None = None
 
 
 class NodeRuntime:
@@ -80,11 +76,9 @@ class NodeRuntime:
         self.state = PublicState(schedule)
         self.pool = TxPool()
         self.enclave = Enclave(name)
-        self.enclave.arrival_hooks.append(self._on_payload_arrival)
         self.receipts: dict[bytes, ReceiptEntry] = {}
         self._receipt_waiters: dict[bytes, list[Callable[[ReceiptEntry], None]]] = {}
         self.group_ledgers: dict[bytes, BreachLedger] = {}
-        self._marker_queues: dict[bytes, deque[_MarkerTask]] = {}
         self.private_op_failures: list[tuple[bytes, str]] = []
         self.future_blocks: dict[int, Block] = {}
         self.dropped_invalid_blocks = 0
@@ -208,63 +202,36 @@ class NodeRuntime:
         return self.group_ledgers.get(group_id)
 
     def _on_marker(self, height: int, sender: bytes, marker: PrivacyMarker) -> None:
-        if marker.group_id not in self.group_ledgers:
-            return
-        queue = self._marker_queues.setdefault(marker.group_id, deque())
-        queue.append(_MarkerTask(height=height, sender=sender, payload_hash=marker.payload_hash))
-        self._drain_markers(marker.group_id)
+        """Open the anchored payload and apply its operation to the group ledger.
 
-    def _on_payload_arrival(self, payload_hash: bytes) -> None:
-        stored = self.enclave.get(payload_hash)
-        if stored is not None and stored.group_id in self._marker_queues:
-            self._drain_markers(stored.group_id)
-
-    def _drain_markers(self, group_id: bytes) -> None:
-        """Apply anchored operations in block order.
-
-        A marker whose payload has not reached this enclave yet blocks
-        the queue; the payload normally arrives moments later and the
-        queue resumes.  If it never arrives the group halts rather than
-        let members diverge.
+        The workload puts a marker on the chain only after every live
+        member's enclave has acknowledged its payload, so a member that
+        executes the marker already holds the payload.  If it does not,
+        the group halts at once: nothing is applied past a missing
+        operation, so members never diverge.
         """
-        queue = self._marker_queues.get(group_id)
+        group_id = marker.group_id
         ledger = self.group_ledgers.get(group_id)
-        if queue is None or ledger is None:
+        if ledger is None:
             return
-        while queue:
-            task = queue[0]
-            plaintext = self.enclave.open(task.payload_hash)
-            if plaintext is None:
-                if task.deadline is None:
-                    task.deadline = self.sim.now + PAYLOAD_WAIT_MS
-                    self.sim.schedule(PAYLOAD_WAIT_MS, lambda g=group_id, t=task: self._check_deadline(g, t))
-                return
-            queue.popleft()
-            try:
-                op = decode_private_op(plaintext)
-                ledger.apply(task.sender, op, task.payload_hash)
-                if self.sim.trace_enabled:
-                    self.sim.trace(
-                        "private_op", node=self.name, group=group_id.hex()[:16],
-                        op=type(op).__name__, height=task.height,
-                    )
-            except (ExecError, ValueError) as err:
-                reason = err.reason if isinstance(err, ExecError) else str(err)
-                self.private_op_failures.append((task.payload_hash, reason))
-
-    def _check_deadline(self, group_id: bytes, task: _MarkerTask) -> None:
-        queue = self._marker_queues.get(group_id)
-        if not queue or queue[0] is not task:
+        plaintext = self.enclave.open(marker.payload_hash)
+        if plaintext is None:
+            ledger.halted = True
+            self.private_op_failures.append((marker.payload_hash, "payload missing; group halted"))
+            if self.sim.trace_enabled:
+                self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
             return
-        if self.enclave.open(task.payload_hash) is not None:
-            self._drain_markers(group_id)
-            return
-        ledger = self.group_ledgers[group_id]
-        ledger.halted = True
-        queue.clear()
-        self.private_op_failures.append((task.payload_hash, "payload never arrived; group halted"))
-        if self.sim.trace_enabled:
-            self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
+        try:
+            op = decode_private_op(plaintext)
+            ledger.apply(sender, op, marker.payload_hash)
+            if self.sim.trace_enabled:
+                self.sim.trace(
+                    "private_op", node=self.name, group=group_id.hex()[:16],
+                    op=type(op).__name__, height=height,
+                )
+        except (ExecError, ValueError) as err:
+            reason = err.reason if isinstance(err, ExecError) else str(err)
+            self.private_op_failures.append((marker.payload_hash, reason))
 
 
 class Cluster:

@@ -35,10 +35,6 @@ from .simulation import STREAM_ENCLAVE, STREAM_KEYS, Network, RngHub, Simulator,
 NONCE_LEN = 12
 GROUP_KEY_LEN = 32
 
-# A marker whose payload has not arrived after this long is abandoned
-# and the group halts rather than guessing at state.
-PAYLOAD_WAIT_MS = 60_000
-
 
 def group_id_for(member_pubkeys: list[bytes], consumer: bytes, provider: bytes) -> bytes:
     salt = enc_fixed(consumer, ADDRESS_LEN) + enc_fixed(provider, ADDRESS_LEN)
@@ -131,7 +127,6 @@ class Enclave:
         self.node_name = node_name
         self.keys: dict[bytes, bytes] = {}
         self.payloads: dict[bytes, StoredPayload] = {}
-        self.arrival_hooks: list[Callable[[bytes], None]] = []
 
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
@@ -139,10 +134,7 @@ class Enclave:
     def put(self, group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
         payload = StoredPayload(group_id=group_id, nonce=nonce, ciphertext=ciphertext)
         h = payload.payload_hash
-        if h not in self.payloads:
-            self.payloads[h] = payload
-            for hook in list(self.arrival_hooks):
-                hook(h)
+        self.payloads.setdefault(h, payload)
         return h
 
     def get(self, payload_hash: bytes) -> StoredPayload | None:

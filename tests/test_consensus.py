@@ -20,7 +20,7 @@ from pactsim.identity import verify
 from pactsim.ledger import Block, genesis_block, hash_block, seal_preimage
 from pactsim.scenario import assemble, run_scenario
 
-from .conftest import cred, validator_set
+from .conftest import call_tx, cred, validator_set
 
 VALIDATORS = [cred(70 + i) for i in range(4)]
 VSET = validator_set(VALIDATORS)
@@ -287,6 +287,44 @@ def test_correctly_signed_message_from_outside_the_set_is_dropped():
         assert validator.dropped_invalid == dropped, type(msg).__name__
     assert (st.height, st.round) == (1, 0)
     assert st.proposals == st.prepares == st.commits == st.round_changes == {}
+
+
+def test_forged_message_under_the_recipients_own_address_is_dropped():
+    validator = assemble(heights_config(), 5).cluster.nodes["v0"].validator
+    validator.start()
+    me = validator.address
+    digest = b"\x11" * 32
+    good_sig = validator.credential.sign(Commit.preimage(1, 0, digest, b"\x00" * 64))
+    messages = [
+        Prepare(1, 0, digest, me, b"\x00" * 64),
+        Commit(1, 0, digest, b"\x00" * 64, me, b"\x00" * 64),
+        # Its own signature over the commit, but the seal is not its own.
+        Commit(1, 0, digest, b"\x00" * 64, me, good_sig),
+    ]
+    st = validator.state
+    for dropped, msg in enumerate(messages, start=1):
+        validator.on_message(msg)
+        assert validator.dropped_invalid == dropped, msg
+    assert st.prepares == st.commits == {}
+
+
+def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on():
+    cfg = heights_config({"member_nodes": 0})
+    a = assemble(cfg, 5)
+    proposer = next(
+        node for node in a.cluster.nodes.values() if node.validator.address == a.validator_set.proposer_for(1, 0)
+    )
+    tx = call_tx(cred(1), 0, "registry", "register", 1)
+    forged = replace(tx, gas_limit=tx.gas_limit + 1)  # the signature no longer matches
+    proposer.pool.add(forged, 0)
+    a.cluster.start_validators()
+    a.sim.run(until=60_000)
+    nodes = a.cluster.nodes.values()
+    assert min(node.store.height for node in nodes) >= 3
+    assert all(forged not in block.txs for node in nodes for block in node.store.blocks)
+    # Every validator, the proposer included, refused the height-1 proposal.
+    assert all(node.validator.dropped_invalid >= 1 for node in nodes)
+    assert a.cluster.nodes["v0"].store.block_at(1).round == 1
 
 
 # -- signed bytes -----------------------------------------------------

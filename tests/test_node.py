@@ -14,7 +14,7 @@ from pactsim.ledger import (
 )
 from pactsim.metrics import MetricsCollector
 from pactsim.node import Cluster, NodeRuntime
-from pactsim.privacy import PAYLOAD_WAIT_MS, GroupDirectory, encrypt_payload
+from pactsim.privacy import GroupDirectory, encrypt_payload
 from pactsim.simulation import (
     STREAM_CONSENSUS,
     STREAM_RPC,
@@ -219,19 +219,6 @@ def marker_tx(group, ciphertext, nonce_value=0):
     )
 
 
-def test_marker_waits_for_payload_then_applies():
-    _, cluster = make_cluster(("n0",))
-    node = cluster.nodes["n0"]
-    group, nonce, ciphertext = make_group_setup(node)
-    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
-    node.on_sealed_block(b1)
-    ledger = node.read_private_state(group.group_id)
-    assert ledger.agreement is None  # payload not here yet
-    node.enclave.put(group.group_id, nonce, ciphertext)
-    assert ledger.agreement is not None
-    assert ledger.agreement.terms == "availability >= 99.9%"
-
-
 def test_marker_applies_directly_when_payload_precedes_block():
     _, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
@@ -239,34 +226,25 @@ def test_marker_applies_directly_when_payload_precedes_block():
     node.enclave.put(group.group_id, nonce, ciphertext)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     node.on_sealed_block(b1)
-    assert node.read_private_state(group.group_id).agreement is not None
-
-
-def test_missing_payload_halts_group_after_wait_window():
-    sim, cluster = make_cluster(("n0",))
-    node = cluster.nodes["n0"]
-    group, _, ciphertext = make_group_setup(node)
-    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
-    node.on_sealed_block(b1)
-    sim.run()
-    assert sim.now == PAYLOAD_WAIT_MS
     ledger = node.read_private_state(group.group_id)
-    assert ledger.halted
-    assert node.private_op_failures[-1][1] == "payload never arrived; group halted"
+    assert ledger.agreement is not None
+    assert ledger.agreement.terms == "availability >= 99.9%"
 
 
-def test_late_payload_beats_the_deadline():
+def test_marker_without_its_payload_halts_the_group_at_once():
     sim, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
     group, nonce, ciphertext = make_group_setup(node)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     node.on_sealed_block(b1)
-    sim.schedule(1000, lambda: node.enclave.put(group.group_id, nonce, ciphertext))
-    sim.run()
     ledger = node.read_private_state(group.group_id)
-    assert not ledger.halted
-    assert ledger.agreement is not None
-    assert node.private_op_failures == []
+    assert ledger.halted
+    assert node.private_op_failures == [(digest(ciphertext), "payload missing; group halted")]
+    sim.run()
+    assert sim.now == 0  # nothing was scheduled to wait for the payload
+    node.enclave.put(group.group_id, nonce, ciphertext)
+    assert ledger.agreement is None
+    assert ledger.halted
 
 
 def test_marker_for_unknown_group_ignored():

@@ -98,15 +98,13 @@ def test_enclave_opens_only_with_key():
     assert holder.open(b"\x00" * 32) is None
 
 
-def test_enclave_put_is_idempotent_and_hooked():
-    seen = []
+def test_enclave_put_is_idempotent():
     e = Enclave("m0")
-    e.arrival_hooks.append(seen.append)
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"x", GID)
     h = e.put(GID, nonce, ct)
     assert e.put(GID, nonce, ct) == h
-    assert seen == [h]
+    assert list(e.payloads) == [h]
     assert h == hashlib.sha256(ct).digest()
 
 

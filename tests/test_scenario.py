@@ -52,6 +52,39 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
             assert not ledger.halted
 
 
+# Lost pushes are retried most of the time and a leg takes up to 5 s, so
+# payloads land late and out of order against the 1 s block cadence.
+PRIVATE_STRESS = {
+    "preset": "smoke",
+    "enclave_retry_probability": 0.9,
+    "latency": {"enclave_transfer": {"kind": "uniform", "low": 0, "high": 5000}},
+    "workload": {"batches_per_group": 2},
+    "run": {"max_virtual_ms": 120_000},
+}
+
+
+@pytest.fixture(scope="module")
+def private_stress_stages():
+    return dict(run_scenario(config_from_dict(PRIVATE_STRESS), seed=3).driver.stage_log)
+
+
+@pytest.mark.parametrize("node", ["m0", "m2"])
+@pytest.mark.parametrize("stage", ["deploy", "breach", "batch"])
+@pytest.mark.parametrize("offset_ms", [250, 2000, 9000])
+def test_member_crash_never_leaves_a_marker_without_its_payload(private_stress_stages, node, stage, offset_ms):
+    # m0 hosts one group's provider; m2 hosts the consumer of both groups.
+    at_ms = private_stress_stages[stage] + offset_ms
+    config = config_from_dict({**PRIVATE_STRESS, "faults": {"crashes": [{"at_ms": at_ms, "node": node}]}})
+    result = run_scenario(config, seed=3)
+    for runtime in result.cluster.nodes.values():
+        assert runtime.private_op_failures == []
+    for group in result.directory.by_id.values():
+        live = [n for n in group.member_nodes if n not in result.cluster.network.crashed]
+        ledgers = [result.cluster.nodes[n].read_private_state(group.group_id) for n in live]
+        assert not any(ledger.halted for ledger in ledgers)
+        assert len({ledger.state_digest() for ledger in ledgers}) == 1
+
+
 def test_summary_reports_every_kind_seen(smoke_run):
     kinds = set(smoke_run.summary["kinds"])
     assert kinds <= set(PUBLIC_KINDS) | set(PRIVATE_KINDS)
