@@ -32,7 +32,7 @@ own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .encoding import (
@@ -48,7 +48,7 @@ from .encoding import (
 # module; perfbench's tracer test reads `consensus.verify`.
 from .identity import Credential, ValidatorSet, fault_tolerance, quorum_size, verify
 from .ledger import Block, ChainStore, LedgerError, block_wire, seal_preimage
-from .simulation import Network, Simulator
+from .simulation import Network, Simulator, Targets
 
 if TYPE_CHECKING:
     from .node import NodeRuntime
@@ -245,8 +245,12 @@ class IbftValidator:
         self.state = _HeightState(height=0)
         self.dropped_invalid = 0
         self.echoed: set[tuple[int, int, bytes]] = set()
-        # Peer name -> that peer's `on_message`, resolved on first send.
-        self._inboxes: dict[str, Callable[[Message], None]] = {}
+
+    @cached_property
+    def _targets(self) -> Targets:
+        """`(peer, on_message)` per peer, resolved on the first send."""
+        nodes = self.node.cluster.nodes
+        return tuple((peer, nodes[peer].validator.on_message) for peer in self.peers)
 
     @property
     def store(self) -> ChainStore:
@@ -271,12 +275,13 @@ class IbftValidator:
         parent = self.store.head
         start_at = max(self.sim.now, parent.timestamp + self.block_interval)
         self.state = _HeightState(height=h, started_at=start_at)
-        self.sim.trace("height_start", node=self.name, height=h, at=start_at)
+        if self.sim.trace_enabled:
+            self.sim.trace("height_start", node=self.name, height=h, at=start_at)
         if self.validators.proposer_for(h, 0) == self.address:
             self.sim.schedule_at(start_at, self._guarded(h, 0, self._propose_fresh))
         self.sim.schedule_at(start_at + self.base_round_timeout, self._guarded(h, 0, self._on_timeout))
         for msg in self.future.pop(h, []):
-            self._process(msg)
+            self._process(msg, verified=True)
 
     def _guarded(self, height: int, round_: int, fn: Callable[[], None]) -> Callable[[], None]:
         def run() -> None:
@@ -294,15 +299,8 @@ class IbftValidator:
         if self.strategy == "withhold":
             return
         wire = message_wire(msg) if self.network.capture_wire else None
-        for peer in self.peers:
-            self._send(peer, msg, wire)
+        self.network.send(self.name, self._targets, "consensus", msg, wire)
         self._process(msg)
-
-    def _send(self, peer: str, msg: Message, wire: bytes | None) -> None:
-        inbox = self._inboxes.get(peer)
-        if inbox is None:
-            inbox = self._inboxes[peer] = self.node.cluster.nodes[peer].validator.on_message
-        self.network.send(self.name, peer, "consensus", partial(inbox, msg), wire=wire)
 
     def send_prepare(self, height: int, round_: int, digest: bytes) -> None:
         msg = Prepare(
@@ -381,12 +379,12 @@ class IbftValidator:
             self._broadcast(msgs[0])
             return
 
-        # Equivocation: split the peer list across the variants and keep
-        # the first variant for ourselves.
+        # Equivocation: the first half of the peers gets the first variant,
+        # the rest the twin; we keep the first variant for ourselves.
         half = (len(self.peers) + 1) // 2
-        for i, peer in enumerate(self.peers):
-            msg = msgs[0] if i < half else msgs[-1]
-            self._send(peer, msg, message_wire(msg) if self.network.capture_wire else None)
+        for msg, targets in zip(msgs, (self._targets[:half], self._targets[half:])):
+            wire = message_wire(msg) if self.network.capture_wire else None
+            self.network.send(self.name, targets, "consensus", msg, wire)
         self._process(msgs[0])
 
     # -- receiving ----------------------------------------------------
@@ -418,17 +416,19 @@ class IbftValidator:
         self.send_prepare(msg.height, msg.round, digest)
         self.send_commit(msg.height, msg.round, digest)
 
-    def _process(self, msg: Message) -> None:
+    def _process(self, msg: Message, verified: bool = False) -> None:
         h = self.state.height
         if msg.height < h:
+            return
+        # Checked before buffering, so forgeries cannot fill the buffer;
+        # a buffered message is replayed with `verified` set.
+        if not verified and not self.validators.signed(msg.sender, msg.signed, msg.signature):
+            self.dropped_invalid += 1
             return
         if msg.height > h:
             buf = self.future.setdefault(msg.height, [])
             if len(buf) < FUTURE_BUFFER_FACTOR * self.validators.n:
                 buf.append(msg)
-            return
-        if not self.validators.signed(msg.sender, msg.signed, msg.signature):
-            self.dropped_invalid += 1
             return
         if isinstance(msg, PrePrepare):
             self._on_preprepare(msg)
@@ -539,14 +539,16 @@ class IbftValidator:
             return
         seals = tuple(sorted(((c.sender, c.seal) for c in commits.values()), key=lambda s: s[0]))
         sealed = proposal.block.replace_unhashed(seals=seals)
-        self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)
+        if self.sim.trace_enabled:
+            self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)
         self.node.on_self_finalized(sealed)
 
     # -- round changes ------------------------------------------------
 
     def _on_timeout(self) -> None:
         st = self.state
-        self.sim.trace("round_timeout", node=self.name, height=st.height, round=st.round)
+        if self.sim.trace_enabled:
+            self.sim.trace("round_timeout", node=self.name, height=st.height, round=st.round)
         self._advance_round(st.round + 1, send_rc=True)
 
     def _advance_round(self, target: int, send_rc: bool) -> None:

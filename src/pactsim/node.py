@@ -44,7 +44,7 @@ from .ledger import (
     block_wire,
 )
 from .privacy import Enclave, GroupInfo
-from .simulation import Network, Simulator
+from .simulation import Network, Simulator, Targets
 
 if TYPE_CHECKING:
     from .consensus import IbftValidator
@@ -96,13 +96,8 @@ class NodeRuntime:
         if self.sim.trace_enabled:
             self.sim.trace("tx_accepted", node=self.name, tx=tx.tx_id.hex()[:16])
         wire = tx.encode() if self.network.capture_wire else None
-        for other in self.cluster.node_names:
-            if other != self.name:
-                self.network.send(
-                    self.name, other, "rpc",
-                    lambda t=tx, o=other: self.cluster.nodes[o].receive_gossip(t),
-                    wire=wire,
-                )
+        gossip, _ = self.cluster.targets(self.name)
+        self.network.send(self.name, gossip, "rpc", tx, wire)
 
     def receive_gossip(self, tx: Transaction) -> None:
         if tx.verify_signature():
@@ -243,29 +238,35 @@ class Cluster:
         self.metrics = metrics
         self.nodes: dict[str, NodeRuntime] = {}
         self.node_names: tuple[str, ...] = ()
+        # Source node -> its (gossip, sealed-block) targets, built on first use.
+        self._targets: dict[str, tuple[Targets, Targets]] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node
         node.cluster = self
         self.node_names = tuple(self.nodes)
+        self._targets.clear()
+
+    def targets(self, src: str) -> tuple[Targets, Targets]:
+        """Every node but `src`, in node order, bound to `receive_gossip` and to `on_sealed_block`."""
+        pair = self._targets.get(src)
+        if pair is None:
+            others = [(name, node) for name, node in self.nodes.items() if name != src]
+            pair = self._targets[src] = (
+                tuple((name, node.receive_gossip) for name, node in others),
+                tuple((name, node.on_sealed_block) for name, node in others),
+            )
+        return pair
 
     def broadcast_sealed(self, src: str, block: Block) -> None:
         wire = block_wire(block) if self.network.capture_wire else None
-        for name in self.node_names:
-            if name != src:
-                self.network.send(
-                    src, name, "consensus",
-                    lambda b=block, n=name: self.nodes[n].on_sealed_block(b),
-                    wire=wire,
-                )
+        _, sealed = self.targets(src)
+        self.network.send(src, sealed, "consensus", block, wire)
 
     def submit(self, node_name: str, tx: Transaction) -> None:
         """Client submission over local RPC to the node hosting it."""
-        self.network.send(
-            node_name, node_name, "rpc",
-            lambda: self.nodes[node_name].receive_tx(tx),
-            wire=tx.encode() if self.network.capture_wire else None,
-        )
+        wire = tx.encode() if self.network.capture_wire else None
+        self.network.send(node_name, ((node_name, self.nodes[node_name].receive_tx),), "rpc", tx, wire)
 
     def start_validators(self) -> None:
         for node in self.nodes.values():

@@ -132,7 +132,9 @@ class Enclave:
         self.keys[group_id] = key
 
     def put(self, group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        payload = StoredPayload(group_id=group_id, nonce=nonce, ciphertext=ciphertext)
+        return self.receive(StoredPayload(group_id=group_id, nonce=nonce, ciphertext=ciphertext))
+
+    def receive(self, payload: StoredPayload) -> bytes:
         h = payload.payload_hash
         self.payloads.setdefault(h, payload)
         return h
@@ -209,8 +211,8 @@ class PayloadCourier:
         """
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
-        src_enclave = self.enclaves[src_node]
-        payload_hash = src_enclave.put(group.group_id, nonce, ciphertext)
+        payload = StoredPayload(group_id=group.group_id, nonce=nonce, ciphertext=ciphertext)
+        payload_hash = self.enclaves[src_node].receive(payload)
 
         rng = self.rng_hub.derived(STREAM_ENCLAVE, payload_index)
         started_at = self.sim.now
@@ -226,7 +228,7 @@ class PayloadCourier:
 
         pending = {"count": len(recipients)}
 
-        def recipient_done() -> None:
+        def recipient_done(_ack: bytes) -> None:
             pending["count"] -= 1
             if pending["count"] == 0:
                 on_complete(DistributionResult(payload_hash, started_at, self.sim.now))
@@ -243,21 +245,10 @@ class PayloadCourier:
             else:
                 arrive_at = push1
                 done_at = push1 + ack1
-            dst_enclave = self.enclaves[node_name]
             capture = self.network.capture_wire
-            self.network.send_after(
-                src_node,
-                node_name,
-                arrive_at,
-                lambda e=dst_enclave: e.put(group.group_id, nonce, ciphertext),
-                wire=encode_wire(group.group_id, nonce, ciphertext) if capture else None,
-            )
-            self.network.send_after(
-                node_name,
-                src_node,
-                done_at,
-                recipient_done,
-                wire=enc_fixed(payload_hash, HASH_LEN) if capture else None,
-            )
+            push_wire = encode_wire(group.group_id, nonce, ciphertext) if capture else None
+            ack_wire = enc_fixed(payload_hash, HASH_LEN) if capture else None
+            self.network.send_after(src_node, node_name, arrive_at, self.enclaves[node_name].receive, payload, push_wire)
+            self.network.send_after(node_name, src_node, done_at, recipient_done, payload_hash, ack_wire)
 
         return payload_hash

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -104,6 +104,11 @@ class LogNormal:
 
 LatencyModel = Fixed | Uniform | LogNormal
 
+# A message is delivered as `handler(item)`; a fan-out names its
+# recipients as (node name, handler) pairs.
+Handler = Callable[[Any], None]
+Targets = tuple[tuple[str, Handler], ...]
+
 
 def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
     while True:
@@ -165,13 +170,16 @@ class Simulator:
 class Network:
     """Point-to-point message fabric with crashes and partitions.
 
-    Each message takes the next delay of its channel, drawn from the
-    channel's latency model `DRAW_BLOCK` values at a time.  A message is
-    dropped if either endpoint is crashed at send time, or if the two
-    endpoints are in different partition groups at send time.  Otherwise
-    the kernel fires `_arrive(dst, deliver)` after the delay; that drops
-    the message if the destination has crashed meanwhile and calls
-    `deliver()` if not.
+    `send` fans one item out to `(dst, handler)` targets.  Each target
+    takes the channel's next delay, in target order, so a fan-out to k
+    peers takes k consecutive delays in the sender's peer order; the
+    channel draws them from its latency model `DRAW_BLOCK` at a time.
+    A message is dropped, its delay still taken, if either endpoint is
+    crashed or the two sit in different partition groups at send time.
+    Otherwise the kernel fires `_arrive(dst, handler, item)` after the
+    delay; that drops the message if the destination has crashed
+    meanwhile and calls `handler(item)` if not.  Every target of a
+    fan-out gets the same item object.
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
@@ -196,7 +204,8 @@ class Network:
 
     def crash(self, node: str) -> None:
         self.crashed.add(node)
-        self.sim.trace("crash", node=node)
+        if self.sim.trace_enabled:
+            self.sim.trace("crash", node=node)
 
     def set_partition(self, groups: Iterable[Iterable[str]] | None) -> None:
         self.partition = [set(g) for g in groups] if groups is not None else None
@@ -204,46 +213,35 @@ class Network:
             self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
 
     def _connected(self, src: str, dst: str) -> bool:
-        if self.partition is None:
-            return True
         for group in self.partition:
             if src in group and dst in group:
                 return True
         return False
 
-    def send(
-        self,
-        src: str,
-        dst: str,
-        channel: str,
-        deliver: Callable[[], None],
-        wire: bytes | None = None,
-    ) -> None:
+    def send(self, src: str, targets: Targets, channel: str, item: object, wire: bytes | None = None) -> None:
         # The delay is taken even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
-        self.send_after(src, dst, next(self.channels[channel]), deliver, wire)
+        delays = self.channels[channel]
+        send_after = self.send_after
+        for dst, handler in targets:
+            send_after(src, dst, next(delays), handler, item, wire)
 
     def send_after(
-        self,
-        src: str,
-        dst: str,
-        delay: int,
-        deliver: Callable[[], None],
-        wire: bytes | None = None,
+        self, src: str, dst: str, delay: int, handler: Handler, item: object, wire: bytes | None = None
     ) -> None:
         if self.wire_log is not None and wire is not None:
             self.wire_log.append((src, dst, wire))
         if src in self.crashed or dst in self.crashed:
             self.dropped_crash += 1
             return
-        if not self._connected(src, dst):
+        if self.partition is not None and not self._connected(src, dst):
             self.dropped_partition += 1
             return
-        self.sim.schedule(delay, partial(self._arrive, dst, deliver))
+        self.sim.schedule(delay, partial(self._arrive, dst, handler, item))
 
-    def _arrive(self, dst: str, deliver: Callable[[], None]) -> None:
+    def _arrive(self, dst: str, handler: Handler, item: object) -> None:
         if dst in self.crashed:
             self.dropped_crash += 1
             return
         self.delivered += 1
-        deliver()
+        handler(item)

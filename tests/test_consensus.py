@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from pactsim.consensus import (
+    FUTURE_BUFFER_FACTOR,
     Commit,
     Prepare,
     PrePrepare,
@@ -306,6 +307,22 @@ def test_forged_message_under_the_recipients_own_address_is_dropped():
         validator.on_message(msg)
         assert validator.dropped_invalid == dropped, msg
     assert st.prepares == st.commits == {}
+
+
+def test_forged_messages_cannot_crowd_a_signed_one_out_of_the_future_buffer():
+    cluster = assemble(heights_config(), 5).cluster
+    validator = cluster.nodes["v0"].validator
+    validator.start()
+    assert validator.state.height == 1
+    peer = cluster.nodes["v1"].validator
+    digest = b"\x22" * 32
+    # As many unsigned height-2 prepares under v1's address as the buffer holds.
+    for round_ in range(FUTURE_BUFFER_FACTOR * validator.validators.n):
+        validator.on_message(Prepare(2, round_, digest, peer.address, b"\x00" * 64))
+    signed = Prepare(2, 0, digest, peer.address, peer.credential.sign(Prepare.preimage(2, 0, digest)))
+    validator.on_message(signed)
+    assert validator.dropped_invalid == FUTURE_BUFFER_FACTOR * validator.validators.n
+    assert validator.future == {2: [signed]}
 
 
 def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on():

@@ -153,10 +153,15 @@ def wired_network() -> tuple[Simulator, Network]:
     return sim, net
 
 
+def to(dst, action):
+    """One target that runs `action()` on delivery, ignoring the item."""
+    return ((dst, lambda _item: action()),)
+
+
 def test_send_delivers_after_channel_delay():
     sim, net = wired_network()
     log = []
-    net.send("a", "b", "link", lambda: log.append(sim.now))
+    net.send("a", to("b", lambda: log.append(sim.now)), "link", None)
     sim.run()
     assert log == [25]
     assert net.delivered == 1
@@ -166,8 +171,8 @@ def test_crashed_destination_drops_message():
     sim, net = wired_network()
     log = []
     net.crash("b")
-    net.send("a", "b", "link", lambda: log.append(1))
-    net.send("b", "a", "link", lambda: log.append(2))
+    net.send("a", to("b", lambda: log.append(1)), "link", None)
+    net.send("b", to("a", lambda: log.append(2)), "link", None)
     sim.run()
     assert log == []
     assert net.dropped_crash == 2
@@ -176,7 +181,7 @@ def test_crashed_destination_drops_message():
 def test_crash_during_flight_drops_at_arrival():
     sim, net = wired_network()
     log = []
-    net.send("a", "b", "link", lambda: log.append(1))
+    net.send("a", to("b", lambda: log.append(1)), "link", None)
     sim.schedule(10, lambda: net.crash("b"))
     sim.run()
     assert log == []
@@ -193,8 +198,8 @@ def test_crash_does_not_shift_shared_stream():
         if crash_b:
             net.crash("b")
         for _ in range(6):
-            net.send("a", "b", "link", lambda: None)
-            net.send("a", "c", "link", lambda: seen.append(sim.now))
+            net.send("a", to("b", lambda: None), "link", None)
+            net.send("a", to("c", lambda: seen.append(sim.now)), "link", None)
         sim.run()
         return seen
 
@@ -214,7 +219,7 @@ def test_channel_delays_equal_scalar_draws(model):
     arrivals = {}
     for i in range(n):
         dst = "x" if i % 7 == 3 else "b"
-        net.send("a", dst, "link", lambda i=i: arrivals.__setitem__(i, sim.now))
+        net.send("a", to(dst, lambda i=i: arrivals.__setitem__(i, sim.now)), "link", None)
     sim.run()
     ref = RngHub(13).stream(STREAM_CONSENSUS)
     expected = [model.sample(ref) for _ in range(n)]
@@ -226,9 +231,9 @@ def test_partition_blocks_cross_group_traffic():
     sim, net = wired_network()
     log = []
     net.set_partition([{"a"}, {"b"}])
-    net.send("a", "b", "link", lambda: log.append(1))
+    net.send("a", to("b", lambda: log.append(1)), "link", None)
     net.set_partition(None)
-    net.send("a", "b", "link", lambda: log.append(2))
+    net.send("a", to("b", lambda: log.append(2)), "link", None)
     sim.run()
     assert log == [2]
     assert net.dropped_partition == 1
@@ -237,7 +242,7 @@ def test_partition_blocks_cross_group_traffic():
 def test_send_after_uses_explicit_delay():
     sim, net = wired_network()
     log = []
-    net.send_after("a", "b", 123, lambda: log.append(sim.now))
+    net.send_after("a", "b", 123, lambda _item: log.append(sim.now), None)
     sim.run()
     assert log == [123]
 
@@ -246,8 +251,33 @@ def test_wire_log_captures_offered_messages():
     sim, net = wired_network()
     net.wire_log = []
     net.crash("b")
-    net.send("a", "b", "link", lambda: None, wire=b"dropped")
-    net.send("a", "c", "link", lambda: None, wire=b"delivered")
-    net.send("a", "c", "link", lambda: None)
+    net.send("a", to("b", lambda: None), "link", None, wire=b"dropped")
+    net.send("a", to("c", lambda: None), "link", None, wire=b"delivered")
+    net.send("a", to("c", lambda: None), "link", None)
     sim.run()
     assert net.wire_log == [("a", "b", b"dropped"), ("a", "c", b"delivered")]
+
+
+def test_fan_out_takes_one_delay_per_target_in_order_and_shares_the_item():
+    sim = Simulator()
+    net = Network(sim, RngHub(17))
+    net.add_channel("link", Uniform(10, 90), STREAM_CONSENSUS)
+    net.wire_log = []
+    net.crash("c")
+    net.set_partition([{"a", "b", "d"}, {"e"}])
+    item = object()
+    received = []
+    dsts = ("b", "c", "d", "e", "f")
+    targets = tuple((dst, lambda got, dst=dst: received.append((dst, got, sim.now))) for dst in dsts)
+    net.send("a", targets, "link", item, wire=b"w")
+    sim.run()
+    ref = RngHub(17).stream(STREAM_CONSENSUS)
+    expected = {dst: Uniform(10, 90).sample(ref) for dst in dsts}
+    # The crashed "c" and the partitioned "e" and "f" still take their delays.
+    assert sorted(received, key=lambda r: dsts.index(r[0])) == [
+        ("b", item, expected["b"]),
+        ("d", item, expected["d"]),
+    ]
+    assert all(got is item for _, got, _ in received)
+    assert net.dropped_crash == 1 and net.dropped_partition == 2
+    assert net.wire_log == [("a", dst, b"w") for dst in dsts]
