@@ -93,19 +93,35 @@ def member_state_consistency(result: RunResult) -> list[Finding]:
 
 
 def convergence(result: RunResult) -> list[Finding]:
-    """All nodes must agree on the chain and the public world state."""
+    """All alive nodes must hold one chain and one state, and keep up.
+
+    A block first finalized at least `grace_ms` before the run ended is
+    settled, and an alive node short of it is a laggard; a later block
+    may still be on its way.  Byzantine validators are held to the chain
+    but not to keeping up: an `echo` validator never counts commits, so
+    it learns of a block only from the next height's messages.
+    """
     findings: list[Finding] = []
     nodes = result.cluster.nodes
-    heights = {name: node.store.height for name, node in nodes.items()}
     alive = [n for n in nodes if n not in result.cluster.network.crashed]
-    reference = min(heights[n] for n in alive)
-    ref_node = alive[0]
+    heights = {name: nodes[name].store.height for name in alive}
+    top = nodes[max(alive, key=heights.__getitem__)].store
     for name in alive:
-        node = nodes[name]
-        for h in range(reference + 1):
-            if node.store.hash_at(h) != nodes[ref_node].store.hash_at(h):
+        store = nodes[name].store
+        for h in range(heights[name] + 1):
+            if store.hash_at(h) != top.hash_at(h):
                 findings.append(Finding("convergence", name, f"chain hash differs at height {h}"))
                 break
+    cutoff = result.sim.now - result.config.run.grace_ms
+    settled = 0
+    for h in range(1, top.height + 1):
+        at = result.metrics.first_finalized_at(h)
+        if at is not None and at <= cutoff:
+            settled = h
+    byzantine = {entry.node for entry in result.config.faults.byzantine}
+    for name in alive:
+        if heights[name] < settled and name not in byzantine:
+            findings.append(Finding("convergence", name, f"at height {heights[name]}, below settled height {settled}"))
     # State digests may only be compared between nodes at equal height.
     by_height: dict[int, dict[str, bytes]] = {}
     for name in alive:

@@ -12,21 +12,25 @@ the block hash), so peers accept a proposal whose block names someone
 other than the sender only when the round-change certificate binds that
 block.
 
-Each validator that finalizes a height pushes its own sealed copy of
-the block to every other node, so a node gets one copy per finalizing
-validator.  That is how non-validator nodes follow the chain and where a
-conflicting finalization at the same height would be caught.  Nothing
-resends a block later: a node that misses every push (say, across a
-partition) stays behind until a block-sync protocol exists.
+A validator that assembles a commit quorum appends the sealed block
+itself and pushes it to non-validator nodes only.  A validator that
+falls behind pulls what it lacks: a correctly signed message for a
+height above its own, or a commit quorum for a block it never saw
+proposed, makes it ask that message's sender for the blocks above its
+head (`NodeRuntime.request_sync`).  Such messages are kept for the
+height they name, at most `FUTURE_BUFFER_FACTOR` per sender per height
+and `FUTURE_HEIGHTS` heights ahead.  Conflicting finalizations are
+caught where validators report them (`MetricsCollector`) and where a
+node appends a block.
 
 Senders, prepared-certificate signers and seals are checked against
 the genesis `ValidatorSet` alone (`ValidatorSet.signed`).
 
 A message carries the bytes its sender signed as a cached attribute
 (`signed`; a commit's `sealed` holds its seal preimage).  Every
-recipient of a broadcast gets the same object, so the bytes are built
-once per message, not once per recipient; a `replace` copy builds its
-own.
+recipient of a broadcast gets the same object, so the bytes are built,
+and the signatures checked (`_authentic`), once per message, not once
+per recipient; a `replace` copy builds and checks its own.
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ MSG_PREPARE = 2
 MSG_COMMIT = 3
 MSG_ROUND_CHANGE = 4
 
+# Messages buffered per sender per future height, and how many heights
+# ahead of its own a validator buffers at all.
 FUTURE_BUFFER_FACTOR = 4
+FUTURE_HEIGHTS = 4
 
 
 def _vote_preimage(msg_type: int, height: int, round_: int, digest: bytes) -> bytes:
@@ -145,7 +152,7 @@ class PreparedCert:
         for p in self.prepares:
             if p.height != height or p.round != self.round or p.digest != digest:
                 return False
-            if p.sender in senders or not validators.signed(p.sender, p.signed, p.signature):
+            if p.sender in senders or not _authentic(p, validators):
                 return False
             senders.add(p.sender)
         return len(senders) >= validators.quorum
@@ -177,6 +184,20 @@ class RoundChange:
 
 
 Message = PrePrepare | Prepare | Commit | RoundChange
+
+
+def _authentic(msg: Message, validators: ValidatorSet) -> bool:
+    """Whether a member of `validators` signed `msg` (and, for a commit, sealed its digest).
+
+    Derived once per message object and set, and kept on the message.
+    """
+    checked = msg.__dict__.get("_authentic")
+    if checked is None or checked[0] is not validators:
+        ok = validators.signed(msg.sender, msg.signed, msg.signature) and (
+            not isinstance(msg, Commit) or validators.signed(msg.sender, msg.sealed, msg.seal)
+        )
+        checked = msg.__dict__["_authentic"] = (validators, ok)
+    return checked[1]
 
 
 def message_wire(msg: Message) -> bytes:
@@ -282,6 +303,9 @@ class IbftValidator:
         self.sim.schedule_at(start_at + self.base_round_timeout, self._guarded(h, 0, self._on_timeout))
         for msg in self.future.pop(h, []):
             self._process(msg, verified=True)
+        # A sync can jump past buffered heights; their messages are stale.
+        for stale in [k for k in self.future if k < h]:
+            del self.future[stale]
 
     def _guarded(self, height: int, round_: int, fn: Callable[[], None]) -> Callable[[], None]:
         def run() -> None:
@@ -393,6 +417,9 @@ class IbftValidator:
         if self.halted:
             return
         if self.strategy == "echo":
+            # It never runs `_process`, but must still catch up.
+            if msg.height > self.state.height and _authentic(msg, self.validators):
+                self._sync_from(msg.sender)
             self._echo(msg)
             return
         self._process(msg)
@@ -420,15 +447,18 @@ class IbftValidator:
         h = self.state.height
         if msg.height < h:
             return
-        # Checked before buffering, so forgeries cannot fill the buffer;
-        # a buffered message is replayed with `verified` set.
-        if not verified and not self.validators.signed(msg.sender, msg.signed, msg.signature):
+        # Checked before buffering, so forgeries can neither fill the
+        # buffer nor start a sync; a buffered message is replayed with
+        # `verified` set.
+        if not verified and not _authentic(msg, self.validators):
             self.dropped_invalid += 1
             return
         if msg.height > h:
-            buf = self.future.setdefault(msg.height, [])
-            if len(buf) < FUTURE_BUFFER_FACTOR * self.validators.n:
-                buf.append(msg)
+            self._sync_from(msg.sender)
+            if msg.height - h <= FUTURE_HEIGHTS:
+                buf = self.future.setdefault(msg.height, [])
+                if sum(m.sender == msg.sender for m in buf) < FUTURE_BUFFER_FACTOR:
+                    buf.append(msg)
             return
         if isinstance(msg, PrePrepare):
             self._on_preprepare(msg)
@@ -482,7 +512,7 @@ class IbftValidator:
         for rc in cert:
             if rc.height != h or rc.target_round != round_:
                 return False
-            if rc.sender in senders or not self.validators.signed(rc.sender, rc.signed, rc.signature):
+            if rc.sender in senders or not _authentic(rc, self.validators):
                 return False
             if rc.prepared is not None and not rc.prepared.verify(h, self.validators):
                 return False
@@ -501,10 +531,14 @@ class IbftValidator:
         self._check_prepare_quorum(msg.round, msg.digest)
 
     def _on_commit(self, msg: Commit) -> None:
-        if not self.validators.signed(msg.sender, msg.sealed, msg.seal):
-            self.dropped_invalid += 1
-            return
-        self.state.commits.setdefault((msg.round, msg.digest), {})[msg.sender] = msg
+        st = self.state
+        commits = st.commits.setdefault((msg.round, msg.digest), {})
+        commits[msg.sender] = msg
+        proposal = st.proposals.get(msg.round)
+        if len(commits) >= self.validators.quorum and (proposal is None or proposal.block.hash != msg.digest):
+            # A quorum committed a block we never saw proposed (say, an
+            # equivocator's other variant); its committers will hold it.
+            self._sync_from(msg.sender)
         self._check_commit_quorum(msg.round, msg.digest)
 
     def _check_prepare_quorum(self, round_: int, digest: bytes) -> None:
@@ -603,6 +637,9 @@ class IbftValidator:
         """The store advanced (own finalize or sealed-block sync)."""
         if not self.halted:
             self._enter_height()
+
+    def _sync_from(self, sender: bytes) -> None:
+        self.node.request_sync(self.node.cluster.name_of[sender])
 
 
 def _highest_prepared(rc_cert: tuple[RoundChange, ...]) -> PreparedCert | None:

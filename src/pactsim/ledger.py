@@ -335,6 +335,10 @@ class TxPool:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def pending(self) -> list[Transaction]:
+        """Every pooled transaction, in arrival order."""
+        return [e.tx for e in self._entries.values()]
+
     def note_executed_nonce(self, sender: bytes, nonce: int) -> None:
         cur = self._next_nonce.get(sender, 0)
         if nonce + 1 > cur:

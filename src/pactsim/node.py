@@ -10,6 +10,13 @@ payload, so each operation is opened and applied in the block that
 executes its marker; a member that finds the payload missing halts the
 group instead of applying past the gap.
 
+Validators push the blocks they finalize to the non-validator nodes.  A
+node that finds itself behind asks one peer for the sealed blocks above
+its head (`request_sync`); each block of the reply goes through
+`on_sealed_block` like a push.  Gossip sent while a node was cut off
+may never have arrived, so a node that catches up this way gossips its
+pending transactions again.
+
 A transaction's signature is checked at gossip intake, by each
 validator in a proposal holding it, and when a block holding it is
 appended.  The check is derived once per transaction object, so a
@@ -21,6 +28,7 @@ block, gets it dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .contracts import (
@@ -31,6 +39,7 @@ from .contracts import (
     Receipt,
     decode_private_op,
 )
+from .encoding import enc_list, enc_u64
 from .identity import ValidatorSet
 from .ledger import (
     Block,
@@ -49,6 +58,10 @@ from .simulation import Network, Simulator, Targets
 if TYPE_CHECKING:
     from .consensus import IbftValidator
     from .metrics import MetricsCollector
+
+# Blocks in one sync reply; also how far above its head a node buffers a
+# pushed block, since a sync refetches anything beyond.
+SYNC_BATCH = 32
 
 
 @dataclass
@@ -82,6 +95,9 @@ class NodeRuntime:
         self.private_op_failures: list[tuple[bytes, str]] = []
         self.future_blocks: dict[int, Block] = {}
         self.dropped_invalid_blocks = 0
+        # Peer -> our head when we last asked it for blocks.
+        self._synced: dict[str, int] = {}
+        self.sync_requests = 0
         self.validator: "IbftValidator | None" = None
         self.cluster: "Cluster | None" = None
 
@@ -95,6 +111,9 @@ class NodeRuntime:
             return
         if self.sim.trace_enabled:
             self.sim.trace("tx_accepted", node=self.name, tx=tx.tx_id.hex()[:16])
+        self._gossip(tx)
+
+    def _gossip(self, tx: Transaction) -> None:
         wire = tx.encode() if self.network.capture_wire else None
         gossip, _ = self.cluster.targets(self.name)
         self.network.send(self.name, gossip, "rpc", tx, wire)
@@ -130,7 +149,11 @@ class NodeRuntime:
             self.cluster.metrics.record_safety_violation(self.name, block.height, str(err))
             return
         except HeightGap:
-            self.future_blocks[block.height] = block
+            if block.height <= self.store.height + SYNC_BATCH:
+                self.future_blocks[block.height] = block
+            proposer = self.cluster.name_of.get(block.proposer)
+            if proposer is not None:
+                self.request_sync(proposer)
             return
         except LedgerError:
             self.dropped_invalid_blocks += 1
@@ -143,13 +166,49 @@ class NodeRuntime:
         if self.validator is not None:
             self.cluster.metrics.on_validator_finalized(self.name, block, self.sim.now)
         if self_finalized:
-            self.cluster.broadcast_sealed(self.name, block)
+            self.cluster.push_to_members(self.name, block)
         if self.validator is not None:
             self.validator.on_chain_extended()
         # Drain any buffered successor.
         nxt = self.future_blocks.pop(self.store.height + 1, None)
         if nxt is not None:
             self.on_sealed_block(nxt)
+
+    # -- block sync ---------------------------------------------------
+
+    def request_sync(self, peer: str) -> None:
+        """Ask `peer` for the sealed blocks above our head, once per (head, peer)."""
+        head = self.store.height
+        if peer == self.name or self._synced.get(peer) == head:
+            return
+        self._synced[peer] = head
+        self.sync_requests += 1
+        if self.sim.trace_enabled:
+            self.sim.trace("sync_request", node=self.name, peer=peer, from_height=head + 1)
+        wire = enc_u64(head + 1) if self.network.capture_wire else None
+        serve = partial(self.cluster.nodes[peer].serve_sync, self.name)
+        self.network.send(self.name, ((peer, serve),), "consensus", head + 1, wire)
+
+    def serve_sync(self, requester: str, from_height: int) -> None:
+        """Send `requester` up to `SYNC_BATCH` stored blocks from `from_height` on."""
+        blocks = tuple(self.store.blocks[from_height : from_height + SYNC_BATCH])
+        if not blocks:
+            return
+        wire = enc_list(block_wire(b) for b in blocks) if self.network.capture_wire else None
+        reply = partial(self.cluster.nodes[requester].on_sync_reply, self.name)
+        self.network.send(self.name, ((requester, reply),), "consensus", blocks, wire)
+
+    def on_sync_reply(self, peer: str, blocks: tuple[Block, ...]) -> None:
+        """Append a peer's blocks; once caught up, re-gossip the pool and, after a full reply, ask again."""
+        head = self.store.height
+        for block in blocks:
+            self.on_sealed_block(block)
+        if self.store.height == head:
+            return
+        for tx in self.pool.pending():
+            self._gossip(tx)
+        if len(blocks) == SYNC_BATCH:
+            self.request_sync(peer)
 
     def _apply_block(self, block: Block) -> None:
         for tx in block.txs:
@@ -232,13 +291,15 @@ class NodeRuntime:
 class Cluster:
     """All nodes of one run plus the routing glue between them."""
 
-    def __init__(self, sim: Simulator, network: Network, metrics: "MetricsCollector"):
+    def __init__(self, sim: Simulator, network: Network, metrics: "MetricsCollector", name_of: dict[bytes, str]):
         self.sim = sim
         self.network = network
         self.metrics = metrics
         self.nodes: dict[str, NodeRuntime] = {}
         self.node_names: tuple[str, ...] = ()
-        # Source node -> its (gossip, sealed-block) targets, built on first use.
+        # Validator address -> the name of the node running it.
+        self.name_of = name_of
+        # Source node -> its (gossip, member push) targets, built on first use.
         self._targets: dict[str, tuple[Targets, Targets]] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
@@ -248,20 +309,21 @@ class Cluster:
         self._targets.clear()
 
     def targets(self, src: str) -> tuple[Targets, Targets]:
-        """Every node but `src`, in node order, bound to `receive_gossip` and to `on_sealed_block`."""
+        """Every node but `src`, in node order, bound to `receive_gossip`;
+        every non-validator node but `src` bound to `on_sealed_block`."""
         pair = self._targets.get(src)
         if pair is None:
             others = [(name, node) for name, node in self.nodes.items() if name != src]
             pair = self._targets[src] = (
                 tuple((name, node.receive_gossip) for name, node in others),
-                tuple((name, node.on_sealed_block) for name, node in others),
+                tuple((name, node.on_sealed_block) for name, node in others if node.validator is None),
             )
         return pair
 
-    def broadcast_sealed(self, src: str, block: Block) -> None:
+    def push_to_members(self, src: str, block: Block) -> None:
         wire = block_wire(block) if self.network.capture_wire else None
-        _, sealed = self.targets(src)
-        self.network.send(src, sealed, "consensus", block, wire)
+        _, members = self.targets(src)
+        self.network.send(src, members, "consensus", block, wire)
 
     def submit(self, node_name: str, tx: Transaction) -> None:
         """Client submission over local RPC to the node hosting it."""

@@ -117,7 +117,7 @@ def assemble(
     ]
     validator_set = ValidatorSet(tuple((c.address, c.public_key) for c in validator_creds))
 
-    cluster = Cluster(sim, network, metrics)
+    cluster = Cluster(sim, network, metrics, dict(zip(validator_set.addresses, config.validator_names)))
     for name in config.node_names:
         node = NodeRuntime(name, sim, network, validator_set, config.gas)
         cluster.add_node(node)
@@ -197,12 +197,11 @@ def _schedule_faults(
     cluster: Cluster,
     validator_set: ValidatorSet,
 ) -> None:
-    name_of = dict(zip(validator_set.addresses, config.validator_names))
     for crash in config.faults.crashes:
         if crash.node is not None:
             target = crash.node
         else:
-            target = name_of[validator_set.proposer_for(crash.proposer_of_height, 0)]
+            target = cluster.name_of[validator_set.proposer_for(crash.proposer_of_height, 0)]
 
         def do_crash(name=target) -> None:
             network.crash(name)
@@ -465,6 +464,7 @@ def run_scenario(
 
     summary = assembly.metrics.summary(seed)
     summary["completed"] = completed
+    summary["sync_requests"] = sum(node.sync_requests for node in assembly.cluster.nodes.values())
     summary["config"] = {
         "validators": config.validators,
         "member_nodes": config.member_nodes,

@@ -3,16 +3,23 @@
 Credentials derived from small integers give every test stable keys
 without touching the scenario-level seeding, and the call helpers keep
 contract tests focused on the rule being exercised.
+
+Hypothesis draws its examples from a fixed seed (`derandomize`) and
+without a per-example deadline, so every machine runs the same examples.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from pactsim.contracts import GasSchedule, PublicState, abi_arg_schema
 from pactsim.encoding import enc_args
 from pactsim.identity import Credential, ValidatorSet
 from pactsim.ledger import PublicCall, Transaction, make_transaction
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def cred(i: int) -> Credential:

@@ -131,6 +131,26 @@ def test_tampered_chain_hash_is_found():
     assert any(f.node == "m2" and "chain hash differs at height 1" in f.detail for f in found)
 
 
+def test_node_short_of_a_settled_block_is_found():
+    result = fresh()
+    store = result.cluster.nodes["m2"].store
+    del store.blocks[2:]
+    found = convergence(result)
+    assert [f.node for f in found] == ["m2"]
+    assert "at height 1, below settled height" in found[0].detail
+
+
+def test_block_finalized_within_grace_of_the_end_may_still_be_in_flight():
+    result = fresh()
+    top = result.cluster.nodes["v0"].store.height
+    # As if the run had stopped just after the top block was finalized.
+    result.sim.now = result.metrics.first_finalized_at(top) + result.config.run.grace_ms - 1
+    del result.cluster.nodes["m2"].store.blocks[top:]
+    assert convergence(result) == []
+    del result.cluster.nodes["m2"].store.blocks[top - 1 :]
+    assert [f.node for f in convergence(result)] == ["m2"]
+
+
 def test_tampered_world_state_is_found():
     result = fresh()
     result.cluster.nodes["m2"].state.roles[b"\xff" * 20] = Role.PROVIDER

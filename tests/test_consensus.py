@@ -7,6 +7,7 @@ import pytest
 
 from pactsim.consensus import (
     FUTURE_BUFFER_FACTOR,
+    FUTURE_HEIGHTS,
     Commit,
     Prepare,
     PrePrepare,
@@ -234,7 +235,7 @@ def test_byzantine_minority_cannot_break_safety():
 def test_withholding_validator_still_syncs_finalized_blocks():
     cfg = heights_config({"faults": {"byzantine": [{"node": "v1", "strategy": "withhold"}]}})
     result = run_scenario(cfg, 11)
-    # It never votes, but sealed-block broadcasts keep its chain moving.
+    # It never votes, but it counts its peers' commits and finalizes itself.
     assert result.cluster.nodes["v1"].store.height >= 3
 
 
@@ -323,6 +324,74 @@ def test_forged_messages_cannot_crowd_a_signed_one_out_of_the_future_buffer():
     validator.on_message(signed)
     assert validator.dropped_invalid == FUTURE_BUFFER_FACTOR * validator.validators.n
     assert validator.future == {2: [signed]}
+
+
+def signed_prepare(signer, height, round_, digest=b"\x22" * 32):
+    return Prepare(height, round_, digest, signer.address, signer.credential.sign(Prepare.preimage(height, round_, digest)))
+
+
+def test_one_senders_signed_messages_cannot_crowd_anothers_out_of_the_future_buffer():
+    cluster = assemble(heights_config(), 5).cluster
+    validator = cluster.nodes["v0"].validator
+    validator.start()
+    v1, v2 = cluster.nodes["v1"].validator, cluster.nodes["v2"].validator
+    # As many signed height-2 prepares from v1 as the whole height once held.
+    flood = [signed_prepare(v1, 2, round_) for round_ in range(FUTURE_BUFFER_FACTOR * validator.validators.n)]
+    for msg in flood:
+        validator.on_message(msg)
+    other = signed_prepare(v2, 2, 0)
+    validator.on_message(other)
+    assert validator.dropped_invalid == 0
+    assert validator.future == {2: flood[:FUTURE_BUFFER_FACTOR] + [other]}
+
+
+def test_signed_messages_for_far_heights_open_few_buffers_and_one_sync():
+    cluster = assemble(heights_config(), 5).cluster
+    node = cluster.nodes["v0"]
+    validator = node.validator
+    validator.start()
+    v1 = cluster.nodes["v1"].validator
+    for height in range(2, 2002):
+        validator.on_message(signed_prepare(v1, height, 0))
+    assert sorted(validator.future) == list(range(2, 2 + FUTURE_HEIGHTS))
+    # Each shows v1 ahead, but one request per head and peer is enough.
+    assert node.sync_requests == 1
+
+
+def test_a_validator_that_learns_it_is_behind_asks_the_sender_for_blocks():
+    cluster = assemble(heights_config(), 5).cluster
+    node = cluster.nodes["v0"]
+    node.validator.start()
+    v2 = cluster.nodes["v2"].validator
+    node.validator.on_message(Prepare(3, 0, b"\x22" * 32, v2.address, b"\x00" * 64))
+    assert node.sync_requests == 0  # a forgery starts nothing
+    node.validator.on_message(signed_prepare(v2, 3, 0))
+    assert node.sync_requests == 1
+
+
+def test_each_message_object_is_checked_once_for_every_recipient(monkeypatch):
+    cluster = assemble(heights_config(), 5).cluster
+    validators = [cluster.nodes[n].validator for n in ("v0", "v2", "v3")]
+    for v in validators:
+        v.start()
+    signer = cluster.nodes["v1"].validator
+    vset = signer.validators
+    checks = []
+    real = type(vset).signed
+    monkeypatch.setattr(type(vset), "signed", lambda self, *a: checks.append(a[1]) or real(self, *a))
+    digest = b"\x33" * 32
+    seal = signer.credential.sign(seal_preimage(digest))
+    commit = Commit(1, 0, digest, seal, signer.address, signer.credential.sign(Commit.preimage(1, 0, digest, seal)))
+    for v in validators:
+        v.on_message(commit)
+    # The signature and the seal, once each, for three recipients.
+    assert checks == [commit.signed, commit.sealed]
+    assert all(v.state.commits[(0, digest)] == {signer.address: commit} for v in validators)
+    # A copy with a forged seal is a new object and is checked afresh.
+    forged = replace(commit, seal=b"\x00" * 64)
+    validators[0].on_message(forged)
+    assert validators[0].dropped_invalid == 1
+    assert len(checks) == 3
 
 
 def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on():

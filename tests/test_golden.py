@@ -56,110 +56,110 @@ CASES: dict[str, tuple[dict, int]] = {
 }
 
 GOLDEN: dict[str, dict[str, str | int]] = {
-    "paper-default": {
-        "latency.csv": "0aad04d54a4e06e6ad59fa254e367860954fd5d8c035af5a1e7a10ce9ca4dec8",
-        "summary.json": "0302c819f88c244190f397e71d7e0befbe10c75ab9dd46ac033792c88c33b45c",
-        "trace.jsonl": "e2b71ef36a23ac5d61a67aeae5320d561a92a32aa23b08225e59f7067de2f974",
-        "events": 5900,
-        "latency-shape": "37e7c12d1a6675a2697b084775479a8e5bcd7b2acf1522c08fb2da306bc6a438",
-        "chain:m0": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:m0": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:m1": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:m1": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:m2": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:m2": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:v0": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:v0": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:v1": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:v1": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:v2": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:v2": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
-        "chain:v3": "2e32cdf385d1bfaa77d84623e6b2ffd3f81bd38e414e502af5dadaa373bb5337",
-        "shape:v3": "52806a6ab88a75a13a10095acf7dcf5e0381b224229d09f6c5b0f1bae36056e7",
+    'paper-default': {
+        'latency.csv': '3990ed0be68ebf820e0df0b94c48217809e81af5e8ee37826fd1f0846ba9362d',
+        'summary.json': '523f06904d1f1e7a2cd89249d6723b50588f02209c40f9db62d904dbb516d8d8',
+        'trace.jsonl': '122c57fb454ffe4dc37a341201811aaabf8f5cba7687b1997735b231f1fce8b8',
+        'events': 5727,
+        'latency-shape': '325e66358848804fe44e6b872f9e2089c5df975f0e41e2d46ede02da566e75b3',
+        'chain:m0': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:m0': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:m1': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:m1': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:m2': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:m2': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:v0': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:v0': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:v1': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:v1': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:v2': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:v2': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'chain:v3': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
+        'shape:v3': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
     },
-    "smoke-batches": {
-        "latency.csv": "a399fcf807e36d6b1dcb590b1b65d8d3f6622c7cfe5f2f756bf998227b0a5c08",
-        "summary.json": "2fddbce9027cf63d6b4f13ab84624cc5ffa669e9077cc66a61a79073e9907426",
-        "trace.jsonl": "8ccf06e48ed8a970c2ed3845d6b9f8f69dcbb87b7d2de674f44fc3bd4035473d",
-        "events": 1090,
-        "latency-shape": "d1d7586f3b10854761584d92a73a566af9ba4c12ab2f7359b4d9998614b33c32",
-        "chain:m0": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:m0": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:m1": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:m1": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:m2": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:m2": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:v0": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:v0": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:v1": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:v1": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:v2": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:v2": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
-        "chain:v3": "7ea2002acf8e3f8d08c78b12c90ba934943972d2e0f4e3ff6a333fa5b10e6dcd",
-        "shape:v3": "be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb",
+    'smoke-batches': {
+        'latency.csv': 'c5c88a9deb5e71cac2750a740e2f884be470cf3b99c5086545479fcdfd6930a6',
+        'summary.json': 'f269c43f3134c9435c93d814483ffc5a6f043d1ce0718dfec35808b1461214a0',
+        'trace.jsonl': 'e70ee83a31bf1e0c96f6bdd9322fdea8a872996d7c6ac16ea5b253ceaa949070',
+        'events': 884,
+        'latency-shape': '12ca05fb5732b390592caffa3ddecf1a4ad34b205d58d84a931e4c5fad9323dc',
+        'chain:m0': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:m0': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:m1': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:m1': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:m2': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:m2': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:v0': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:v0': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:v1': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:v1': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:v2': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:v2': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'chain:v3': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
+        'shape:v3': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
     },
-    "smoke-equivocate": {
-        "latency.csv": "334a62c3f2483fc03cb7250d1e35628d6dc634239f57f8fcae296f0ca77b08cc",
-        "summary.json": "7cc91d7350c4c9baf26a206c509a5e12297a46f4ee09754225afa9ea74593a05",
-        "trace.jsonl": "31e89ed3f852ae28e6179ebd0568825b24d110bc97fdeb615d4e25f460ed2a64",
-        "events": 796,
-        "latency-shape": "9f0e8bcdc71d81e286ea3c1a5c76ff9abae3103544a93de0071464a89490da17",
-        "chain:m0": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:m0": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:m1": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:m1": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:m2": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:m2": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:v0": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:v0": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:v1": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:v1": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:v2": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:v2": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
-        "chain:v3": "0384baad70124ecb3a56af0ad331f7252cf80e79d3d61a5157fbbe046f1e8e2a",
-        "shape:v3": "25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed",
+    'smoke-equivocate': {
+        'latency.csv': '20fd5f25d7628fc0fc532b5019976d31c852b7e4487d073b0c75c1d96eab9dde',
+        'summary.json': 'e6f703e9adf8ac4d32c3073b30e2694785870f2d791fdeedd8f701f4682c65ce',
+        'trace.jsonl': '9f9b9f17ff25c795cafc620883fffe77e8f296737bd6d01422f91708182de860',
+        'events': 672,
+        'latency-shape': 'a8efd0681d0e6673ffabd179b8956d7014569b53027b11ddde6a5b3fc8a48e85',
+        'chain:m0': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
+        'shape:m0': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
+        'chain:m1': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
+        'shape:m1': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
+        'chain:m2': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
+        'shape:m2': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
+        'chain:v0': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
+        'shape:v0': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
+        'chain:v1': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
+        'shape:v1': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
+        'chain:v2': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
+        'shape:v2': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
+        'chain:v3': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
+        'shape:v3': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
     },
-    "smoke-multigroup": {
-        "latency.csv": "51f6d2dfac8416378fd2d33094bdf65924e0cb1664449f79e2fa2f1a994bf02b",
-        "summary.json": "f454a5103ac1ebdee66d77cd9990b229aa5268d6a8889e007e4ca093a9455c17",
-        "trace.jsonl": "8be0be7b5aa810719908938989abaa58d469f6cef186317c052622c709242b49",
-        "events": 1552,
-        "latency-shape": "2ca9b3ed3490ea83ee52b082c7428fb328016db6d2b11ca4219e8bd0528091d4",
-        "chain:m0": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:m0": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:m1": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:m1": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:m2": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:m2": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:v0": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:v0": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:v1": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:v1": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:v2": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:v2": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
-        "chain:v3": "0db561517124a5a7426df672dabead47e8cf3d10a4555380c5a56246bd19499e",
-        "shape:v3": "33dc22782ffdc105a90e546a4019932493e4cdaab47f16b9ae462e31858e4c77",
+    'smoke-multigroup': {
+        'latency.csv': 'f937e1cb1564816800d88844e5765c14e2d623e740ed0b7a627142b55a60f1bf',
+        'summary.json': '84e6540e086a853d9d551754250d5c4f8c28a53e543f12d2762a163c14dfc2d2',
+        'trace.jsonl': 'fff4d4077ba30f75b60f03d7c9438aec5483de8dde3bd5268d368babbbf31498',
+        'events': 1354,
+        'latency-shape': '298eee7e3cfedf00335c7678a4cf99c9ddf6dd4ce76aaab7b62b893734b0a74e',
+        'chain:m0': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:m0': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:m1': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:m1': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:m2': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:m2': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:v0': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:v0': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:v1': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:v1': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:v2': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:v2': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'chain:v3': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
+        'shape:v3': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
     },
-    "smoke-proposer-crash": {
-        "latency.csv": "32e732e274f00b9d4f694c15946797c036c619ac0f761fca32e79f2e7943ab3a",
-        "summary.json": "35477da66f8de8f6c29de2f6666b01172c90c363ad53c004c54ce6dab4659ab8",
-        "trace.jsonl": "36d54ffd94041971006161aaf7303a10266f6b673a902810474cf87145249474",
-        "events": 407,
-        "latency-shape": "44181db8776bb6ad265239b663887f300e82a1665d05d98ab08f7b79c7da89a8",
-        "chain:m0": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:m0": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
-        "chain:m1": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:m1": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
-        "chain:m2": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:m2": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
-        "chain:v0": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:v0": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
-        "chain:v1": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:v1": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
-        "chain:v2": "cab0a5eafc4ef82a07232e9ec3132bc9d26921f513af1f0d9aa8a4811bbbbf57",
-        "shape:v2": "f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16",
-        "chain:v3": "577de18c878040dff46a9e1d89f8fd5a3a5887fc7b58c638698b65d073eb403c",
-        "shape:v3": "c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1",
+    'smoke-proposer-crash': {
+        'latency.csv': 'a39734895e80d1e65fc5913fa9fb84adeea7c20a20afdb2720fc133408410c1e',
+        'summary.json': 'e52639331559a51188487d2ede48b5faa7c0099501bb0294318520f9463522ea',
+        'trace.jsonl': 'f1e3d63dbb7bb694daba54905d3d4b25e788bd3f21240e2e1ef0df67b3f107ed',
+        'events': 351,
+        'latency-shape': 'f22a679ac49b78db62398f706f76f3016fdc9d28db857693ec41e37ebf6e553d',
+        'chain:m0': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:m0': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+        'chain:m1': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:m1': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+        'chain:m2': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:m2': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+        'chain:v0': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:v0': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+        'chain:v1': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:v1': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+        'chain:v2': 'cab0a5eafc4ef82a07232e9ec3132bc9d26921f513af1f0d9aa8a4811bbbbf57',
+        'shape:v2': 'f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16',
+        'chain:v3': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'shape:v3': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
     },
 }
 

@@ -13,7 +13,7 @@ from pactsim.ledger import (
     make_transaction,
 )
 from pactsim.metrics import MetricsCollector
-from pactsim.node import Cluster, NodeRuntime
+from pactsim.node import SYNC_BATCH, Cluster, NodeRuntime
 from pactsim.privacy import GroupDirectory, encrypt_payload
 from pactsim.simulation import (
     STREAM_CONSENSUS,
@@ -32,14 +32,14 @@ ALICE = cred(1)
 BOB = cred(2)
 
 
-def make_cluster(names=("n0", "n1")):
+def make_cluster(names=("n0", "n1"), name_of=None):
     sim = Simulator()
     rng = RngHub(7)
     network = Network(sim, rng)
     network.add_channel("consensus", Fixed(5), STREAM_CONSENSUS)
     network.add_channel("rpc", Fixed(5), STREAM_RPC)
     validators = validator_set(VALIDATORS)
-    cluster = Cluster(sim, network, MetricsCollector())
+    cluster = Cluster(sim, network, MetricsCollector(), name_of or {})
     for name in names:
         cluster.add_node(NodeRuntime(name, sim, network, validators, GasSchedule()))
     return sim, cluster
@@ -80,6 +80,48 @@ def test_future_block_buffered_until_gap_fills():
     node.on_sealed_block(b1)
     assert node.store.height == 2
     assert node.future_blocks == {}
+
+
+def test_sync_fetches_a_gap_from_the_proposer_in_batches_and_regossips_the_pool():
+    # Every validator address runs on n1, which holds the whole chain.
+    sim, cluster = make_cluster(("n0", "n1"), {v.address: "n1" for v in VALIDATORS})
+    n0, n1 = cluster.nodes["n0"], cluster.nodes["n1"]
+    chain = build_chain(SYNC_BATCH + 8)
+    for block in chain:
+        n1.on_sealed_block(block)
+    # Admitted at n0 while its gossip was lost.
+    stuck = call_tx(ALICE, 0, "registry", "register", 1)
+    n0.pool.add(stuck, 0)
+
+    n0.on_sealed_block(chain[-1])
+    n0.on_sealed_block(chain[-2])
+    # Both lie beyond the buffer window; one request for this head.
+    assert n0.future_blocks == {}
+    assert n0.sync_requests == 1
+    sim.run()
+    # A full reply asks again from the new head.
+    assert n0.store.height == len(chain)
+    assert n0.sync_requests == 2
+    assert n0.dropped_invalid_blocks == 0
+    assert stuck.tx_id in {tx.tx_id for tx in n1.pool.pending()}
+
+
+def test_pushed_block_within_the_window_is_buffered_and_starts_a_sync():
+    sim, cluster = make_cluster(("n0", "n1"), {v.address: "n1" for v in VALIDATORS})
+    n0, n1 = cluster.nodes["n0"], cluster.nodes["n1"]
+    chain = build_chain(3)
+    n1.on_sealed_block(chain[0])
+    n0.on_sealed_block(chain[2])
+    assert n0.future_blocks == {3: chain[2]}
+    sim.run()
+    # The reply holds block 1 only; block 2 is still missing.
+    assert n0.store.height == 1
+    n1.on_sealed_block(chain[1])
+    n0.on_sealed_block(chain[2])  # a later push of the same block
+    sim.run()
+    assert n0.store.height == 3
+    assert n0.future_blocks == {}
+    assert n0.sync_requests == 2
 
 
 def test_duplicate_sealed_block_is_a_no_op():
