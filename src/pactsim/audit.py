@@ -104,6 +104,8 @@ def convergence(result: RunResult) -> list[Finding]:
     findings: list[Finding] = []
     nodes = result.cluster.nodes
     alive = [n for n in nodes if n not in result.cluster.network.crashed]
+    if not alive:
+        return findings
     heights = {name: nodes[name].store.height for name in alive}
     top = nodes[max(alive, key=heights.__getitem__)].store
     for name in alive:

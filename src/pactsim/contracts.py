@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .encoding import (
     ADDRESS_LEN,
@@ -35,6 +36,9 @@ from .encoding import (
 from .ledger import PrivacyMarker, PublicCall, Transaction
 
 MAX_SERVICES_PER_PROVIDER = 5
+
+# Decoded private operations kept for the other members of the group.
+DECODE_CACHE_SIZE = 1024
 
 
 class Role(enum.IntEnum):
@@ -309,7 +313,14 @@ class OpBatch:
 PrivateOp = OpInit | OpBreach | OpBatch
 
 
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_private_op(data: bytes) -> PrivateOp:
+    """Decode a private operation; equal bytes give the same object.
+
+    Sharing it between members is sound: decoding is pure, and the op and
+    its records are frozen, so member ledgers share only immutable records.
+    Exceptions are not cached, so a malformed payload fails at each member.
+    """
     cur = Cursor(data)
     kind = cur.u8()
     if kind == OP_INIT:

@@ -7,10 +7,15 @@ organized as named substreams of one root seed; components that must
 not disturb each other (for example enclave transfer times versus
 consensus link jitter) draw from separate streams derived with stable
 integer keys.
+
+The cyclic garbage collector is paused while the loop runs: events
+create no reference cycles (a test pins this), so a pass would only walk
+the live heap.  The run's own cyclic graph is freed after the caller drops it.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass
 from functools import partial
@@ -142,25 +147,35 @@ class Simulator:
         self._stopped = True
 
     def run(self, until: int | None = None) -> None:
-        """Drain the queue, optionally not past virtual time `until`."""
+        """Drain the queue, optionally not past virtual time `until`.
+
+        The cyclic collector is off meanwhile and its setting is restored
+        however the loop ends, so events must create no reference cycles.
+        """
         queue = self._queue
         pop = heapq.heappop
         max_events = self.max_events
-        while queue and not self._stopped:
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                return
-            fire_at, _, action = pop(queue)
-            self._fired += 1
-            if self._fired > max_events:
-                raise LivelockError(
-                    f"exceeded {self.max_events} events at t={self.now}ms; "
-                    "the scenario is not making progress"
-                )
-            self.now = fire_at
-            action()
-        if until is not None and not self._stopped:
-            self.now = max(self.now, until)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while queue and not self._stopped:
+                if until is not None and queue[0][0] > until:
+                    self.now = until
+                    return
+                fire_at, _, action = pop(queue)
+                self._fired += 1
+                if self._fired > max_events:
+                    raise LivelockError(
+                        f"exceeded {self.max_events} events at t={self.now}ms; "
+                        "the scenario is not making progress"
+                    )
+                self.now = fire_at
+                action()
+            if until is not None and not self._stopped:
+                self.now = max(self.now, until)
+        finally:
+            if collecting:
+                gc.enable()
 
     def trace(self, kind: str, **fields) -> None:
         if self.trace_enabled:

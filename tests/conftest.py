@@ -10,6 +10,8 @@ without a per-example deadline, so every machine runs the same examples.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import settings
 
@@ -20,6 +22,14 @@ from pactsim.ledger import PublicCall, Transaction, make_transaction
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector's setting back after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 def cred(i: int) -> Credential:

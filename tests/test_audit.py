@@ -151,6 +151,14 @@ def test_block_finalized_within_grace_of_the_end_may_still_be_in_flight():
     assert [f.node for f in convergence(result)] == ["m2"]
 
 
+def test_every_node_crashed_leaves_nothing_to_compare():
+    nodes = config_from_dict({"preset": "smoke"}).node_names
+    crashes = [{"node": name, "at_ms": 1000} for name in nodes]
+    result = run_scenario(config_from_dict({"preset": "smoke", "faults": {"crashes": crashes}}), seed=3)
+    assert set(result.cluster.network.crashed) == set(nodes)
+    assert convergence(result) == []
+
+
 def test_tampered_world_state_is_found():
     result = fresh()
     result.cluster.nodes["m2"].state.roles[b"\xff" * 20] = Role.PROVIDER

@@ -215,14 +215,25 @@ def test_private_op_round_trip():
         assert decode_private_op(op.encode()) == op
 
 
+def test_equal_private_op_bytes_decode_to_one_object():
+    op = OpBatch(tuple(breach(PROVIDER, i) for i in range(3)))
+    first = op.encode()
+    second = bytes(bytearray(first))
+    assert second is not first
+    assert decode_private_op(first) is decode_private_op(second)
+
+
+# A failed decode is not cached, so a malformed payload fails at each member.
 def test_private_op_rejects_trailing_bytes():
-    with pytest.raises(DecodeError):
-        decode_private_op(OpInit(agreement()).encode() + b"\x00")
+    for _ in range(2):
+        with pytest.raises(DecodeError):
+            decode_private_op(OpInit(agreement()).encode() + b"\x00")
 
 
 def test_private_op_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        decode_private_op(b"\x09")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            decode_private_op(b"\x09")
 
 
 def fresh_ledger():

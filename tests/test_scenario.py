@@ -1,5 +1,6 @@
 """End-to-end scenario runs: completion, determinism, outputs, sweeps."""
 
+import gc
 import json
 
 import pytest
@@ -50,6 +51,15 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
             assert ledger.agreement is not None
             assert len(ledger.records) == 1
             assert not ledger.halted
+
+
+def test_group_members_hold_their_own_ledgers_of_shared_records(smoke_run):
+    for group in smoke_run.directory.by_id.values():
+        a, b = (smoke_run.cluster.nodes[n].read_private_state(group.group_id) for n in group.member_nodes)
+        assert a is not b and a.records is not b.records
+        assert a.encode() == b.encode()
+        # Both members applied the one decoded operation.
+        assert all(x is y for x, y in zip(a.records, b.records, strict=True))
 
 
 # Lost pushes are retried most of the time and a leg takes up to 5 s, so
@@ -149,3 +159,38 @@ def test_sweep_writes_comparison_and_subdirs(tmp_path):
 def test_sweep_point_at_matching_interval_reproduces_single_run(smoke_run):
     results, _ = run_sweep(SMOKE, seed=5, values=[1000])
     assert results[0].summary["kinds"] == smoke_run.summary["kinds"]
+
+
+# A run leaves no reference cycles behind: the kernel pauses the cyclic
+# collector while it runs, so a cycle would hold its memory until the
+# next collection.
+NO_CYCLE_CASES = {
+    "smoke": {"preset": "smoke"},
+    "multigroup": {
+        "preset": "smoke",
+        "workload": {"providers": 3, "consumers": 3, "selects_per_consumer": 2, "batches_per_group": 2},
+    },
+    "fault-mix": {
+        "preset": "smoke",
+        "validators": 7,
+        "faults": {
+            "crashes": [{"node": "v2", "at_ms": 3000}],
+            "byzantine": [{"node": "v1", "strategy": "equivocate"}],
+            "partitions": [
+                {"from_ms": 5000, "to_ms": 20_000, "groups": [["m0"], [f"v{i}" for i in range(7)] + ["m1", "m2"]]}
+            ],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", sorted(NO_CYCLE_CASES))
+def test_a_run_creates_no_reference_cycles(collector, case, trace):
+    config = config_from_dict(NO_CYCLE_CASES[case])
+    gc.collect()
+    gc.disable()
+    result = run_scenario(config, seed=3, trace=trace)
+    # `result` still holds the whole run, so only garbage is unreachable.
+    assert gc.collect() == 0
+    assert result.completed

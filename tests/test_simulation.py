@@ -1,5 +1,6 @@
 """Event loop, RNG streams, latency models, and the network fabric."""
 
+import gc
 import statistics
 
 import pytest
@@ -72,6 +73,51 @@ def test_livelock_guard_trips():
     sim.schedule(0, again)
     with pytest.raises(LivelockError):
         sim.run()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_the_callers_setting(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sim = Simulator()
+    seen = []
+    sim.schedule(1, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def end_by_until(sim):
+    sim.run(until=50)
+
+
+def end_by_stop(sim):
+    sim.schedule(5, sim.stop)
+    sim.run()
+
+
+def end_by_livelock(sim):
+    with pytest.raises(LivelockError):
+        sim.run()
+
+
+def end_by_failing_action(sim):
+    def fail():
+        raise RuntimeError("action failed")
+
+    sim.schedule(5, fail)
+    with pytest.raises(RuntimeError):
+        sim.run()
+
+
+# Two events at 10 and 100 ms against a budget of one event.
+@pytest.mark.parametrize("end", [end_by_until, end_by_stop, end_by_livelock, end_by_failing_action])
+def test_run_restores_the_collector_however_the_loop_ends(collector, end):
+    gc.enable()
+    sim = Simulator(max_events=1)
+    sim.schedule(10, lambda: None)
+    sim.schedule(100, lambda: None)
+    end(sim)
+    assert gc.isenabled()
 
 
 def test_trace_records_only_when_enabled():
