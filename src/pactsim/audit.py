@@ -97,9 +97,10 @@ def convergence(result: RunResult) -> list[Finding]:
 
     A block first finalized at least `grace_ms` before the run ended is
     settled, and an alive node short of it is a laggard; a later block
-    may still be on its way.  Byzantine validators are held to the chain
-    but not to keeping up: an `echo` validator never counts commits, so
-    it learns of a block only from the next height's messages.
+    may still be on its way.  Byzantine validators are held to both: every
+    strategy counts the commits of its own height, and an `echo`
+    validator, which stores no proposal, syncs a block once a quorum
+    has committed it.
     """
     findings: list[Finding] = []
     nodes = result.cluster.nodes
@@ -120,9 +121,8 @@ def convergence(result: RunResult) -> list[Finding]:
         at = result.metrics.first_finalized_at(h)
         if at is not None and at <= cutoff:
             settled = h
-    byzantine = {entry.node for entry in result.config.faults.byzantine}
     for name in alive:
-        if heights[name] < settled and name not in byzantine:
+        if heights[name] < settled:
             findings.append(Finding("convergence", name, f"at height {heights[name]}, below settled height {settled}"))
     # State digests may only be compared between nodes at equal height.
     by_height: dict[int, dict[str, bytes]] = {}

@@ -417,9 +417,13 @@ class IbftValidator:
         if self.halted:
             return
         if self.strategy == "echo":
-            # It never runs `_process`, but must still catch up.
+            # It never runs `_process`, but must still catch up: on a
+            # later height, and on a commit quorum for a block it never
+            # stored, which `_on_commit` answers with a sync.
             if msg.height > self.state.height and _authentic(msg, self.validators):
                 self._sync_from(msg.sender)
+            elif isinstance(msg, Commit) and msg.height == self.state.height and _authentic(msg, self.validators):
+                self._on_commit(msg)
             self._echo(msg)
             return
         self._process(msg)

@@ -8,6 +8,14 @@ not disturb each other (for example enclave transfer times versus
 consensus link jitter) draw from separate streams derived with stable
 integer keys.
 
+A heap entry is `(fire_at, seq, handler, item, dst)`.  A timer is
+`(fire_at, seq, action, None, None)` and fires as `action()`.  A network
+message fires as `handler(item)` at node `dst`.  It is checked twice:
+at send time `Network` drops it if either endpoint is crashed or a
+partition separates them, and at arrival the loop drops it if `dst` has
+crashed since.  `seq` rises with every push, so entries due in the same
+ms fire in insertion order and handlers are never compared.
+
 The cyclic garbage collector is paused while the loop runs: events
 create no reference cycles (a test pins this), so a pass would only walk
 the live heap.  The run's own cyclic graph is freed after the caller drops it.
@@ -17,8 +25,8 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -121,14 +129,18 @@ def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
 
 
 class Simulator:
-    """Event loop with tracing hooks."""
+    """Event loop with tracing hooks.
+
+    A simulator has at most one `Network`, which binds itself as
+    `network` on construction; a simulator without one runs timers only.
+    """
 
     def __init__(self, trace_enabled: bool = False, max_events: int = MAX_EVENTS):
         self.now = 0
-        # (fire_at, seq, action): seq is unique, so actions are never compared.
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._queue: list[tuple[int, int, Callable, Any, str | None]] = []
+        self._seq = itertools.count()
         self._fired = 0
+        self.network: Network | None = None
         self.max_events = max_events
         self.trace_enabled = trace_enabled
         self.trace_log: list[dict] = []
@@ -137,8 +149,7 @@ class Simulator:
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
-        self._seq += 1
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), action, None, None))
 
     def schedule_at(self, when: int, action: Callable[[], None]) -> None:
         self.schedule(max(0, when - self.now), action)
@@ -155,6 +166,8 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         max_events = self.max_events
+        net = self.network
+        crashed = net.crashed if net is not None else ()
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -162,7 +175,7 @@ class Simulator:
                 if until is not None and queue[0][0] > until:
                     self.now = until
                     return
-                fire_at, _, action = pop(queue)
+                fire_at, _, handler, item, dst = pop(queue)
                 self._fired += 1
                 if self._fired > max_events:
                     raise LivelockError(
@@ -170,7 +183,13 @@ class Simulator:
                         "the scenario is not making progress"
                     )
                 self.now = fire_at
-                action()
+                if dst is None:
+                    handler()
+                elif dst in crashed:
+                    net.dropped_crash += 1
+                else:
+                    net.delivered += 1
+                    handler(item)
             if until is not None and not self._stopped:
                 self.now = max(self.now, until)
         finally:
@@ -189,15 +208,18 @@ class Network:
     takes the channel's next delay, in target order, so a fan-out to k
     peers takes k consecutive delays in the sender's peer order; the
     channel draws them from its latency model `DRAW_BLOCK` at a time.
-    A message is dropped, its delay still taken, if either endpoint is
-    crashed or the two sit in different partition groups at send time.
-    Otherwise the kernel fires `_arrive(dst, handler, item)` after the
-    delay; that drops the message if the destination has crashed
-    meanwhile and calls `handler(item)` if not.  Every target of a
-    fan-out gets the same item object.
+    At send time a message is dropped, its delay still taken, if either
+    endpoint is crashed or the two sit in different partition groups;
+    otherwise it goes onto the kernel's heap as
+    `(now + delay, seq, handler, item, dst)`.  At arrival the kernel
+    drops it if `dst` has crashed meanwhile and calls `handler(item)` if
+    not.  Every target of a fan-out gets the same item object.
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
+        if sim.network is not None:
+            raise ValueError("a Simulator has at most one Network")
+        sim.network = self
         self.sim = sim
         self.rng_hub = rng_hub
         self.channels: dict[str, Iterator[int]] = {}
@@ -234,29 +256,29 @@ class Network:
         return False
 
     def send(self, src: str, targets: Targets, channel: str, item: object, wire: bytes | None = None) -> None:
-        # The delay is taken even for dropped messages so that crashing a
-        # node does not shift every later delay on the shared stream.
-        delays = self.channels[channel]
-        send_after = self.send_after
-        for dst, handler in targets:
-            send_after(src, dst, next(delays), handler, item, wire)
+        self._fan_out(src, targets, self.channels[channel], item, wire)
 
     def send_after(
         self, src: str, dst: str, delay: int, handler: Handler, item: object, wire: bytes | None = None
     ) -> None:
-        if self.wire_log is not None and wire is not None:
-            self.wire_log.append((src, dst, wire))
-        if src in self.crashed or dst in self.crashed:
-            self.dropped_crash += 1
-            return
-        if self.partition is not None and not self._connected(src, dst):
-            self.dropped_partition += 1
-            return
-        self.sim.schedule(delay, partial(self._arrive, dst, handler, item))
+        if delay < 0:
+            raise ValueError("cannot schedule into the past")
+        self._fan_out(src, ((dst, handler),), (delay,), item, wire)
 
-    def _arrive(self, dst: str, handler: Handler, item: object) -> None:
-        if dst in self.crashed:
-            self.dropped_crash += 1
-            return
-        self.delivered += 1
-        handler(item)
+    def _fan_out(self, src: str, targets: Targets, delays: Iterable[int], item: object, wire: bytes | None) -> None:
+        # The delay is taken even for dropped messages so that crashing a
+        # node does not shift every later delay on the shared stream.
+        sim = self.sim
+        queue, seq, now = sim._queue, sim._seq, sim.now
+        log = self.wire_log if wire is not None else None
+        crashed, partition = self.crashed, self.partition
+        src_down = src in crashed
+        for (dst, handler), delay in zip(targets, delays):
+            if log is not None:
+                log.append((src, dst, wire))
+            if src_down or dst in crashed:
+                self.dropped_crash += 1
+            elif partition is not None and not self._connected(src, dst):
+                self.dropped_partition += 1
+            else:
+                heapq.heappush(queue, (now + delay, next(seq), handler, item, dst))

@@ -120,6 +120,25 @@ def test_run_restores_the_collector_however_the_loop_ends(collector, end):
     assert gc.isenabled()
 
 
+def test_simulator_without_a_network_runs_timers():
+    sim = Simulator()
+    log = []
+    sim.schedule(3, lambda: log.append(sim.now))
+    sim.run()
+    assert sim.network is None and log == [3]
+
+
+def test_livelock_guard_counts_deliveries():
+    sim = Simulator(max_events=100)
+    net = Network(sim, RngHub(3))
+    net.add_channel("link", Fixed(1), STREAM_CONSENSUS)
+    targets = (("b", lambda _item: net.send("a", targets, "link", None)),)
+    net.send("a", targets, "link", None)
+    with pytest.raises(LivelockError):
+        sim.run()
+    assert net.delivered == 100
+
+
 def test_trace_records_only_when_enabled():
     sim = Simulator(trace_enabled=False)
     sim.trace("x", a=1)
@@ -283,6 +302,71 @@ def test_partition_blocks_cross_group_traffic():
     sim.run()
     assert log == [2]
     assert net.dropped_partition == 1
+
+
+def test_a_simulator_holds_one_network():
+    sim, net = wired_network()
+    assert sim.network is net
+    with pytest.raises(ValueError):
+        Network(sim, RngHub(9))
+
+
+@pytest.mark.parametrize("timer_first", [True, False])
+def test_timer_and_delivery_due_in_the_same_ms_fire_in_scheduling_order(timer_first):
+    sim, net = wired_network()
+    log = []
+
+    def timer():
+        sim.schedule(25, lambda: log.append("timer"))
+
+    def message():
+        net.send("a", to("b", lambda: log.append("message")), "link", None)
+
+    for schedule in (timer, message) if timer_first else (message, timer):
+        schedule()
+    sim.run()
+    assert log == (["timer", "message"] if timer_first else ["message", "timer"])
+
+
+def test_every_offered_target_is_counted_once_under_a_fault_mix():
+    # Every delay is 25 ms.  "c" is down from the start, "d" goes down at
+    # 10 ms with a message in flight, and "e" is cut off until 30 ms.
+    sim, net = wired_network()
+    net.crash("c")
+    net.set_partition([{"a", "b", "c", "d"}, {"e"}])
+    received = []
+
+    def fan_out(src):
+        targets = tuple((dst, lambda _item, dst=dst: received.append((dst, sim.now))) for dst in "abcde" if dst != src)
+        net.send(src, targets, "link", None)
+
+    def heal_and_send():
+        net.set_partition(None)
+        net.send_after("e", "a", 5, lambda _item: received.append(("a", sim.now)), None)
+        fan_out("c")
+
+    fan_out("a")
+    sim.schedule(10, lambda: net.crash("d"))
+    sim.schedule(20, lambda: fan_out("b"))
+    sim.schedule(30, heal_and_send)
+    sim.run()
+    # Offered: 4 from "a", 4 from "b", 1 from "e", 4 from the crashed "c".
+    assert sorted(received) == [("a", 35), ("a", 45), ("b", 25)]
+    assert net.delivered == len(received)
+    # c (at 0, 20 and its own four at 30), d in flight, d at 20.
+    assert net.dropped_crash == 8
+    assert net.dropped_partition == 2
+    assert net.delivered + net.dropped_crash + net.dropped_partition == 13
+    # Three timers, three deliveries and the drop at arrival fired.
+    assert sim._fired == 7
+
+
+def test_send_after_rejects_a_negative_delay():
+    sim, net = wired_network()
+    net.wire_log = []
+    with pytest.raises(ValueError):
+        net.send_after("a", "b", -1, lambda _item: None, None, wire=b"w")
+    assert net.wire_log == [] and sim._queue == []
 
 
 def test_send_after_uses_explicit_delay():

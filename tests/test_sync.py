@@ -81,6 +81,17 @@ def test_member_cut_off_mid_workload_catches_up_and_completes():
         assert max(heights) - min(heights) <= 1, seed
 
 
+def test_echo_validator_keeps_up_so_no_honest_validator_times_out():
+    # An echo validator that ignored commits learned of each block a
+    # height late, so a height it proposed (height 6 here) waited out a
+    # round timeout at every honest validator.
+    cfg = consensus_config(7, {"byzantine": [{"node": "v6", "strategy": "echo"}]}, target_heights=8)
+    result = run_scenario(cfg, 0, trace=True)
+    timeouts = [e for e in result.sim.trace_log if e["kind"] == "round_timeout" and e["node"] != "v6"]
+    assert timeouts == []
+    assert convergence(result) == []
+
+
 @st.composite
 def fault_mixes(draw):
     """n validators, at most f of them faulty, and splits that heal by 6 s."""
