@@ -6,6 +6,15 @@ a published service, and privacy markers anchor off-chain payloads.
 Gas is metered against a fixed schedule with price zero, so gas caps
 block capacity without moving balances.
 
+Every node executes every public call, so a call's arguments are
+decoded once for all of them (`decode_call_args`, keyed by value), and
+each `PublicState` looks a call's handler and gas up in a table built
+when it is created.  Sharing a decode between nodes is sound for the
+reasons `decode_private_op` gives: decoding is pure, the result holds
+only immutable values, and a failed decode is not cached, so malformed
+arguments fail at every node.  A privacy marker is not a public call:
+a call naming `marker.anchor` is unknown like any other.
+
 Private side: each privacy group runs a breach ledger whose operations
 (initialize, record a breach, commit a batch) travel encrypted and are
 replayed by every group member; every operation checks membership
@@ -17,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .encoding import (
     ADDRESS_LEN,
@@ -37,7 +47,8 @@ from .ledger import PrivacyMarker, PublicCall, Transaction
 
 MAX_SERVICES_PER_PROVIDER = 5
 
-# Decoded private operations kept for the other members of the group.
+# Decoded private operations, and public call arguments, kept for the
+# other nodes that execute them.
 DECODE_CACHE_SIZE = 1024
 
 
@@ -75,6 +86,12 @@ def abi_arg_schema(contract: str, function: str) -> tuple[str, ...]:
     return tuple(t for _, t in ABI[contract][function])
 
 
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def decode_call_args(contract: str, function: str, args: bytes) -> tuple:
+    """Decode a public call's arguments; equal calls give the same tuple."""
+    return dec_args(abi_arg_schema(contract, function), args)
+
+
 def abi_description(schedule: GasSchedule | None = None) -> str:
     """Stable text rendering of the public call surface."""
     schedule = schedule or GasSchedule()
@@ -103,8 +120,7 @@ class ExecError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     tx_id: bytes
     ok: bool
     gas_used: int
@@ -169,11 +185,14 @@ class PublicState:
         self.agreements: list[SelectionRecord] = []
         self.markers: list[tuple[bytes, bytes]] = []
         self.nonces: dict[bytes, int] = {}
+        # (contract, function) -> (handler, gas) for each public call.
+        self._calls = {op: (handler, schedule.cost(*OP_IO[op])) for op, handler in self._HANDLERS.items()}
+        self._marker = (PublicState._op_marker, schedule.cost(*OP_IO[("marker", "anchor")]))
 
     # -- operations ---------------------------------------------------
 
-    def _op_register(self, sender: bytes, args: bytes) -> None:
-        (role_val,) = dec_args(abi_arg_schema("registry", "register"), args)
+    def _op_register(self, sender: bytes, call: PublicCall) -> None:
+        (role_val,) = decode_call_args("registry", "register", call.args)
         if sender in self.roles:
             raise ExecError("already registered")
         try:
@@ -182,10 +201,10 @@ class PublicState:
             raise ExecError(f"unknown role {role_val}") from None
         self.roles[sender] = role
 
-    def _op_publish(self, sender: bytes, args: bytes) -> None:
+    def _op_publish(self, sender: bytes, call: PublicCall) -> None:
         if self.roles.get(sender) != Role.PROVIDER:
             raise ExecError("publish requires provider role")
-        name, sla_hash = dec_args(abi_arg_schema("catalog", "publish"), args)
+        name, sla_hash = decode_call_args("catalog", "publish", call.args)
         existing = self.services.setdefault(sender, [])
         if len(existing) >= MAX_SERVICES_PER_PROVIDER:
             raise ExecError(f"provider already has {MAX_SERVICES_PER_PROVIDER} services")
@@ -193,10 +212,10 @@ class PublicState:
             raise ExecError("duplicate service metadata")
         existing.append(ServiceRecord(provider=sender, name=name, sla_hash=sla_hash))
 
-    def _op_select(self, sender: bytes, args: bytes) -> None:
+    def _op_select(self, sender: bytes, call: PublicCall) -> None:
         if self.roles.get(sender) != Role.CONSUMER:
             raise ExecError("select requires consumer role")
-        provider, index = dec_args(abi_arg_schema("selection", "select"), args)
+        provider, index = decode_call_args("selection", "select", call.args)
         if self.roles.get(provider) != Role.PROVIDER:
             raise ExecError("selection target is not a provider")
         services = self.services.get(provider, [])
@@ -206,6 +225,12 @@ class PublicState:
 
     def _op_marker(self, sender: bytes, marker: PrivacyMarker) -> None:
         self.markers.append((marker.group_id, marker.payload_hash))
+
+    _HANDLERS = {
+        ("registry", "register"): _op_register,
+        ("catalog", "publish"): _op_publish,
+        ("selection", "select"): _op_select,
+    }
 
     # -- execution ----------------------------------------------------
 
@@ -217,29 +242,24 @@ class PublicState:
         # call succeeds.
         self.nonces[tx.sender] = expected + 1
 
-        if isinstance(tx.payload, PrivacyMarker):
-            op = ("marker", "anchor")
+        payload = tx.payload
+        if isinstance(payload, PrivacyMarker):
+            handler, cost = self._marker
         else:
-            op = (tx.payload.contract, tx.payload.function)
-        io = OP_IO.get(op)
-        if io is None:
-            return Receipt(tx.tx_id, False, self.schedule.base, f"unknown call {op[0]}.{op[1]}")
-        cost = self.schedule.cost(*io)
+            call = self._calls.get((payload.contract, payload.function))
+            if call is None:
+                reason = f"unknown call {payload.contract}.{payload.function}"
+                return Receipt(tx.tx_id, False, self.schedule.base, reason)
+            handler, cost = call
         if tx.gas_limit < cost:
             return Receipt(tx.tx_id, False, tx.gas_limit, "out of gas")
 
         try:
-            if isinstance(tx.payload, PrivacyMarker):
-                self._op_marker(tx.sender, tx.payload)
-            elif op == ("registry", "register"):
-                self._op_register(tx.sender, tx.payload.args)
-            elif op == ("catalog", "publish"):
-                self._op_publish(tx.sender, tx.payload.args)
-            else:
-                self._op_select(tx.sender, tx.payload.args)
-        except (ExecError, ValueError) as err:
-            reason = err.reason if isinstance(err, ExecError) else f"malformed args: {err}"
-            return Receipt(tx.tx_id, False, self.schedule.base, reason)
+            handler(self, tx.sender, payload)
+        except ExecError as err:
+            return Receipt(tx.tx_id, False, self.schedule.base, err.reason)
+        except ValueError as err:
+            return Receipt(tx.tx_id, False, self.schedule.base, f"malformed args: {err}")
         return Receipt(tx.tx_id, True, cost)
 
     # -- snapshots ----------------------------------------------------

@@ -11,11 +11,19 @@ derived from content, once per object: none is a constructor argument,
 and a copy made with `dataclasses.replace` or decoded from bytes
 derives its own.  The one exception is `Block.replace_unhashed`: its
 copies differ only in `round` and `seals`, which the hash leaves out,
-so they carry over their source's hash.  A transaction derives both
-when it is built, from one encoding of its signed preimage.  Block
-append, and each validator's check of a proposal, re-check every
-transaction's signature, including ones the node already admitted at
-gossip; for the same object that re-check reads the stored result.
+so they carry over their source's hash.  A transaction encodes its body
+once, when it is built, and derives `tx_id` and its signature check from
+that encoding; `sign_preimage`, `encode` and the block hash preimage
+reuse the stored bytes.  Block append, and each validator's check of a
+proposal, re-check every transaction's signature, including ones the
+node already admitted at gossip; for the same object that re-check
+reads the stored result.
+
+The pool indexes its transaction ids by sender.  A transaction whose
+sender's nonce has already executed can never be packed, and only a
+block holding that sender, or `note_executed_nonce`, moves the nonce; so
+after a block the pool looks for such dead entries among the block's
+senders alone.
 """
 
 from __future__ import annotations
@@ -112,22 +120,26 @@ class Transaction:
     payload: PublicCall | PrivacyMarker
     signature: bytes
     tx_id: bytes = field(init=False, compare=False, repr=False)
+    _body: bytes = field(init=False, compare=False, repr=False)
     _signature_ok: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        preimage = self.sign_preimage()
+        body = self.body()
+        preimage = TAG_TX + body
         ok = address_of(self.sender_pubkey) == self.sender and verify(self.sender_pubkey, preimage, self.signature)
+        object.__setattr__(self, "_body", body)
         object.__setattr__(self, "tx_id", digest(preimage + self.signature))
         object.__setattr__(self, "_signature_ok", ok)
 
     def body(self) -> bytes:
+        """Encode the signed fields; each object does so once, when it is built."""
         return _tx_body(self.sender, self.sender_pubkey, self.nonce, self.gas_limit, self.payload)
 
     def sign_preimage(self) -> bytes:
-        return TAG_TX + self.body()
+        return TAG_TX + self._body
 
     def encode(self) -> bytes:
-        return self.body() + enc_bytes(self.signature)
+        return self._body + enc_bytes(self.signature)
 
     def verify_signature(self) -> bool:
         return self._signature_ok
@@ -315,21 +327,24 @@ class ChainStore:
                 raise InvalidBlock(f"bad tx signature in block {block.height}")
 
 
-@dataclass
-class _PoolEntry:
-    tx: Transaction
-    arrival: int
-    oversized_attempts: int = 0
-
-
 class TxPool:
-    """Pending transactions with FIFO, nonce-sequential block packing."""
+    """Pending transactions with FIFO, nonce-sequential block packing.
+
+    An entry is `(arrival, tx_id, tx)`, so entries sort by arrival with
+    ties broken by tx id.  `_by_sender` holds the pooled ids of each
+    sender; entries never hold a nonce below their sender's executed
+    nonce, because `add` refuses one and every move of that nonce drops
+    the sender's entries it passes.
+    """
 
     MAX_OVERSIZED_ATTEMPTS = 3
 
     def __init__(self):
-        self._entries: dict[bytes, _PoolEntry] = {}
+        self._entries: dict[bytes, tuple[int, bytes, Transaction]] = {}
+        self._by_sender: dict[bytes, set[bytes]] = {}
         self._next_nonce: dict[bytes, int] = {}
+        # Tx id -> blocks it was too large for so far.
+        self._oversized: dict[bytes, int] = {}
         self.warnings: list[str] = []
 
     def __len__(self) -> int:
@@ -337,33 +352,49 @@ class TxPool:
 
     def pending(self) -> list[Transaction]:
         """Every pooled transaction, in arrival order."""
-        return [e.tx for e in self._entries.values()]
+        return [tx for _, _, tx in self._entries.values()]
 
     def note_executed_nonce(self, sender: bytes, nonce: int) -> None:
-        cur = self._next_nonce.get(sender, 0)
-        if nonce + 1 > cur:
+        """Record that `sender`'s `nonce` executed and drop its pooled rivals."""
+        if nonce >= self._next_nonce.get(sender, 0):
             self._next_nonce[sender] = nonce + 1
+            self._prune(sender)
 
     def add(self, tx: Transaction, now: int) -> bool:
-        if tx.tx_id in self._entries:
+        tx_id = tx.tx_id
+        if tx_id in self._entries:
             return False
         if tx.nonce < self._next_nonce.get(tx.sender, 0):
             return False
-        self._entries[tx.tx_id] = _PoolEntry(tx=tx, arrival=now)
+        self._entries[tx_id] = (now, tx_id, tx)
+        self._by_sender.setdefault(tx.sender, set()).add(tx_id)
         return True
 
     def remove_included(self, txs: tuple[Transaction, ...]) -> None:
+        """Drop a block's transactions and every pooled rival of a nonce it executed."""
+        entries = self._entries
+        by_sender = self._by_sender
+        next_nonce = self._next_nonce
         for tx in txs:
-            self._entries.pop(tx.tx_id, None)
-            self.note_executed_nonce(tx.sender, tx.nonce)
-        # Anything now stale (nonce already executed elsewhere) is dead weight.
-        stale = [
-            tid
-            for tid, e in self._entries.items()
-            if e.tx.nonce < self._next_nonce.get(e.tx.sender, 0)
-        ]
-        for tid in stale:
-            del self._entries[tid]
+            if entries.pop(tx.tx_id, None) is not None:
+                by_sender[tx.sender].remove(tx.tx_id)
+                self._oversized.pop(tx.tx_id, None)
+            if tx.nonce >= next_nonce.get(tx.sender, 0):
+                next_nonce[tx.sender] = tx.nonce + 1
+        for sender in {tx.sender for tx in txs}:
+            if by_sender.get(sender):
+                self._prune(sender)
+
+    def _prune(self, sender: bytes) -> None:
+        """Drop `sender`'s pooled transactions whose nonce has executed."""
+        floor = self._next_nonce[sender]
+        for tx_id in [t for t in self._by_sender.get(sender, ()) if self._entries[t][2].nonce < floor]:
+            self._discard(tx_id)
+
+    def _discard(self, tx_id: bytes) -> None:
+        _, _, tx = self._entries.pop(tx_id)
+        self._by_sender[tx.sender].remove(tx_id)
+        self._oversized.pop(tx_id, None)
 
     def select(self, block_gas_limit: int) -> list[Transaction]:
         """Greedy packing by arrival order, ties broken by tx id bytes.
@@ -376,23 +407,23 @@ class TxPool:
         larger than the whole block can never be packed and is dropped
         with a warning after a fixed number of attempts.
         """
-        ordered = sorted(self._entries.values(), key=lambda e: (e.arrival, e.tx.tx_id))
+        ordered = sorted(self._entries.values())
         expected = dict(self._next_nonce)
         chosen: list[Transaction] = []
         gas_used = 0
         to_drop: list[bytes] = []
 
-        for entry in ordered:
-            if entry.tx.gas_limit > block_gas_limit:
-                entry.oversized_attempts += 1
-                if entry.oversized_attempts >= self.MAX_OVERSIZED_ATTEMPTS:
-                    to_drop.append(entry.tx.tx_id)
+        for _, tx_id, tx in ordered:
+            if tx.gas_limit > block_gas_limit:
+                attempts = self._oversized[tx_id] = self._oversized.get(tx_id, 0) + 1
+                if attempts >= self.MAX_OVERSIZED_ATTEMPTS:
+                    to_drop.append(tx_id)
                     self.warnings.append(
-                        f"dropping tx {entry.tx.tx_id.hex()[:16]}: gas limit "
-                        f"{entry.tx.gas_limit} exceeds block gas limit {block_gas_limit}"
+                        f"dropping tx {tx_id.hex()[:16]}: gas limit "
+                        f"{tx.gas_limit} exceeds block gas limit {block_gas_limit}"
                     )
 
-        remaining = [e.tx for e in ordered]
+        remaining = [tx for _, _, tx in ordered]
         progressed = True
         while progressed:
             progressed = False
@@ -410,6 +441,6 @@ class TxPool:
                 progressed = True
                 break
 
-        for tid in to_drop:
-            self._entries.pop(tid, None)
+        for tx_id in to_drop:
+            self._discard(tx_id)
         return chosen

@@ -2,7 +2,10 @@
 
 Every node, validator or not, keeps the full public picture: finalized
 chain, executed world state, transaction pool, and receipts for
-transactions it saw land in blocks.  Nodes hosting a privacy-group
+transactions it saw land in blocks.  Every node executes every
+transaction, so that path is kept lean: a receipt is a named tuple, and
+a marker reaches the private replay only at a node hosting its group.
+Nodes hosting a privacy-group
 member additionally keep that group's key and replay its encrypted
 operations in block order as the anchoring markers finalize.  A marker
 is submitted only after every member enclave has acknowledged its
@@ -64,7 +67,7 @@ if TYPE_CHECKING:
 SYNC_BATCH = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiptEntry:
     receipt: Receipt
     height: int
@@ -211,14 +214,23 @@ class NodeRuntime:
             self.request_sync(peer)
 
     def _apply_block(self, block: Block) -> None:
+        height = block.height
+        now = self.sim.now
+        execute = self.state.execute
+        receipts = self.receipts
+        waiters = self._receipt_waiters
+        ledgers = self.group_ledgers
         for tx in block.txs:
-            receipt = self.state.execute(tx)
-            entry = ReceiptEntry(receipt=receipt, height=block.height, seen_at=self.sim.now)
-            self.receipts[tx.tx_id] = entry
-            if receipt.ok and isinstance(tx.payload, PrivacyMarker):
-                self._on_marker(block.height, tx.sender, tx.payload)
-            for cb in self._receipt_waiters.pop(tx.tx_id, []):
-                cb(entry)
+            receipt = execute(tx)
+            entry = ReceiptEntry(receipt, height, now)
+            receipts[tx.tx_id] = entry
+            payload = tx.payload
+            if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in ledgers:
+                self._on_marker(height, tx.sender, payload)
+            callbacks = waiters.pop(tx.tx_id, None)
+            if callbacks is not None:
+                for cb in callbacks:
+                    cb(entry)
         self.pool.remove_included(block.txs)
 
     # -- inspection ---------------------------------------------------
@@ -256,7 +268,7 @@ class NodeRuntime:
         return self.group_ledgers.get(group_id)
 
     def _on_marker(self, height: int, sender: bytes, marker: PrivacyMarker) -> None:
-        """Open the anchored payload and apply its operation to the group ledger.
+        """Open the anchored payload and apply its operation to this node's ledger of its group.
 
         The workload puts a marker on the chain only after every live
         member's enclave has acknowledged its payload, so a member that
@@ -265,9 +277,7 @@ class NodeRuntime:
         operation, so members never diverge.
         """
         group_id = marker.group_id
-        ledger = self.group_ledgers.get(group_id)
-        if ledger is None:
-            return
+        ledger = self.group_ledgers[group_id]
         plaintext = self.enclave.open(marker.payload_hash)
         if plaintext is None:
             ledger.halted = True

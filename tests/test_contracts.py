@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pactsim import contracts
 from pactsim.contracts import (
     MAX_SERVICES_PER_PROVIDER,
     AgreementRecord,
@@ -15,13 +16,15 @@ from pactsim.contracts import (
     OpInit,
     PublicState,
     Role,
+    abi_arg_schema,
     abi_description,
+    decode_call_args,
     decode_private_op,
 )
-from pactsim.encoding import DecodeError, digest
-from pactsim.ledger import PrivacyMarker, make_transaction
+from pactsim.encoding import DecodeError, digest, enc_args
+from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
 
-from .conftest import call_tx, cred
+from .conftest import call_tx, cred, make_call
 
 PROVIDER = cred(30)
 CONSUMER = cred(31)
@@ -158,6 +161,53 @@ def test_malformed_args_fail_closed(state):
     tx = make_transaction(PROVIDER, 0, 100_000, PublicCall("registry", "register", b"\x01\x02"))
     r = state.execute(tx)
     assert not r.ok and "malformed args" in r.reason
+
+
+def test_marker_anchor_is_not_a_public_call(state):
+    # A call naming marker.anchor once ran as a selection, charged marker gas.
+    register(state, PROVIDER, Role.PROVIDER)
+    publish(state, PROVIDER, nonce=1)
+    register(state, CONSUMER, Role.CONSUMER)
+    args = enc_args(abi_arg_schema("selection", "select"), (PROVIDER.address, 0))
+    tx = make_transaction(CONSUMER, 1, 100_000, PublicCall("marker", "anchor", args))
+    r = state.execute(tx)
+    assert (r.ok, r.gas_used, r.reason) == (False, GasSchedule().base, "unknown call marker.anchor")
+    assert state.agreements == [] and state.markers == []
+    assert state.nonces[CONSUMER.address] == 2
+
+
+def counting_dec_args(monkeypatch) -> list:
+    calls = []
+    real = contracts.dec_args
+    monkeypatch.setattr(contracts, "dec_args", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_equal_calls_share_one_decoded_tuple(monkeypatch):
+    calls = counting_dec_args(monkeypatch)
+    call = make_call("catalog", "publish", "shared-decode", SLA)
+    twin = make_call("catalog", "publish", "shared-decode", SLA)
+    assert twin == call and twin.args is not call.args
+    first = decode_call_args(call.contract, call.function, call.args)
+    assert decode_call_args(twin.contract, twin.function, twin.args) is first
+    assert first == ("shared-decode", SLA)
+    # Every node executing the call reuses that decode.
+    tx = make_transaction(PROVIDER, 1, 100_000, twin)
+    for _ in range(3):
+        node_state = PublicState(GasSchedule())
+        register(node_state, PROVIDER, Role.PROVIDER)
+        assert node_state.execute(tx).ok
+    assert len(calls) == 1
+
+
+def test_malformed_args_fail_at_every_node(monkeypatch):
+    calls = counting_dec_args(monkeypatch)
+    tx = make_transaction(PROVIDER, 0, 100_000, PublicCall("registry", "register", b"\x01\x02"))
+    receipts = [PublicState(GasSchedule()).execute(tx) for _ in range(3)]
+    assert len(calls) == 3
+    assert len(set(receipts)) == 1
+    assert not receipts[0].ok and receipts[0].reason.startswith("malformed args: ")
+    assert receipts[0].gas_used == GasSchedule().base
 
 
 def test_marker_anchors_for_any_sender(state):

@@ -1,13 +1,26 @@
 """Transactions, blocks, the chain store, and pool packing."""
 
+import hashlib
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pactsim import ledger
-from pactsim.encoding import ADDRESS_LEN, Cursor, digest
+from pactsim.encoding import (
+    ADDRESS_LEN,
+    TAG_BLOCK,
+    TAG_TX,
+    Cursor,
+    digest,
+    enc_bytes,
+    enc_str,
+    enc_u8,
+    enc_u32,
+    enc_u64,
+)
 from pactsim.ledger import (
     Block,
     ChainStore,
@@ -16,6 +29,7 @@ from pactsim.ledger import (
     InsufficientSeals,
     InvalidBlock,
     PrivacyMarker,
+    PublicCall,
     Transaction,
     TxPool,
     UnknownValidatorSeal,
@@ -77,6 +91,38 @@ def test_tx_signature_binds_sender_address():
         signature=tx.signature,
     )
     assert not forged.verify_signature()
+
+
+def scratch_body(tx: Transaction) -> bytes:
+    """The transaction body built field by field from the grammar in docs/encoding.md."""
+    p = tx.payload
+    if isinstance(p, PublicCall):
+        payload = enc_u8(0) + enc_str(p.contract) + enc_str(p.function) + enc_bytes(p.args)
+    else:
+        payload = enc_u8(1) + p.group_id + p.payload_hash
+    return tx.sender + tx.sender_pubkey + enc_u64(tx.nonce) + enc_u64(tx.gas_limit) + payload
+
+
+def test_stored_encodings_match_a_fresh_encoding():
+    built = call_tx(cred(1), 3, "catalog", "publish", "svc", b"\x05" * 32)
+    marker = make_transaction(cred(2), 0, 41_000, PrivacyMarker(b"\x01" * 32, b"\x02" * 32))
+    decoded = decode_transaction(Cursor(built.encode()))
+    renonced = replace(built, nonce=4)
+    for tx in (built, marker, decoded, renonced):
+        body = scratch_body(tx)
+        assert tx.body() == body
+        assert tx.sign_preimage() == TAG_TX + body
+        assert tx.encode() == body + enc_bytes(tx.signature)
+        assert tx.tx_id == digest(TAG_TX + body + tx.signature)
+    assert renonced.sign_preimage() != built.sign_preimage()
+    assert renonced.tx_id != built.tx_id
+    store = fresh_store()
+    block = sealed_block(store, txs=(built, marker, renonced))
+    preimage = (
+        TAG_BLOCK + enc_u64(block.height) + enc_u64(block.timestamp) + block.parent_hash + block.proposer
+        + enc_u32(3) + b"".join(scratch_body(tx) + enc_bytes(tx.signature) for tx in block.txs)
+    )
+    assert block.hash == hashlib.sha256(preimage).digest()
 
 
 def test_marker_payload_round_trip():
@@ -373,21 +419,98 @@ def test_remove_included_prunes_stale_competitors():
     assert len(pool) == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 2), st.sampled_from([41_000, 61_000, 150_000])),
-        max_size=14,
-    ),
-    st.sampled_from([100_000, 200_000, 500_000]),
+class RefPool:
+    """Reference pool: a list in arrival order; after every block, any
+    transaction whose sender's nonce has executed is swept from the
+    whole pool."""
+
+    def __init__(self):
+        self.entries = []  # [tx, arrival, oversized attempts]
+        self.next_nonce = {}
+        self.warnings = []
+
+    def add(self, tx, now):
+        if any(e[0].tx_id == tx.tx_id for e in self.entries) or tx.nonce < self.next_nonce.get(tx.sender, 0):
+            return False
+        self.entries.append([tx, now, 0])
+        return True
+
+    def select(self, gas_limit):
+        ordered = sorted(self.entries, key=lambda e: (e[1], e[0].tx_id))
+        for e in ordered:
+            if e[0].gas_limit > gas_limit:
+                e[2] += 1
+                if e[2] >= TxPool.MAX_OVERSIZED_ATTEMPTS:
+                    self.entries.remove(e)
+                    self.warnings.append(
+                        f"dropping tx {e[0].tx_id.hex()[:16]}: gas limit {e[0].gas_limit} "
+                        f"exceeds block gas limit {gas_limit}"
+                    )
+        return ref_pack([e[0] for e in ordered], gas_limit, self.next_nonce)
+
+    def remove_included(self, txs):
+        ids = {tx.tx_id for tx in txs}
+        for tx in txs:
+            self.next_nonce[tx.sender] = max(self.next_nonce.get(tx.sender, 0), tx.nonce + 1)
+        self.entries = [
+            e for e in self.entries
+            if e[0].tx_id not in ids and e[0].nonce >= self.next_nonce.get(e[0].sender, 0)
+        ]
+
+    def pending(self):
+        return [e[0] for e in self.entries]
+
+
+@lru_cache(maxsize=None)
+def pool_tx(sender_i, nonce, gas, variant):
+    # Variants of one (sender, nonce) are rivals: same slot, different ids.
+    return call_tx(SENDERS[sender_i], nonce, "registry", "register", variant, gas_limit=gas)
+
+
+POOL_STEP = st.one_of(
+    # A transaction arrives; 900_000 gas fits no block.
+    st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from([41_000, 61_000, 150_000, 900_000]), st.integers(1, 2)),
+    # The node packs a block and executes it.
+    st.tuples(st.just("block")),
+    # A block packed elsewhere executes one transaction, pooled here or not.
+    st.tuples(st.just("foreign"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
 )
-def test_packing_matches_reference(specs, gas_limit):
-    txs = []
-    seen = set()
-    for sender_i, nonce, gas in specs:
-        if (sender_i, nonce) in seen:
-            continue
-        seen.add((sender_i, nonce))
-        txs.append(call_tx(SENDERS[sender_i], nonce, "registry", "register", 1, gas_limit=gas))
-    pool = pool_with(txs)
-    assert pool.select(gas_limit) == ref_pack(txs, gas_limit, {})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(POOL_STEP, max_size=30), st.sampled_from([100_000, 200_000, 500_000]))
+def test_packing_matches_reference(steps, gas_limit):
+    pool, ref = TxPool(), RefPool()
+
+    def check():
+        assert len(pool) == len(ref.entries)
+        assert pool.pending() == ref.pending()
+        assert pool.warnings == ref.warnings
+
+    def execute(txs):
+        pool.remove_included(txs)
+        ref.remove_included(txs)
+        check()
+
+    def block():
+        chosen = pool.select(gas_limit)
+        assert chosen == ref.select(gas_limit)
+        check()
+        execute(tuple(chosen))
+        return chosen
+
+    for now, step in enumerate(steps):
+        if step[0] == "add":
+            tx = pool_tx(*step[1:])
+            assert pool.add(tx, now) == ref.add(tx, now)
+            check()
+        elif step[0] == "block":
+            block()
+        else:
+            execute((pool_tx(step[1], step[2], 41_000, step[3]),))
+    # Drain: pack until nothing is packed and nothing oversized is left to drop.
+    for _ in range(len(steps) + TxPool.MAX_OVERSIZED_ATTEMPTS):
+        if not block() and not any(tx.gas_limit > gas_limit for tx in pool.pending()):
+            break
+    assert all(tx.nonce != ref.next_nonce.get(tx.sender, 0) for tx in pool.pending())
