@@ -18,12 +18,6 @@ reuse the stored bytes.  Block append, and each validator's check of a
 proposal, re-check every transaction's signature, including ones the
 node already admitted at gossip; for the same object that re-check
 reads the stored result.
-
-The pool indexes its transaction ids by sender.  A transaction whose
-sender's nonce has already executed can never be packed, and only a
-block holding that sender, or `note_executed_nonce`, moves the nonce; so
-after a block the pool looks for such dead entries among the block's
-senders alone.
 """
 
 from __future__ import annotations
@@ -331,17 +325,13 @@ class TxPool:
     """Pending transactions with FIFO, nonce-sequential block packing.
 
     An entry is `(arrival, tx_id, tx)`, so entries sort by arrival with
-    ties broken by tx id.  `_by_sender` holds the pooled ids of each
-    sender; entries never hold a nonce below their sender's executed
-    nonce, because `add` refuses one and every move of that nonce drops
-    the sender's entries it passes.
+    ties broken by tx id.
     """
 
     MAX_OVERSIZED_ATTEMPTS = 3
 
     def __init__(self):
         self._entries: dict[bytes, tuple[int, bytes, Transaction]] = {}
-        self._by_sender: dict[bytes, set[bytes]] = {}
         self._next_nonce: dict[bytes, int] = {}
         # Tx id -> blocks it was too large for so far.
         self._oversized: dict[bytes, int] = {}
@@ -355,46 +345,32 @@ class TxPool:
         return [tx for _, _, tx in self._entries.values()]
 
     def note_executed_nonce(self, sender: bytes, nonce: int) -> None:
-        """Record that `sender`'s `nonce` executed and drop its pooled rivals."""
-        if nonce >= self._next_nonce.get(sender, 0):
+        cur = self._next_nonce.get(sender, 0)
+        if nonce + 1 > cur:
             self._next_nonce[sender] = nonce + 1
-            self._prune(sender)
 
     def add(self, tx: Transaction, now: int) -> bool:
-        tx_id = tx.tx_id
-        if tx_id in self._entries:
+        if tx.tx_id in self._entries:
             return False
         if tx.nonce < self._next_nonce.get(tx.sender, 0):
             return False
-        self._entries[tx_id] = (now, tx_id, tx)
-        self._by_sender.setdefault(tx.sender, set()).add(tx_id)
+        self._entries[tx.tx_id] = (now, tx.tx_id, tx)
         return True
 
     def remove_included(self, txs: tuple[Transaction, ...]) -> None:
-        """Drop a block's transactions and every pooled rival of a nonce it executed."""
-        entries = self._entries
-        by_sender = self._by_sender
-        next_nonce = self._next_nonce
         for tx in txs:
-            if entries.pop(tx.tx_id, None) is not None:
-                by_sender[tx.sender].remove(tx.tx_id)
-                self._oversized.pop(tx.tx_id, None)
-            if tx.nonce >= next_nonce.get(tx.sender, 0):
-                next_nonce[tx.sender] = tx.nonce + 1
-        for sender in {tx.sender for tx in txs}:
-            if by_sender.get(sender):
-                self._prune(sender)
-
-    def _prune(self, sender: bytes) -> None:
-        """Drop `sender`'s pooled transactions whose nonce has executed."""
-        floor = self._next_nonce[sender]
-        for tx_id in [t for t in self._by_sender.get(sender, ()) if self._entries[t][2].nonce < floor]:
-            self._discard(tx_id)
-
-    def _discard(self, tx_id: bytes) -> None:
-        _, _, tx = self._entries.pop(tx_id)
-        self._by_sender[tx.sender].remove(tx_id)
-        self._oversized.pop(tx_id, None)
+            self._entries.pop(tx.tx_id, None)
+            self._oversized.pop(tx.tx_id, None)
+            self.note_executed_nonce(tx.sender, tx.nonce)
+        # Anything now stale (nonce already executed elsewhere) is dead weight.
+        stale = [
+            tx_id
+            for _, tx_id, tx in self._entries.values()
+            if tx.nonce < self._next_nonce.get(tx.sender, 0)
+        ]
+        for tx_id in stale:
+            del self._entries[tx_id]
+            self._oversized.pop(tx_id, None)
 
     def select(self, block_gas_limit: int) -> list[Transaction]:
         """Greedy packing by arrival order, ties broken by tx id bytes.
@@ -442,5 +418,6 @@ class TxPool:
                 break
 
         for tx_id in to_drop:
-            self._discard(tx_id)
+            del self._entries[tx_id]
+            del self._oversized[tx_id]
         return chosen

@@ -5,13 +5,12 @@ chain, executed world state, transaction pool, and receipts for
 transactions it saw land in blocks.  Every node executes every
 transaction, so that path is kept lean: a receipt is a named tuple, and
 a marker reaches the private replay only at a node hosting its group.
-Nodes hosting a privacy-group
-member additionally keep that group's key and replay its encrypted
-operations in block order as the anchoring markers finalize.  A marker
-is submitted only after every member enclave has acknowledged its
-payload, so each operation is opened and applied in the block that
-executes its marker; a member that finds the payload missing halts the
-group instead of applying past the gap.
+Nodes hosting a privacy-group member additionally keep that group's key
+and replay its encrypted operations in block order as the anchoring
+markers finalize.  A marker is submitted only after every member
+enclave has acknowledged its payload, so each operation is opened and
+applied in the block that executes its marker; a member that finds the
+payload missing halts the group instead of applying past the gap.
 
 Validators push the blocks they finalize to the non-validator nodes.  A
 node that finds itself behind asks one peer for the sealed blocks above
@@ -214,23 +213,15 @@ class NodeRuntime:
             self.request_sync(peer)
 
     def _apply_block(self, block: Block) -> None:
-        height = block.height
-        now = self.sim.now
-        execute = self.state.execute
-        receipts = self.receipts
-        waiters = self._receipt_waiters
-        ledgers = self.group_ledgers
         for tx in block.txs:
-            receipt = execute(tx)
-            entry = ReceiptEntry(receipt, height, now)
-            receipts[tx.tx_id] = entry
+            receipt = self.state.execute(tx)
+            entry = ReceiptEntry(receipt=receipt, height=block.height, seen_at=self.sim.now)
+            self.receipts[tx.tx_id] = entry
             payload = tx.payload
-            if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in ledgers:
-                self._on_marker(height, tx.sender, payload)
-            callbacks = waiters.pop(tx.tx_id, None)
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(entry)
+            if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in self.group_ledgers:
+                self._on_marker(block.height, tx.sender, payload)
+            for cb in self._receipt_waiters.pop(tx.tx_id, ()):
+                cb(entry)
         self.pool.remove_included(block.txs)
 
     # -- inspection ---------------------------------------------------

@@ -410,6 +410,21 @@ def test_oversized_tx_dropped_after_three_attempts():
     assert pool.warnings and "exceeds block gas limit" in pool.warnings[0]
 
 
+def test_readded_oversized_tx_gets_fresh_attempts():
+    pool = TxPool()
+    big = call_tx(SENDERS[0], 0, "registry", "register", 1, gas_limit=9_000_000)
+    pool.add(big, 0)
+    for _ in range(TxPool.MAX_OVERSIZED_ATTEMPTS):
+        pool.select(8_000_000)
+    assert pool.add(big, 1)
+    for _ in range(TxPool.MAX_OVERSIZED_ATTEMPTS - 1):
+        pool.select(8_000_000)
+        assert len(pool) == 1
+    pool.select(8_000_000)
+    assert len(pool) == 0
+    assert len(pool.warnings) == 2
+
+
 def test_remove_included_prunes_stale_competitors():
     a = SENDERS[0]
     tx0 = call_tx(a, 0, "registry", "register", 1)
