@@ -200,7 +200,7 @@ FIELDS: tuple[Field, ...] = (
     Field("member_nodes", "int", ge=0, le=64, doc="non-validating nodes, named `m0..m{k-1}`"),
     Field("block_interval_ms", "int", ge=1, le=MAX_MS, doc="IBFT 2.0 block period"),
     Field("base_round_timeout_ms", "int", ge=1, le=MAX_MS, doc="round-0 timeout; doubles per round"),
-    Field("block_gas_limit", "int", ge=1, doc="at least `gas.base`"),
+    Field("block_gas_limit", "int", ge=1, doc="at least the cost of every operation"),
     Field("gas", "map", {}, build=GasSchedule, doc="costs of the metered operations"),
     Field("gas.base", "int", 21_000, ge=1, rule=GAS_RULE, doc="flat cost of any transaction"),
     Field("gas.per_write", "int", 20_000, ge=1, rule=GAS_RULE, doc="cost per state write"),
@@ -378,11 +378,12 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 def _check_rules(c: ScenarioConfig) -> None:
     """The rules that span several fields."""
-    _require(c.block_gas_limit >= c.gas.base, "block_gas_limit below the base transaction cost")
     for (contract, function), (writes, reads) in OP_IO.items():
         cost = c.gas.cost(writes, reads)
         _require(cost < 2**64, f"gas.base + {writes} * gas.per_write + {reads} * gas.per_read = {cost} "
                                f"for {contract}.{function} exceeds the u64 a transaction's gas limit encodes")
+        _require(cost <= c.block_gas_limit, f"{contract}.{function} costs {cost} gas, more than "
+                                            f"block_gas_limit {c.block_gas_limit}; no block could hold it")
 
     wl = c.workload
     if wl.selects_per_consumer > 0:

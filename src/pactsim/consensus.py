@@ -48,9 +48,9 @@ from .encoding import (
     enc_u64,
     enc_u8,
 )
-# `quorum_size` and `verify` are unused here but stay importable from this
-# module; perfbench's tracer test reads `consensus.verify`.
-from .identity import Credential, ValidatorSet, fault_tolerance, quorum_size, verify
+# `verify` is unused here but stays importable from this module;
+# perfbench's tracer test reads `consensus.verify`.
+from .identity import Credential, ValidatorSet, fault_tolerance, verify
 from .ledger import Block, ChainStore, LedgerError, block_wire, seal_preimage
 from .simulation import Network, Simulator, Targets
 
@@ -223,13 +223,11 @@ STRATEGY_NAMES = ("equivocate", "echo", "withhold")
 class _HeightState:
     height: int
     round: int = 0
-    started_at: int = 0
     proposals: dict[int, PrePrepare] = field(default_factory=dict)
     prepares: dict[tuple[int, bytes], dict[bytes, Prepare | None]] = field(default_factory=dict)
     commits: dict[tuple[int, bytes], dict[bytes, Commit]] = field(default_factory=dict)
     round_changes: dict[int, dict[bytes, RoundChange]] = field(default_factory=dict)
     prepared: PreparedCert | None = None
-    sent_prepare: set[int] = field(default_factory=set)
     sent_commit: set[int] = field(default_factory=set)
     proposed_rounds: set[int] = field(default_factory=set)
 
@@ -295,7 +293,7 @@ class IbftValidator:
             return
         parent = self.store.head
         start_at = max(self.sim.now, parent.timestamp + self.block_interval)
-        self.state = _HeightState(height=h, started_at=start_at)
+        self.state = _HeightState(height=h)
         if self.sim.trace_enabled:
             self.sim.trace("height_start", node=self.name, height=h, at=start_at)
         if self.validators.proposer_for(h, 0) == self.address:
@@ -502,11 +500,8 @@ class IbftValidator:
         st.proposals[msg.round] = msg
         # The proposal is the proposer's prepare.
         self._add_prepare_vote(msg.round, digest, msg.sender, None)
-        if msg.round not in st.sent_prepare and msg.sender != self.address:
-            st.sent_prepare.add(msg.round)
+        if msg.sender != self.address:
             self.send_prepare(msg.height, msg.round, digest)
-        elif msg.sender == self.address:
-            st.sent_prepare.add(msg.round)
         self._check_prepare_quorum(msg.round, digest)
         self._check_commit_quorum(msg.round, digest)
 

@@ -262,9 +262,6 @@ class ChainStore:
     def height(self) -> int:
         return self.head.height
 
-    def block_at(self, height: int) -> Block:
-        return self.blocks[height]
-
     def hash_at(self, height: int) -> bytes:
         return self.blocks[height].hash
 
@@ -328,14 +325,9 @@ class TxPool:
     ties broken by tx id.
     """
 
-    MAX_OVERSIZED_ATTEMPTS = 3
-
     def __init__(self):
         self._entries: dict[bytes, tuple[int, bytes, Transaction]] = {}
         self._next_nonce: dict[bytes, int] = {}
-        # Tx id -> blocks it was too large for so far.
-        self._oversized: dict[bytes, int] = {}
-        self.warnings: list[str] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -360,7 +352,6 @@ class TxPool:
     def remove_included(self, txs: tuple[Transaction, ...]) -> None:
         for tx in txs:
             self._entries.pop(tx.tx_id, None)
-            self._oversized.pop(tx.tx_id, None)
             self.note_executed_nonce(tx.sender, tx.nonce)
         # Anything now stale (nonce already executed elsewhere) is dead weight.
         stale = [
@@ -370,7 +361,6 @@ class TxPool:
         ]
         for tx_id in stale:
             del self._entries[tx_id]
-            self._oversized.pop(tx_id, None)
 
     def select(self, block_gas_limit: int) -> list[Transaction]:
         """Greedy packing by arrival order, ties broken by tx id bytes.
@@ -379,33 +369,18 @@ class TxPool:
         the remaining gas and whose sender has no earlier nonce still
         pending, re-scanned from the front after every inclusion so an
         early arrival blocked only by its own predecessor regains its
-        place the moment the predecessor is taken.  A transaction
-        larger than the whole block can never be packed and is dropped
-        with a warning after a fixed number of attempts.
+        place the moment the predecessor is taken.  Every pooled
+        transaction fits an empty block: the configuration refuses a
+        block gas limit below the cost of any operation.
         """
-        ordered = sorted(self._entries.values())
+        remaining = [tx for _, _, tx in sorted(self._entries.values())]
         expected = dict(self._next_nonce)
         chosen: list[Transaction] = []
         gas_used = 0
-        to_drop: list[bytes] = []
-
-        for _, tx_id, tx in ordered:
-            if tx.gas_limit > block_gas_limit:
-                attempts = self._oversized[tx_id] = self._oversized.get(tx_id, 0) + 1
-                if attempts >= self.MAX_OVERSIZED_ATTEMPTS:
-                    to_drop.append(tx_id)
-                    self.warnings.append(
-                        f"dropping tx {tx_id.hex()[:16]}: gas limit "
-                        f"{tx.gas_limit} exceeds block gas limit {block_gas_limit}"
-                    )
-
-        remaining = [tx for _, _, tx in ordered]
         progressed = True
         while progressed:
             progressed = False
             for i, tx in enumerate(remaining):
-                if tx.gas_limit > block_gas_limit:
-                    continue
                 if tx.nonce != expected.get(tx.sender, 0):
                     continue
                 if gas_used + tx.gas_limit > block_gas_limit:
@@ -416,8 +391,4 @@ class TxPool:
                 del remaining[i]
                 progressed = True
                 break
-
-        for tx_id in to_drop:
-            del self._entries[tx_id]
-            del self._oversized[tx_id]
         return chosen

@@ -70,7 +70,6 @@ SYNC_BATCH = 32
 class ReceiptEntry:
     receipt: Receipt
     height: int
-    seen_at: int
 
 
 class NodeRuntime:
@@ -215,7 +214,7 @@ class NodeRuntime:
     def _apply_block(self, block: Block) -> None:
         for tx in block.txs:
             receipt = self.state.execute(tx)
-            entry = ReceiptEntry(receipt=receipt, height=block.height, seen_at=self.sim.now)
+            entry = ReceiptEntry(receipt=receipt, height=block.height)
             self.receipts[tx.tx_id] = entry
             payload = tx.payload
             if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in self.group_ledgers:

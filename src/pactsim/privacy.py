@@ -2,10 +2,10 @@
 
 Each node runs an enclave holding group keys and encrypted payloads.
 A private operation is encrypted under its group's symmetric key,
-pushed directly to the other member nodes' enclaves, and acknowledged;
-only the payload hash ever reaches the chain, inside a privacy marker.
-Non-member nodes never receive the key or the payload, so their entire
-byte image contains nothing derived from the plaintext.
+pushed directly to the enclave of the group's other member node, and
+acknowledged; only the payload hash ever reaches the chain, inside a
+privacy marker.  Non-member nodes never receive the key or the payload,
+so their entire byte image contains nothing derived from the plaintext.
 
 Transfer and acknowledgement delays for one payload are drawn from a
 substream keyed by the payload's stable workload index, so the exact
@@ -15,7 +15,7 @@ the block interval) change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -43,7 +43,11 @@ def group_id_for(member_pubkeys: list[bytes], consumer: bytes, provider: bytes) 
 
 @dataclass
 class GroupInfo:
-    """Shared bookkeeping for one privacy group."""
+    """Shared bookkeeping for one privacy group.
+
+    `member_nodes` is a pair: the consumer's node and the provider's,
+    two distinct nodes.
+    """
 
     group_id: bytes
     consumer: bytes
@@ -131,9 +135,6 @@ class Enclave:
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
 
-    def put(self, group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-        return self.receive(StoredPayload(group_id=group_id, nonce=nonce, ciphertext=ciphertext))
-
     def receive(self, payload: StoredPayload) -> bytes:
         h = payload.payload_hash
         self.payloads.setdefault(h, payload)
@@ -201,54 +202,41 @@ class PayloadCourier:
         payload_index: int,
         on_complete: Callable[[DistributionResult], None],
     ) -> bytes:
-        """Encrypt at the source enclave and push to the other members.
+        """Encrypt at the source enclave and push to the group's other member.
 
-        Per recipient: one transfer draw for the push and one for the
+        The group is a pair on two distinct nodes, so there is exactly
+        one recipient.  One transfer draw for the push and one for the
         acknowledgement; with the configured probability the first
         attempt is lost and a second push/ack pair follows after the
-        first pair's worth of waiting.  Completion is the last
-        acknowledgement; the payload hash is available immediately.
+        first pair's worth of waiting.  Completion is the
+        acknowledgement's arrival; the payload hash is available
+        immediately.
         """
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
         payload = StoredPayload(group_id=group.group_id, nonce=nonce, ciphertext=ciphertext)
         payload_hash = self.enclaves[src_node].receive(payload)
+        (peer,) = (n for n in group.member_nodes if n != src_node)
 
         rng = self.rng_hub.derived(STREAM_ENCLAVE, payload_index)
         started_at = self.sim.now
-        recipients = sorted(n for n in group.member_nodes if n != src_node)
-        if not recipients:
-            self.sim.schedule(
-                0,
-                lambda: on_complete(
-                    DistributionResult(payload_hash, started_at, self.sim.now)
-                ),
-            )
-            return payload_hash
 
-        pending = {"count": len(recipients)}
+        def acknowledged(_ack: bytes) -> None:
+            on_complete(DistributionResult(payload_hash, started_at, self.sim.now))
 
-        def recipient_done(_ack: bytes) -> None:
-            pending["count"] -= 1
-            if pending["count"] == 0:
-                on_complete(DistributionResult(payload_hash, started_at, self.sim.now))
-
-        for node_name in recipients:
-            push1 = self.transfer_model.sample(rng)
-            ack1 = self.transfer_model.sample(rng)
-            retried = rng.random() < self.retry_probability
-            if retried:
-                push2 = self.transfer_model.sample(rng)
-                ack2 = self.transfer_model.sample(rng)
-                arrive_at = push1 + ack1 + push2
-                done_at = push1 + ack1 + push2 + ack2
-            else:
-                arrive_at = push1
-                done_at = push1 + ack1
-            capture = self.network.capture_wire
-            push_wire = encode_wire(group.group_id, nonce, ciphertext) if capture else None
-            ack_wire = enc_fixed(payload_hash, HASH_LEN) if capture else None
-            self.network.send_after(src_node, node_name, arrive_at, self.enclaves[node_name].receive, payload, push_wire)
-            self.network.send_after(node_name, src_node, done_at, recipient_done, payload_hash, ack_wire)
-
+        push1 = self.transfer_model.sample(rng)
+        ack1 = self.transfer_model.sample(rng)
+        if rng.random() < self.retry_probability:
+            push2 = self.transfer_model.sample(rng)
+            ack2 = self.transfer_model.sample(rng)
+            arrive_at = push1 + ack1 + push2
+            done_at = arrive_at + ack2
+        else:
+            arrive_at = push1
+            done_at = push1 + ack1
+        capture = self.network.capture_wire
+        push_wire = encode_wire(group.group_id, nonce, ciphertext) if capture else None
+        ack_wire = enc_fixed(payload_hash, HASH_LEN) if capture else None
+        self.network.send_after(src_node, peer, arrive_at, self.enclaves[peer].receive, payload, push_wire)
+        self.network.send_after(peer, src_node, done_at, acknowledged, payload_hash, ack_wire)
         return payload_hash

@@ -144,7 +144,7 @@ def test_liveness_under_proposer_crash(capsys):
     for seed in range(100):
         r = run_scenario(cfg, seed)
         vs = validator_set(r.cluster.nodes[n].validator.credential for n in cfg.validator_names)
-        block = next(iter(r.cluster.nodes.values())).store.block_at(2)
+        block = next(iter(r.cluster.nodes.values())).store.blocks[2]
         delta = r.metrics.first_finalized_at(2) - r.metrics.first_finalized_at(1)
         if (
             block.round == 1

@@ -14,6 +14,7 @@ from pactsim.audit import (
 from pactsim.config import config_from_dict
 from pactsim.contracts import BreachRecord, Role
 from pactsim.ledger import Block, PrivacyMarker, make_transaction
+from pactsim.privacy import StoredPayload
 from pactsim.scenario import run_scenario
 
 from .conftest import cred
@@ -80,7 +81,7 @@ def test_planted_plaintext_on_outsider_node_is_found():
     group = any_group(result)
     gid, plaintext = next(p for p in result.driver.payload_log if p[0] == group.group_id)
     name = outsider_of(result, group)
-    result.cluster.nodes[name].enclave.put(gid, b"\x00" * 12, plaintext)
+    result.cluster.nodes[name].enclave.receive(StoredPayload(gid, b"\x00" * 12, plaintext))
     found = isolation_scan(result)
     assert any(f.node == name and "plaintext" in f.detail for f in found)
 

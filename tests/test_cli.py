@@ -129,6 +129,7 @@ CONFIG_PROBES = [
     ("gas: {base: true}", "gas.base"),
     ('gas: {base: "30000"}', "gas.base"),
     ("gas: {base: 590295810358705651712}\nblock_gas_limit: 1180591620717411303424", "gas.base"),
+    ("block_gas_limit: 30000", "block_gas_limit"),
     ("workload: {providers: true}", "workload.providers"),
     ("workload: {providers: 2.7}", "workload.providers"),
     ("workload: {batch_size: null}", "workload.batch_size"),

@@ -118,8 +118,18 @@ def test_gas_costs_must_be_positive():
 
 
 def test_gas_limit_must_cover_base_cost():
-    with pytest.raises(ConfigError, match="below the base transaction cost"):
+    with pytest.raises(ConfigError, match="more than block_gas_limit 20000"):
         cfg(block_gas_limit=20_000)
+
+
+def test_block_gas_limit_must_hold_every_operation():
+    # At default gas, register costs 41,000 and publish, the costliest, 61,000.
+    with pytest.raises(ConfigError, match=r"registry\.register costs 41000 gas, more than block_gas_limit 30000"):
+        cfg(block_gas_limit=30_000)
+    with pytest.raises(ConfigError, match=r"catalog\.publish costs 61000 gas, more than block_gas_limit 50000"):
+        cfg(block_gas_limit=50_000)
+    result = run_scenario(cfg(block_gas_limit=61_000), seed=3)
+    assert result.completed and result.summary["unresolved_samples"] == 0
 
 
 @pytest.mark.parametrize("retry", [-0.1, 1.0, 1.5, "0.5"])
@@ -216,7 +226,8 @@ def test_types_and_keys_checked_at_every_level(overrides, fragment):
 def test_gas_costs_must_fit_the_encoded_u64():
     with pytest.raises(ConfigError, match="exceeds the u64"):
         cfg(gas={"base": 2**69}, block_gas_limit=2**70)
-    assert cfg(gas={"base": 2**63}, block_gas_limit=2**63).gas.base == 2**63
+    # publish, two writes, is the costliest operation: 2**63 + 40,000.
+    assert cfg(gas={"base": 2**63}, block_gas_limit=2**63 + 40_000).gas.base == 2**63
 
 
 def test_config_doc_tables_match_schema():

@@ -15,10 +15,9 @@ from pactsim.consensus import (
     RoundChange,
     ValidatorSet,
     fault_tolerance,
-    quorum_size,
 )
 from pactsim.config import config_from_dict
-from pactsim.identity import verify
+from pactsim.identity import quorum_size, verify
 from pactsim.ledger import Block, genesis_block, hash_block, seal_preimage
 from pactsim.scenario import assemble, run_scenario
 
@@ -193,9 +192,9 @@ def test_empty_height_run_finalizes_identically_everywhere():
     # Happy path never leaves round 0; timestamps advance by at least
     # the interval (proposal time dominates when consensus is slower).
     for h in range(1, 4):
-        block = reference.block_at(h)
+        block = reference.blocks[h]
         assert block.round == 0
-        assert block.timestamp >= reference.block_at(h - 1).timestamp + cfg.block_interval_ms
+        assert block.timestamp >= reference.blocks[h - 1].timestamp + cfg.block_interval_ms
 
 
 def test_crashed_proposer_recovers_by_round_change():
@@ -208,7 +207,7 @@ def test_crashed_proposer_recovers_by_round_change():
     live = [n for n in cfg.node_names if n not in result.cluster.network.crashed]
     store = result.cluster.nodes[live[0]].store
     assert store.height >= 3
-    block = store.block_at(2)
+    block = store.blocks[2]
     assert block.round == 1
     assert block.proposer == result.cluster.nodes[live[0]].validator.validators.proposer_for(2, 1)
     # Liveness bound: one interval plus the round-0 timeout, with slack
@@ -410,7 +409,7 @@ def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on
     assert all(forged not in block.txs for node in nodes for block in node.store.blocks)
     # Every validator, the proposer included, refused the height-1 proposal.
     assert all(node.validator.dropped_invalid >= 1 for node in nodes)
-    assert a.cluster.nodes["v0"].store.block_at(1).round == 1
+    assert a.cluster.nodes["v0"].store.blocks[1].round == 1
 
 
 # -- signed bytes -----------------------------------------------------

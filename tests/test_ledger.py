@@ -398,33 +398,6 @@ def test_gas_limit_caps_block_and_preserves_fifo():
     assert len(chosen) == 5
 
 
-def test_oversized_tx_dropped_after_three_attempts():
-    pool = TxPool()
-    big = call_tx(SENDERS[0], 0, "registry", "register", 1, gas_limit=9_000_000)
-    pool.add(big, 0)
-    for _ in range(TxPool.MAX_OVERSIZED_ATTEMPTS - 1):
-        assert pool.select(8_000_000) == []
-        assert len(pool) == 1
-    assert pool.select(8_000_000) == []
-    assert len(pool) == 0
-    assert pool.warnings and "exceeds block gas limit" in pool.warnings[0]
-
-
-def test_readded_oversized_tx_gets_fresh_attempts():
-    pool = TxPool()
-    big = call_tx(SENDERS[0], 0, "registry", "register", 1, gas_limit=9_000_000)
-    pool.add(big, 0)
-    for _ in range(TxPool.MAX_OVERSIZED_ATTEMPTS):
-        pool.select(8_000_000)
-    assert pool.add(big, 1)
-    for _ in range(TxPool.MAX_OVERSIZED_ATTEMPTS - 1):
-        pool.select(8_000_000)
-        assert len(pool) == 1
-    pool.select(8_000_000)
-    assert len(pool) == 0
-    assert len(pool.warnings) == 2
-
-
 def test_remove_included_prunes_stale_competitors():
     a = SENDERS[0]
     tx0 = call_tx(a, 0, "registry", "register", 1)
@@ -440,27 +413,17 @@ class RefPool:
     whole pool."""
 
     def __init__(self):
-        self.entries = []  # [tx, arrival, oversized attempts]
+        self.entries = []  # [tx, arrival]
         self.next_nonce = {}
-        self.warnings = []
 
     def add(self, tx, now):
         if any(e[0].tx_id == tx.tx_id for e in self.entries) or tx.nonce < self.next_nonce.get(tx.sender, 0):
             return False
-        self.entries.append([tx, now, 0])
+        self.entries.append([tx, now])
         return True
 
     def select(self, gas_limit):
         ordered = sorted(self.entries, key=lambda e: (e[1], e[0].tx_id))
-        for e in ordered:
-            if e[0].gas_limit > gas_limit:
-                e[2] += 1
-                if e[2] >= TxPool.MAX_OVERSIZED_ATTEMPTS:
-                    self.entries.remove(e)
-                    self.warnings.append(
-                        f"dropping tx {e[0].tx_id.hex()[:16]}: gas limit {e[0].gas_limit} "
-                        f"exceeds block gas limit {gas_limit}"
-                    )
         return ref_pack([e[0] for e in ordered], gas_limit, self.next_nonce)
 
     def remove_included(self, txs):
@@ -482,26 +445,30 @@ def pool_tx(sender_i, nonce, gas, variant):
     return call_tx(SENDERS[sender_i], nonce, "registry", "register", variant, gas_limit=gas)
 
 
-POOL_STEP = st.one_of(
-    # A transaction arrives; 900_000 gas fits no block.
-    st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 3),
-              st.sampled_from([41_000, 61_000, 150_000, 900_000]), st.integers(1, 2)),
-    # The node packs a block and executes it.
-    st.tuples(st.just("block")),
-    # A block packed elsewhere executes one transaction, pooled here or not.
-    st.tuples(st.just("foreign"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
-)
+def pool_steps(gas_limit):
+    # Every size fits an empty block, but two of them may not fit together.
+    sizes = [gas for gas in (41_000, 61_000, 150_000) if gas <= gas_limit]
+    return st.lists(st.one_of(
+        # A transaction arrives.
+        st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 3), st.sampled_from(sizes), st.integers(1, 2)),
+        # The node packs a block and executes it.
+        st.tuples(st.just("block")),
+        # A block packed elsewhere executes one transaction, pooled here or not.
+        st.tuples(st.just("foreign"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
+    ), max_size=30)
+
+
+GAS_LIMIT = st.shared(st.sampled_from([100_000, 200_000, 500_000]), key="pool gas limit")
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(POOL_STEP, max_size=30), st.sampled_from([100_000, 200_000, 500_000]))
+@given(GAS_LIMIT.flatmap(pool_steps), GAS_LIMIT)
 def test_packing_matches_reference(steps, gas_limit):
     pool, ref = TxPool(), RefPool()
 
     def check():
         assert len(pool) == len(ref.entries)
         assert pool.pending() == ref.pending()
-        assert pool.warnings == ref.warnings
 
     def execute(txs):
         pool.remove_included(txs)
@@ -524,8 +491,8 @@ def test_packing_matches_reference(steps, gas_limit):
             block()
         else:
             execute((pool_tx(step[1], step[2], 41_000, step[3]),))
-    # Drain: pack until nothing is packed and nothing oversized is left to drop.
-    for _ in range(len(steps) + TxPool.MAX_OVERSIZED_ATTEMPTS):
-        if not block() and not any(tx.gas_limit > gas_limit for tx in pool.pending()):
+    # Drain: pack until nothing is packed.
+    for _ in range(len(steps) + 1):
+        if not block():
             break
     assert all(tx.nonce != ref.next_nonce.get(tx.sender, 0) for tx in pool.pending())

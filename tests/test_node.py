@@ -14,7 +14,7 @@ from pactsim.ledger import (
 )
 from pactsim.metrics import MetricsCollector
 from pactsim.node import SYNC_BATCH, Cluster, NodeRuntime
-from pactsim.privacy import GroupDirectory, encrypt_payload
+from pactsim.privacy import GroupDirectory, StoredPayload, encrypt_payload
 from pactsim.simulation import (
     STREAM_CONSENSUS,
     STREAM_RPC,
@@ -265,7 +265,7 @@ def test_marker_applies_directly_when_payload_precedes_block():
     _, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
     group, nonce, ciphertext = make_group_setup(node)
-    node.enclave.put(group.group_id, nonce, ciphertext)
+    node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     node.on_sealed_block(b1)
     ledger = node.read_private_state(group.group_id)
@@ -284,7 +284,7 @@ def test_marker_without_its_payload_halts_the_group_at_once():
     assert node.private_op_failures == [(digest(ciphertext), "payload missing; group halted")]
     sim.run()
     assert sim.now == 0  # nothing was scheduled to wait for the payload
-    node.enclave.put(group.group_id, nonce, ciphertext)
+    node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
     assert ledger.agreement is None
     assert ledger.halted
 

@@ -14,6 +14,7 @@ from pactsim.privacy import (
     GroupDirectory,
     GroupInfo,
     PayloadCourier,
+    StoredPayload,
     decrypt_payload,
     encrypt_payload,
     group_id_for,
@@ -90,10 +91,10 @@ def test_enclave_opens_only_with_key():
     ct = encrypt_payload(KEY, nonce, b"plain", GID)
     holder = Enclave("m1")
     holder.store_key(GID, KEY)
-    h = holder.put(GID, nonce, ct)
+    h = holder.receive(StoredPayload(GID, nonce, ct))
     assert holder.open(h) == b"plain"
     outsider = Enclave("v0")
-    outsider.put(GID, nonce, ct)
+    outsider.receive(StoredPayload(GID, nonce, ct))
     assert outsider.open(h) is None
     assert holder.open(b"\x00" * 32) is None
 
@@ -102,8 +103,8 @@ def test_enclave_put_is_idempotent():
     e = Enclave("m0")
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"x", GID)
-    h = e.put(GID, nonce, ct)
-    assert e.put(GID, nonce, ct) == h
+    h = e.receive(StoredPayload(GID, nonce, ct))
+    assert e.receive(StoredPayload(GID, nonce, ct)) == h
     assert list(e.payloads) == [h]
     assert h == hashlib.sha256(ct).digest()
 
@@ -113,7 +114,7 @@ def test_enclave_dump_contains_key_and_payload():
     e.store_key(GID, KEY)
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"x", GID)
-    e.put(GID, nonce, ct)
+    e.receive(StoredPayload(GID, nonce, ct))
     blob = e.dump_bytes()
     assert KEY in blob and ct in blob
 
@@ -160,15 +161,6 @@ def test_distribute_delivers_ciphertext_and_completes():
     assert enclaves["m1"].open(h) is None
     enclaves["m1"].store_key(GID, KEY)
     assert enclaves["m1"].open(h) == b"private op"
-
-
-def test_distribute_without_recipients_completes_immediately():
-    sim, _, courier = courier_env()
-    group = group_for(("m0",))
-    results = []
-    courier.distribute(group, "m0", b"solo", 0, results.append)
-    sim.run()
-    assert results[0].enclave_ms == 0
 
 
 def test_distribution_delays_are_keyed_by_payload_index():
