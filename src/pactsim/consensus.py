@@ -52,9 +52,10 @@ from .encoding import (
 # perfbench's tracer test reads `consensus.verify`.
 from .identity import Credential, ValidatorSet, fault_tolerance, verify
 from .ledger import Block, ChainStore, LedgerError, block_wire, seal_preimage
-from .simulation import Network, Simulator, Targets
+from .simulation import Targets
 
 if TYPE_CHECKING:
+    from .config import ScenarioConfig
     from .node import NodeRuntime
 
 MSG_PREPREPARE = 1
@@ -135,7 +136,10 @@ class PreparedCert:
     """Proof that a block gathered a prepare quorum in some round.
 
     The proposer's proposal signature stands in for its prepare, so the
-    quorum is that signature plus the explicit prepare messages.
+    quorum is that signature plus the explicit prepare messages of the
+    other validators.  A `Prepare` the proposer sent for its own block
+    is left out: `verify` counts the proposer once, through its
+    proposal, and refuses a certificate that names it twice.
     """
 
     block: Block
@@ -233,33 +237,26 @@ class _HeightState:
 
 
 class IbftValidator:
-    """One validator's consensus engine, driven by network events."""
+    """One validator's consensus engine, driven by network events.
 
-    def __init__(
-        self,
-        node: "NodeRuntime",
-        credential: Credential,
-        validators: ValidatorSet,
-        sim: Simulator,
-        network: Network,
-        block_interval: int,
-        base_round_timeout: int,
-        block_gas_limit: int,
-        peers: tuple[str, ...],
-        strategy: str | None = None,
-    ):
+    Built from its node, which supplies the simulator, the network and
+    the genesis validator set (`node.store.validators`), and from the
+    run's config, which supplies the block interval, the base round
+    timeout, the block gas limit and the peer order
+    (`config.validator_names` without this node).  A crash is recorded
+    only in `Network.crashed`: the kernel drops every message to a
+    crashed node, and every timer of this validator is `_guarded`.
+    """
+
+    def __init__(self, node: "NodeRuntime", credential: Credential, config: "ScenarioConfig", strategy: str | None):
         self.node = node
         self.credential = credential
         self.address = credential.address
-        self.validators = validators
-        self.sim = sim
-        self.network = network
-        self.block_interval = block_interval
-        self.base_round_timeout = base_round_timeout
-        self.block_gas_limit = block_gas_limit
-        self.peers = peers
+        self.config = config
         self.strategy = strategy
-        self.halted = False
+        self.sim = node.sim
+        self.network = node.network
+        self.validators = node.store.validators
         self.future: dict[int, list[Message]] = {}
         self.state = _HeightState(height=0)
         self.dropped_invalid = 0
@@ -267,9 +264,10 @@ class IbftValidator:
 
     @cached_property
     def _targets(self) -> Targets:
-        """`(peer, on_message)` per peer, resolved on the first send."""
+        """`(peer, on_message)` per other validator in config order, resolved on the first send."""
         nodes = self.node.cluster.nodes
-        return tuple((peer, nodes[peer].validator.on_message) for peer in self.peers)
+        peers = (peer for peer in self.config.validator_names if peer != self.name)
+        return tuple((peer, nodes[peer].validator.on_message) for peer in peers)
 
     @property
     def store(self) -> ChainStore:
@@ -284,21 +282,18 @@ class IbftValidator:
     def start(self) -> None:
         self._enter_height()
 
-    def halt(self) -> None:
-        self.halted = True
-
     def _enter_height(self) -> None:
         h = self.store.height + 1
         if self.state.height == h:
             return
         parent = self.store.head
-        start_at = max(self.sim.now, parent.timestamp + self.block_interval)
+        start_at = max(self.sim.now, parent.timestamp + self.config.block_interval_ms)
         self.state = _HeightState(height=h)
         if self.sim.trace_enabled:
             self.sim.trace("height_start", node=self.name, height=h, at=start_at)
         if self.validators.proposer_for(h, 0) == self.address:
             self.sim.schedule_at(start_at, self._guarded(h, 0, self._propose_fresh))
-        self.sim.schedule_at(start_at + self.base_round_timeout, self._guarded(h, 0, self._on_timeout))
+        self.sim.schedule_at(start_at + self.config.base_round_timeout_ms, self._guarded(h, 0, self._on_timeout))
         for msg in self.future.pop(h, []):
             self._process(msg, verified=True)
         # A sync can jump past buffered heights; their messages are stale.
@@ -306,8 +301,9 @@ class IbftValidator:
             del self.future[stale]
 
     def _guarded(self, height: int, round_: int, fn: Callable[[], None]) -> Callable[[], None]:
+        """`fn` as a timer that does nothing once this node has crashed or left (height, round)."""
         def run() -> None:
-            if self.halted or self.state.height != height or self.state.round != round_:
+            if self.name in self.network.crashed or self.state.height != height or self.state.round != round_:
                 return
             if self.store.height >= height:
                 return
@@ -360,8 +356,8 @@ class IbftValidator:
 
     def _build_block(self, round_: int) -> Block:
         parent = self.store.head
-        timestamp = max(self.sim.now, parent.timestamp + self.block_interval)
-        txs = tuple(self.node.pool.select(self.block_gas_limit))
+        timestamp = max(self.sim.now, parent.timestamp + self.config.block_interval_ms)
+        txs = tuple(self.node.pool.select(self.config.block_gas_limit))
         return Block(
             height=self.state.height,
             timestamp=timestamp,
@@ -403,7 +399,7 @@ class IbftValidator:
 
         # Equivocation: the first half of the peers gets the first variant,
         # the rest the twin; we keep the first variant for ourselves.
-        half = (len(self.peers) + 1) // 2
+        half = (len(self._targets) + 1) // 2
         for msg, targets in zip(msgs, (self._targets[:half], self._targets[half:])):
             wire = message_wire(msg) if self.network.capture_wire else None
             self.network.send(self.name, targets, "consensus", msg, wire)
@@ -412,8 +408,6 @@ class IbftValidator:
     # -- receiving ----------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if self.halted:
-            return
         if self.strategy == "echo":
             # It never runs `_process`, but must still catch up: on a
             # later height, and on a commit quorum for a block it never
@@ -551,7 +545,7 @@ class IbftValidator:
         if len(votes) < self.validators.quorum:
             return
         if st.prepared is None or st.prepared.round < round_:
-            proofs = tuple(v for v in votes.values() if v is not None)
+            proofs = tuple(v for sender, v in votes.items() if v is not None and sender != proposal.sender)
             st.prepared = PreparedCert(
                 block=proposal.block,
                 round=round_,
@@ -589,7 +583,7 @@ class IbftValidator:
         if target <= st.round:
             return
         st.round = target
-        delay = self.base_round_timeout * (2**target)
+        delay = self.config.base_round_timeout_ms * (2**target)
         self.sim.schedule(delay, self._guarded(st.height, target, self._on_timeout))
         if send_rc:
             self._send_round_change(target)
@@ -634,8 +628,7 @@ class IbftValidator:
 
     def on_chain_extended(self) -> None:
         """The store advanced (own finalize or sealed-block sync)."""
-        if not self.halted:
-            self._enter_height()
+        self._enter_height()
 
     def _sync_from(self, sender: bytes) -> None:
         self.node.request_sync(self.node.cluster.name_of[sender])

@@ -232,10 +232,6 @@ def seal_preimage(block_hash: bytes) -> bytes:
     return TAG_SEAL + enc_fixed(block_hash, HASH_LEN)
 
 
-def make_seal(credential: Credential, block_hash: bytes) -> tuple[bytes, bytes]:
-    return (credential.address, credential.sign(seal_preimage(block_hash)))
-
-
 def genesis_block() -> Block:
     return Block(
         height=0,

@@ -69,7 +69,6 @@ SYNC_BATCH = 32
 @dataclass(slots=True)
 class ReceiptEntry:
     receipt: Receipt
-    height: int
 
 
 class NodeRuntime:
@@ -214,7 +213,7 @@ class NodeRuntime:
     def _apply_block(self, block: Block) -> None:
         for tx in block.txs:
             receipt = self.state.execute(tx)
-            entry = ReceiptEntry(receipt=receipt, height=block.height)
+            entry = ReceiptEntry(receipt)
             self.receipts[tx.tx_id] = entry
             payload = tx.payload
             if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in self.group_ledgers:

@@ -140,9 +140,6 @@ class Enclave:
         self.payloads.setdefault(h, payload)
         return h
 
-    def get(self, payload_hash: bytes) -> StoredPayload | None:
-        return self.payloads.get(payload_hash)
-
     def open(self, payload_hash: bytes) -> bytes | None:
         """Decrypt a stored payload if this enclave holds the group key."""
         stored = self.payloads.get(payload_hash)

@@ -14,12 +14,16 @@ a private operation distributed to its group and anchored by a marker
 
 Submission instants inside a stage are jittered uniformly across one
 block interval, so arrivals hit the block cadence at random offsets.
+
+A run is one `RunResult`: `assemble` builds its parts, and
+`run_scenario` drives it and records the outcome on the same object.
+The driver reads the formed groups from the run's `GroupDirectory`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -79,14 +83,15 @@ class Domain:
 
 
 @dataclass
-class Assembly:
-    """Everything a run is made of, before any event has fired."""
+class RunResult:
+    """One run: its parts, built by `assemble` before any event fires,
+    then its outcome (`driver`, `completed`, `summary`, `out_dir`),
+    filled in by `run_scenario`."""
 
     config: ScenarioConfig
     seed: int
     sim: Simulator
     rng_hub: RngHub
-    network: Network
     metrics: MetricsCollector
     cluster: Cluster
     validator_set: ValidatorSet
@@ -94,6 +99,10 @@ class Assembly:
     courier: PayloadCourier
     providers: list[Domain]
     consumers: list[Domain]
+    driver: WorkloadDriver | None = None
+    completed: bool = False
+    summary: dict = field(default_factory=dict)
+    out_dir: Path | None = None
 
 
 def assemble(
@@ -101,7 +110,7 @@ def assemble(
     seed: int,
     trace: bool = False,
     capture_wire: bool = False,
-) -> Assembly:
+) -> RunResult:
     sim = Simulator(trace_enabled=trace)
     rng_hub = RngHub(seed)
     metrics = MetricsCollector()
@@ -123,20 +132,9 @@ def assemble(
         cluster.add_node(node)
 
     byz_by_node = {b.node: b.strategy for b in config.faults.byzantine}
-    for i, name in enumerate(config.validator_names):
+    for name, credential in zip(config.validator_names, validator_creds):
         node = cluster.nodes[name]
-        node.validator = IbftValidator(
-            node=node,
-            credential=validator_creds[i],
-            validators=validator_set,
-            sim=sim,
-            network=network,
-            block_interval=config.block_interval_ms,
-            base_round_timeout=config.base_round_timeout_ms,
-            block_gas_limit=config.block_gas_limit,
-            peers=tuple(n for n in config.validator_names if n != name),
-            strategy=byz_by_node.get(name),
-        )
+        node.validator = IbftValidator(node, credential, config, byz_by_node.get(name))
 
     directory = GroupDirectory(rng_hub)
     courier = PayloadCourier(
@@ -174,12 +172,11 @@ def assemble(
 
     _schedule_faults(config, sim, network, cluster, validator_set)
 
-    return Assembly(
+    return RunResult(
         config=config,
         seed=seed,
         sim=sim,
         rng_hub=rng_hub,
-        network=network,
         metrics=metrics,
         cluster=cluster,
         validator_set=validator_set,
@@ -202,14 +199,7 @@ def _schedule_faults(
             target = crash.node
         else:
             target = cluster.name_of[validator_set.proposer_for(crash.proposer_of_height, 0)]
-
-        def do_crash(name=target) -> None:
-            network.crash(name)
-            node = cluster.nodes[name]
-            if node.validator is not None:
-                node.validator.halt()
-
-        sim.schedule_at(crash.at_ms, do_crash)
+        sim.schedule_at(crash.at_ms, partial(network.crash, target))
 
     for part in config.faults.partitions:
         sim.schedule_at(part.from_ms, lambda p=part: network.set_partition(p.groups))
@@ -219,15 +209,14 @@ def _schedule_faults(
 class WorkloadDriver:
     """Drives the service lifecycle through its stages."""
 
-    def __init__(self, assembly: Assembly):
-        self.a = assembly
-        self.config = assembly.config
-        self.sim = assembly.sim
-        self.cluster = assembly.cluster
-        self.metrics = assembly.metrics
-        self.rng = assembly.rng_hub.stream(STREAM_WORKLOAD)
+    def __init__(self, run: RunResult):
+        self.run = run
+        self.config = run.config
+        self.sim = run.sim
+        self.cluster = run.cluster
+        self.metrics = run.metrics
+        self.rng = run.rng_hub.stream(STREAM_WORKLOAD)
         self.window = self.config.block_interval_ms
-        self.groups: list[GroupInfo] = []
         self.payload_log: list[tuple[bytes, bytes]] = []
         self._payload_seq = 0
         self._outstanding = 0
@@ -235,7 +224,7 @@ class WorkloadDriver:
         self.completed = False
         self.completed_at: int | None = None
         self.stage_log: list[tuple[str, int]] = []
-        self.domains = {d.address: d for d in assembly.providers + assembly.consumers}
+        self.domains = {d.address: d for d in run.providers + run.consumers}
 
     # -- machinery ----------------------------------------------------
 
@@ -329,10 +318,10 @@ class WorkloadDriver:
             self.metrics.bind_tx(sample, tx.tx_id)
             self._submit_and_wait(sender, tx)
 
-        self.a.courier.distribute(group, sender.node_name, plaintext, payload_index, on_complete)
+        self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, on_complete)
 
     def _ordered_groups(self) -> list[GroupInfo]:
-        return sorted(self.groups, key=lambda g: g.pair_index)
+        return sorted(self.run.directory.by_id.values(), key=lambda g: g.pair_index)
 
     def _breach(self, provider: Domain, details: str) -> BreachRecord:
         """A breach record stamped when the operation fires."""
@@ -341,12 +330,12 @@ class WorkloadDriver:
     # -- stages -------------------------------------------------------
 
     def _stage_register(self) -> None:
-        for domain in self.a.providers + self.a.consumers:
+        for domain in self.run.providers + self.run.consumers:
             args = enc_args(("u8",), (int(domain.role),))
             self._submit(domain, "register", PublicCall("registry", "register", args))
 
     def _stage_publish(self) -> None:
-        for provider in self.a.providers:
+        for provider in self.run.providers:
             for j in range(self.config.workload.publishes_per_provider):
                 name = f"{provider.name}-svc{j}"
                 args = enc_args(("str", "hash"), (name, digest(f"sla terms for {name}".encode())))
@@ -354,16 +343,16 @@ class WorkloadDriver:
 
     def _stage_select(self) -> None:
         wl = self.config.workload
-        for i, consumer in enumerate(self.a.consumers):
+        for i, consumer in enumerate(self.run.consumers):
             for j in range(wl.selects_per_consumer):
                 pair_index = wl.selects_per_consumer * i + j
-                provider = self.a.providers[pair_index % len(self.a.providers)]
+                provider = self.run.providers[pair_index % len(self.run.providers)]
                 args = enc_args(("address", "u64"), (provider.address, j % wl.publishes_per_provider))
                 on_final = partial(self._form_group, consumer, provider, pair_index)
                 self._submit(consumer, "select", PublicCall("selection", "select", args), on_final)
 
     def _form_group(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
-        info, formed = self.a.directory.get_or_form(
+        info, formed = self.run.directory.get_or_form(
             consumer=consumer.address,
             provider=provider.address,
             member_pubkeys=[consumer.credential.public_key, provider.credential.public_key],
@@ -373,7 +362,6 @@ class WorkloadDriver:
         if formed:
             for node_name in info.member_nodes:
                 self.cluster.nodes[node_name].join_group(info)
-            self.groups.append(info)
             if self.sim.trace_enabled:
                 self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
 
@@ -415,20 +403,6 @@ class WorkloadDriver:
                 )
 
 
-@dataclass
-class RunResult:
-    config: ScenarioConfig
-    seed: int
-    sim: Simulator
-    cluster: Cluster
-    metrics: MetricsCollector
-    directory: GroupDirectory
-    driver: WorkloadDriver | None
-    completed: bool
-    summary: dict
-    out_dir: Path | None = None
-
-
 def run_scenario(
     config: ScenarioConfig,
     seed: int,
@@ -436,13 +410,12 @@ def run_scenario(
     trace: bool = False,
     capture_wire: bool = False,
 ) -> RunResult:
-    assembly = assemble(config, seed, trace=trace, capture_wire=capture_wire)
-    sim = assembly.sim
+    result = assemble(config, seed, trace=trace, capture_wire=capture_wire)
+    sim, metrics = result.sim, result.metrics
 
-    driver: WorkloadDriver | None = None
     if not config.workload.empty:
-        driver = WorkloadDriver(assembly)
-        driver.start()
+        result.driver = WorkloadDriver(result)
+        result.driver.start()
 
     target = config.run.target_heights
     if target is not None:
@@ -450,21 +423,21 @@ def run_scenario(
             if height >= target:
                 sim.schedule(config.run.grace_ms, sim.stop)
 
-        assembly.metrics.height_callbacks.append(on_height)
+        metrics.height_callbacks.append(on_height)
 
-    assembly.cluster.start_validators()
+    result.cluster.start_validators()
     sim.run(until=config.run.max_virtual_ms)
 
-    if driver is not None:
-        completed = driver.completed
+    if result.driver is not None:
+        result.completed = result.driver.completed
     elif target is not None:
-        completed = assembly.metrics.finalized_heights >= target
+        result.completed = metrics.finalized_heights >= target
     else:
-        completed = True
+        result.completed = True
 
-    summary = assembly.metrics.summary(seed)
-    summary["completed"] = completed
-    summary["sync_requests"] = sum(node.sync_requests for node in assembly.cluster.nodes.values())
+    summary = result.summary = metrics.summary(seed)
+    summary["completed"] = result.completed
+    summary["sync_requests"] = sum(node.sync_requests for node in result.cluster.nodes.values())
     summary["config"] = {
         "validators": config.validators,
         "member_nodes": config.member_nodes,
@@ -473,22 +446,10 @@ def run_scenario(
         "block_gas_limit": config.block_gas_limit,
     }
 
-    result = RunResult(
-        config=config,
-        seed=seed,
-        sim=sim,
-        cluster=assembly.cluster,
-        metrics=assembly.metrics,
-        directory=assembly.directory,
-        driver=driver,
-        completed=completed,
-        summary=summary,
-    )
-
     if out_dir is not None:
-        out = Path(out_dir)
+        out = result.out_dir = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        assembly.metrics.write_csv(out / "latency.csv")
+        metrics.write_csv(out / "latency.csv")
         with open(out / "summary.json", "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -497,7 +458,6 @@ def run_scenario(
                 for entry in sim.trace_log:
                     f.write(json.dumps(entry, sort_keys=True))
                     f.write("\n")
-        result.out_dir = out
     return result
 
 

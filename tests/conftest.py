@@ -18,7 +18,7 @@ from hypothesis import settings
 from pactsim.contracts import GasSchedule, PublicState, abi_arg_schema
 from pactsim.encoding import enc_args
 from pactsim.identity import Credential, ValidatorSet
-from pactsim.ledger import PublicCall, Transaction, make_transaction
+from pactsim.ledger import PublicCall, Transaction, make_transaction, seal_preimage
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -38,6 +38,11 @@ def cred(i: int) -> Credential:
 
 def validator_set(validators) -> ValidatorSet:
     return ValidatorSet(tuple((v.address, v.public_key) for v in validators))
+
+
+def make_seal(credential: Credential, block_hash: bytes) -> tuple[bytes, bytes]:
+    """A validator's (address, seal) pair for a block, as a sealed block carries it."""
+    return (credential.address, credential.sign(seal_preimage(block_hash)))
 
 
 def make_call(contract: str, function: str, *args) -> PublicCall:

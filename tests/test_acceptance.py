@@ -309,7 +309,7 @@ def test_breach_batching(capsys):
 
     # Independent recompute: re-encrypt the canonical batch encoding with
     # the member's own key and stored nonce, then hash the ciphertext.
-    stored = member.enclave.get(summary.summary_hash)
+    stored = member.enclave.payloads[summary.summary_hash]
     recomputed = digest(
         encrypt_payload(group.key, stored.nonce, OpBatch(tuple(ledger.records)).encode(), group.group_id)
     )

@@ -357,6 +357,35 @@ def test_signed_messages_for_far_heights_open_few_buffers_and_one_sync():
     assert node.sync_requests == 1
 
 
+def test_round_change_carrying_a_certificate_after_the_proposers_own_prepare_is_accepted():
+    cluster = assemble(heights_config({"member_nodes": 0}), 5).cluster
+    validators = [node.validator for node in cluster.nodes.values()]
+    for v in validators:
+        v.start()
+    proposer = next(v for v in validators if v.address == v.validators.proposer_for(1, 0))
+    holder, peer = [v for v in validators if v is not proposer][:2]
+    head = holder.store.head
+    block = Block(1, head.timestamp + 1000, head.hash, proposer.address, 0, ())
+    digest = block.hash
+    proposal_sig = proposer.credential.sign(PrePrepare.preimage(1, 0, digest))
+    proposal = PrePrepare(1, 0, block, (), proposer.address, proposal_sig)
+    # The proposer's own prepare arrives after its proposal, as an echoing
+    # proposer sends it, then one more prepare completes the quorum.
+    for msg in (proposal, signed_prepare(proposer, 1, 0, digest), signed_prepare(peer, 1, 0, digest)):
+        holder.on_message(msg)
+    cert = holder.state.prepared
+    assert cert is not None and cert.block.hash == digest
+    assert proposer.address not in {p.sender for p in cert.prepares}
+    assert cert.verify(1, holder.validators)
+
+    rc = RoundChange(1, 1, cert, holder.address, holder.credential.sign(RoundChange.preimage(1, 1, cert)))
+    for v in validators:
+        if v is not holder:
+            v.on_message(rc)
+            assert v.dropped_invalid == 0, v.name
+            assert v.state.round_changes[1][holder.address] is rc
+
+
 def test_a_validator_that_learns_it_is_behind_asks_the_sender_for_blocks():
     cluster = assemble(heights_config(), 5).cluster
     node = cluster.nodes["v0"]

@@ -36,11 +36,10 @@ from pactsim.ledger import (
     decode_transaction,
     genesis_block,
     hash_block,
-    make_seal,
     make_transaction,
 )
 
-from .conftest import call_tx, cred, validator_set
+from .conftest import call_tx, cred, make_seal, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3

@@ -9,7 +9,6 @@ from pactsim.ledger import (
     ChainStore,
     PrivacyMarker,
     hash_block,
-    make_seal,
     make_transaction,
 )
 from pactsim.metrics import MetricsCollector
@@ -24,7 +23,7 @@ from pactsim.simulation import (
     Simulator,
 )
 
-from .conftest import call_tx, cred, validator_set
+from .conftest import call_tx, cred, make_seal, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
@@ -178,7 +177,7 @@ def test_receipt_waiter_fires_on_inclusion():
     assert seen == []
     node.on_sealed_block(b1)
     assert len(seen) == 1
-    assert seen[0].height == 1
+    assert node.store.height == 1 and seen[0] is node.receipts[tx.tx_id]
     assert seen[0].receipt.ok
 
 

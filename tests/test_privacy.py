@@ -149,14 +149,14 @@ def test_distribute_delivers_ciphertext_and_completes():
     group = group_for(("m0", "m1"))
     results = []
     h = courier.distribute(group, "m0", b"private op", 0, results.append)
-    assert enclaves["m0"].get(h) is not None
+    assert enclaves["m0"].payloads.get(h) is not None
     sim.run()
     assert len(results) == 1
     r = results[0]
     assert r.payload_hash == h and r.completed_at >= r.started_at + 800
-    stored = enclaves["m1"].get(h)
+    stored = enclaves["m1"].payloads.get(h)
     assert stored is not None and b"private op" not in stored.ciphertext
-    assert enclaves["m2"].get(h) is None
+    assert enclaves["m2"].payloads.get(h) is None
     # Receiver holds no key yet, so the payload stays opaque until joined.
     assert enclaves["m1"].open(h) is None
     enclaves["m1"].store_key(GID, KEY)

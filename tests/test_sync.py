@@ -8,6 +8,7 @@ the workload runs, and random fault mixes within `f`.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,10 +116,7 @@ def fault_mixes(draw):
     return n, faults, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=60)
-@given(fault_mixes())
-def test_fault_mixes_within_f_stay_safe_and_every_honest_node_catches_up(mix):
-    n, faults, seed = mix
+def assert_safe_and_live(n: int, faults: dict, seed: int) -> None:
     cfg = consensus_config(n, faults)
     result = run_scenario(cfg, seed)
     assert result.summary["safety_violations"] == []
@@ -127,3 +125,43 @@ def test_fault_mixes_within_f_stay_safe_and_every_honest_node_catches_up(mix):
     honest = [name for name in cfg.node_names if name not in faulty]
     assert all(result.cluster.nodes[name].store.height >= 5 for name in honest)
     assert audit_findings(result) == []
+
+
+@settings(max_examples=60)
+@given(fault_mixes())
+def test_fault_mixes_within_f_stay_safe_and_every_honest_node_catches_up(mix):
+    assert_safe_and_live(*mix)
+
+
+def split_off(side: list[str], from_ms: int, to_ms: int) -> dict:
+    """`side` against the rest of ten validators."""
+    rest = [f"v{i}" for i in range(10) if f"v{i}" not in side]
+    return {"from_ms": from_ms, "to_ms": to_ms, "groups": [side, rest]}
+
+
+# An `echo` proposer also sends a `Prepare` for its own block.  A
+# prepared certificate holding it would name the proposer twice, so
+# `PreparedCert.verify` would refuse it and every round change carrying
+# it would be dropped.  In these mixes no later round could then gather
+# a quorum: all ten validators stay at height 0 and 1 respectively.
+SELF_PREPARE_MIXES = {
+    48_390: {
+        "byzantine": [{"node": "v1", "strategy": "echo"}, {"node": "v2", "strategy": "echo"}],
+        "crashes": [],
+        "partitions": [split_off(["v0", "v2", "v3", "v8"], 824, 1836), split_off(["v2", "v4", "v9"], 3288, 4967)],
+    },
+    18_754: {
+        "byzantine": [
+            {"node": "v2", "strategy": "echo"},
+            {"node": "v6", "strategy": "withhold"},
+            {"node": "v9", "strategy": "equivocate"},
+        ],
+        "crashes": [],
+        "partitions": [split_off(["v3", "v4", "v5", "v7"], 2580, 3136), split_off(["v8"], 4099, 4495)],
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SELF_PREPARE_MIXES))
+def test_a_proposers_own_prepare_does_not_stall_round_changes(seed):
+    assert_safe_and_live(10, SELF_PREPARE_MIXES[seed], seed)
