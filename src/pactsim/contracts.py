@@ -32,7 +32,7 @@ from .encoding import (
     ADDRESS_LEN,
     HASH_LEN,
     TAG_STATE,
-    Cursor,
+    DecodeError,
     digest,
     enc_bytes,
     enc_fixed,
@@ -301,10 +301,6 @@ class BreachRecord:
     def encode(self) -> bytes:
         return enc_fixed(self.reporter, ADDRESS_LEN) + enc_str(self.details) + enc_u64(self.reported_at)
 
-    @classmethod
-    def decode(cls, cur: Cursor) -> "BreachRecord":
-        return cls(reporter=cur.fixed(ADDRESS_LEN), details=cur.str_(), reported_at=cur.u64())
-
 
 @dataclass(frozen=True)
 class OpInit:
@@ -333,30 +329,66 @@ class OpBatch:
 PrivateOp = OpInit | OpBreach | OpBatch
 
 
+def _text_record(data: bytes, pos: int, before: int, after: int) -> tuple[str, int]:
+    """Check a record of `before` fixed bytes, a u32-prefixed UTF-8 text and `after` fixed bytes.
+
+    Returns the text and the offset just past the record.
+    """
+    head = pos + before + 4
+    size = len(data)
+    if head <= size:
+        stop = head + int.from_bytes(data[head - 4 : head], "big")
+        end = stop + after
+        if end <= size:
+            try:
+                return data[head:stop].decode("utf-8"), end
+            except UnicodeDecodeError as exc:
+                raise DecodeError(f"invalid utf-8 string field: {exc}") from None
+    raise DecodeError(f"truncated input: record at offset {pos} runs past {size} bytes")
+
+
+def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
+    details, end = _text_record(data, pos, ADDRESS_LEN, 8)
+    return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[end - 8 : end], "big")), end
+
+
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_private_op(data: bytes) -> PrivateOp:
     """Decode a private operation; equal bytes give the same object.
+
+    One pass over the bytes: each record's bounds are checked once, then
+    its fields are sliced out.  Truncated input, trailing bytes and text
+    that is not UTF-8 raise `DecodeError`; an unknown kind `ValueError`.
 
     Sharing it between members is sound: decoding is pure, and the op and
     its records are frozen, so member ledgers share only immutable records.
     Exceptions are not cached, so a malformed payload fails at each member.
     """
-    cur = Cursor(data)
-    kind = cur.u8()
+    if not data:
+        raise DecodeError("truncated input: no operation kind")
+    kind = data[0]
     if kind == OP_INIT:
-        consumer = cur.fixed(ADDRESS_LEN)
-        provider = cur.fixed(ADDRESS_LEN)
-        index = cur.u64()
-        terms = cur.str_()
-        op: PrivateOp = OpInit(AgreementRecord(consumer, provider, index, terms))
+        terms, end = _text_record(data, 1, 2 * ADDRESS_LEN + 8, 0)
+        mid = 1 + ADDRESS_LEN
+        top = mid + ADDRESS_LEN
+        index = int.from_bytes(data[top : top + 8], "big")
+        op: PrivateOp = OpInit(AgreementRecord(data[1:mid], data[mid:top], index, terms))
     elif kind == OP_BREACH:
-        op = OpBreach(BreachRecord.decode(cur))
+        record, end = _breach_at(data, 1)
+        op = OpBreach(record)
     elif kind == OP_BATCH:
-        count = cur.count()
-        op = OpBatch(tuple(BreachRecord.decode(cur) for _ in range(count)))
+        if len(data) < 5:
+            raise DecodeError("truncated input: batch without a record count")
+        end = 5
+        records = []
+        for _ in range(int.from_bytes(data[1:5], "big")):
+            record, end = _breach_at(data, end)
+            records.append(record)
+        op = OpBatch(tuple(records))
     else:
         raise ValueError(f"unknown private op {kind}")
-    cur.finish()
+    if end != len(data):
+        raise DecodeError(f"{len(data) - end} trailing bytes")
     return op
 
 

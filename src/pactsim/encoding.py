@@ -127,6 +127,14 @@ class Cursor:
         return self.u32()
 
     @property
+    def pos(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes read from offset `start` up to here."""
+        return self._data[start : self._pos]
+
+    @property
     def exhausted(self) -> bool:
         return self._pos == len(self._data)
 

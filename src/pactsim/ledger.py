@@ -14,7 +14,8 @@ copies differ only in `round` and `seals`, which the hash leaves out,
 so they carry over their source's hash.  A transaction encodes its body
 once, when it is built, and derives `tx_id` and its signature check from
 that encoding; `sign_preimage`, `encode` and the block hash preimage
-reuse the stored bytes.  Block append, and each validator's check of a
+reuse the stored bytes.  A transaction made by `make_transaction` keeps
+the body it signed, and a decoded one the body bytes it was read from.  Block append, and each validator's check of a
 proposal, re-check every transaction's signature, including ones the
 node already admitted at gossip; for the same object that re-check
 reads the stored result.
@@ -23,8 +24,9 @@ reads the stored result.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .encoding import (
     ADDRESS_LEN,
@@ -107,18 +109,26 @@ def decode_payload(cur: Cursor) -> PublicCall | PrivacyMarker:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """A signed transaction.
+
+    `encoded_body`, when given, must be `body()` of the same fields:
+    `make_transaction` passes the bytes it signed and `decode_transaction`
+    the bytes it parsed, so neither encodes the body a second time.
+    """
+
     sender: bytes
     sender_pubkey: bytes
     nonce: int
     gas_limit: int
     payload: PublicCall | PrivacyMarker
     signature: bytes
+    encoded_body: InitVar[bytes | None] = None
     tx_id: bytes = field(init=False, compare=False, repr=False)
     _body: bytes = field(init=False, compare=False, repr=False)
     _signature_ok: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        body = self.body()
+    def __post_init__(self, encoded_body: bytes | None) -> None:
+        body = self.body() if encoded_body is None else encoded_body
         preimage = TAG_TX + body
         ok = address_of(self.sender_pubkey) == self.sender and verify(self.sender_pubkey, preimage, self.signature)
         object.__setattr__(self, "_body", body)
@@ -126,8 +136,18 @@ class Transaction:
         object.__setattr__(self, "_signature_ok", ok)
 
     def body(self) -> bytes:
-        """Encode the signed fields; each object does so once, when it is built."""
-        return _tx_body(self.sender, self.sender_pubkey, self.nonce, self.gas_limit, self.payload)
+        """Encode the signed fields.
+
+        It reads only those five fields, so `make_transaction` calls it on
+        them before the signature exists.
+        """
+        return (
+            enc_fixed(self.sender, ADDRESS_LEN)
+            + enc_fixed(self.sender_pubkey, 32)
+            + enc_u64(self.nonce)
+            + enc_u64(self.gas_limit)
+            + self.payload.encode()
+        )
 
     def sign_preimage(self) -> bytes:
         return TAG_TX + self._body
@@ -139,16 +159,12 @@ class Transaction:
         return self._signature_ok
 
 
-def _tx_body(
-    sender: bytes, sender_pubkey: bytes, nonce: int, gas_limit: int, payload: PublicCall | PrivacyMarker
-) -> bytes:
-    return (
-        enc_fixed(sender, ADDRESS_LEN)
-        + enc_fixed(sender_pubkey, 32)
-        + enc_u64(nonce)
-        + enc_u64(gas_limit)
-        + payload.encode()
-    )
+class _SignedFields(NamedTuple):
+    sender: bytes
+    sender_pubkey: bytes
+    nonce: int
+    gas_limit: int
+    payload: PublicCall | PrivacyMarker
 
 
 def make_transaction(
@@ -157,24 +173,20 @@ def make_transaction(
     gas_limit: int,
     payload: PublicCall | PrivacyMarker,
 ) -> Transaction:
-    preimage = TAG_TX + _tx_body(credential.address, credential.public_key, nonce, gas_limit, payload)
-    return Transaction(
-        sender=credential.address,
-        sender_pubkey=credential.public_key,
-        nonce=nonce,
-        gas_limit=gas_limit,
-        payload=payload,
-        signature=credential.sign(preimage),
-    )
+    fields = _SignedFields(credential.address, credential.public_key, nonce, gas_limit, payload)
+    body = Transaction.body(fields)
+    return Transaction(*fields, signature=credential.sign(TAG_TX + body), encoded_body=body)
 
 
 def decode_transaction(cur: Cursor) -> Transaction:
+    start = cur.pos
     sender = cur.fixed(ADDRESS_LEN)
     pubkey = cur.fixed(32)
     nonce = cur.u64()
     gas_limit = cur.u64()
     payload = decode_payload(cur)
-    return Transaction(sender, pubkey, nonce, gas_limit, payload, signature=cur.bytes_())
+    body = cur.since(start)
+    return Transaction(sender, pubkey, nonce, gas_limit, payload, signature=cur.bytes_(), encoded_body=body)
 
 
 @dataclass(frozen=True)
@@ -246,8 +258,9 @@ def genesis_block() -> Block:
 class ChainStore:
     """Finalized blocks of one node, genesis upward, no gaps."""
 
-    def __init__(self, validators: ValidatorSet):
+    def __init__(self, validators: ValidatorSet, block_gas_limit: int):
         self.validators = validators
+        self.block_gas_limit = block_gas_limit
         self.blocks: list[Block] = [genesis_block()]
 
     @property
@@ -300,8 +313,9 @@ class ChainStore:
         """Raise unless `block`, seals aside, may extend the head.
 
         It must sit at head + 1 on the head's hash, not go back in time,
-        and hold only correctly signed transactions.  Consensus checks a
-        proposal with this before voting for it.
+        and hold only correctly signed transactions whose gas limits sum
+        to at most the block gas limit.  Consensus checks a proposal with
+        this before voting for it.
         """
         if block.height != self.height + 1:
             raise HeightGap(f"got height {block.height}, head is {self.height}")
@@ -309,9 +323,13 @@ class ChainStore:
             raise InvalidBlock("parent hash does not match head")
         if block.timestamp < self.head.timestamp:
             raise InvalidBlock("timestamp went backwards")
+        gas = 0
         for tx in block.txs:
             if not tx.verify_signature():
                 raise InvalidBlock(f"bad tx signature in block {block.height}")
+            gas += tx.gas_limit
+        if gas > self.block_gas_limit:
+            raise InvalidBlock(f"block {block.height} holds {gas} gas, over the limit of {self.block_gas_limit}")
 
 
 class TxPool:

@@ -81,11 +81,12 @@ class NodeRuntime:
         network: Network,
         validators: ValidatorSet,
         schedule: GasSchedule,
+        block_gas_limit: int,
     ):
         self.name = name
         self.sim = sim
         self.network = network
-        self.store = ChainStore(validators)
+        self.store = ChainStore(validators, block_gas_limit)
         self.state = PublicState(schedule)
         self.pool = TxPool()
         self.enclave = Enclave(name)

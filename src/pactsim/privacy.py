@@ -16,6 +16,7 @@ the block interval) change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -105,35 +106,36 @@ def encrypt_payload(key: bytes, nonce: bytes, plaintext: bytes, group_id: bytes)
     return ChaCha20Poly1305(key).encrypt(nonce, plaintext, group_id)
 
 
-def decrypt_payload(key: bytes, nonce: bytes, ciphertext: bytes, group_id: bytes) -> bytes:
-    return ChaCha20Poly1305(key).decrypt(nonce, ciphertext, group_id)
-
-
 def encode_wire(group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
     return enc_fixed(group_id, HASH_LEN) + enc_fixed(nonce, NONCE_LEN) + enc_bytes(ciphertext)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredPayload:
     group_id: bytes
     nonce: bytes
     ciphertext: bytes
 
-    @property
+    @cached_property
     def payload_hash(self) -> bytes:
         return digest(self.ciphertext)
 
 
 class Enclave:
-    """Per-node store of group keys and encrypted payloads."""
+    """Per-node store of group keys and encrypted payloads.
+
+    A key's cipher is built once, when the key is stored.
+    """
 
     def __init__(self, node_name: str):
         self.node_name = node_name
         self.keys: dict[bytes, bytes] = {}
+        self._ciphers: dict[bytes, ChaCha20Poly1305] = {}
         self.payloads: dict[bytes, StoredPayload] = {}
 
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
+        self._ciphers[group_id] = ChaCha20Poly1305(key)
 
     def receive(self, payload: StoredPayload) -> bytes:
         h = payload.payload_hash
@@ -145,10 +147,10 @@ class Enclave:
         stored = self.payloads.get(payload_hash)
         if stored is None:
             return None
-        key = self.keys.get(stored.group_id)
-        if key is None:
+        cipher = self._ciphers.get(stored.group_id)
+        if cipher is None:
             return None
-        return decrypt_payload(key, stored.nonce, stored.ciphertext, stored.group_id)
+        return cipher.decrypt(stored.nonce, stored.ciphertext, stored.group_id)
 
     def dump_bytes(self) -> bytes:
         """Everything this enclave persists, for the isolation scan."""

@@ -128,7 +128,7 @@ def assemble(
 
     cluster = Cluster(sim, network, metrics, dict(zip(validator_set.addresses, config.validator_names)))
     for name in config.node_names:
-        node = NodeRuntime(name, sim, network, validator_set, config.gas)
+        node = NodeRuntime(name, sim, network, validator_set, config.gas, config.block_gas_limit)
         cluster.add_node(node)
 
     byz_by_node = {b.node: b.strategy for b in config.faults.byzantine}

@@ -20,6 +20,9 @@ from pactsim.encoding import enc_args
 from pactsim.identity import Credential, ValidatorSet
 from pactsim.ledger import PublicCall, Transaction, make_transaction, seal_preimage
 
+# The presets' block gas limit, for chain stores built outside a run.
+BLOCK_GAS_LIMIT = 8_000_000
+
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 

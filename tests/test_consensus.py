@@ -9,6 +9,7 @@ from pactsim.consensus import (
     FUTURE_BUFFER_FACTOR,
     FUTURE_HEIGHTS,
     Commit,
+    IbftValidator,
     Prepare,
     PrePrepare,
     PreparedCert,
@@ -18,7 +19,7 @@ from pactsim.consensus import (
 )
 from pactsim.config import config_from_dict
 from pactsim.identity import quorum_size, verify
-from pactsim.ledger import Block, genesis_block, hash_block, seal_preimage
+from pactsim.ledger import Block, InvalidBlock, genesis_block, hash_block, seal_preimage
 from pactsim.scenario import assemble, run_scenario
 
 from .conftest import call_tx, cred, validator_set
@@ -439,6 +440,33 @@ def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on
     # Every validator, the proposer included, refused the height-1 proposal.
     assert all(node.validator.dropped_invalid >= 1 for node in nodes)
     assert a.cluster.nodes["v0"].store.blocks[1].round == 1
+
+
+def test_proposal_over_the_block_gas_limit_gets_no_honest_prepare(monkeypatch):
+    cfg = heights_config()
+    a = assemble(cfg, 5)
+    proposer = next(
+        node for node in a.cluster.nodes.values() if node.validator.address == a.validator_set.proposer_for(1, 0)
+    )
+    txs = [call_tx(cred(1 + i), 0, "registry", "register", 1, gas_limit=5_000_000) for i in range(3)]
+    overweight = Block(1, 1000, genesis_block().hash, proposer.validator.address, 0, tuple(txs))
+    with pytest.raises(InvalidBlock, match="15000000 gas"):
+        a.cluster.nodes["v0"].store.check_extends(overweight)
+    # A Byzantine proposer packs past the limit at every height it proposes.
+    monkeypatch.setattr(proposer.pool, "select", lambda limit: txs)
+    prepares = []
+    real = IbftValidator.send_prepare
+    monkeypatch.setattr(
+        IbftValidator, "send_prepare", lambda self, *a: prepares.append((self.node.name, *a[:2])) or real(self, *a)
+    )
+    a.cluster.start_validators()
+    a.sim.run(until=60_000)
+    nodes = [a.cluster.nodes[n] for n in cfg.validator_names]
+    assert min(node.store.height for node in nodes) >= 3
+    assert all(tx not in block.txs for node in nodes for block in node.store.blocks for tx in txs)
+    assert all(node.validator.dropped_invalid >= 1 for node in nodes)
+    assert not [p for p in prepares if p[1:] == (1, 0)]
+    assert nodes[0].store.blocks[1].round == 1
 
 
 # -- signed bytes -----------------------------------------------------

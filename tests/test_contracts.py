@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pactsim import contracts
 from pactsim.contracts import (
@@ -21,7 +23,7 @@ from pactsim.contracts import (
     decode_call_args,
     decode_private_op,
 )
-from pactsim.encoding import DecodeError, digest, enc_args
+from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_args
 from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
 
 from .conftest import call_tx, cred, make_call
@@ -263,6 +265,25 @@ def test_private_op_round_trip():
         OpBatch(tuple(breach(PROVIDER, i) for i in range(3))),
     ):
         assert decode_private_op(op.encode()) == op
+
+
+ADDRESSES = st.binary(min_size=ADDRESS_LEN, max_size=ADDRESS_LEN)
+U64S = st.integers(0, 2**64 - 1)
+RECORDS = st.builds(BreachRecord, ADDRESSES, st.text(max_size=20), U64S)
+PRIVATE_OPS = st.one_of(
+    st.builds(OpInit, st.builds(AgreementRecord, ADDRESSES, ADDRESSES, U64S, st.text(max_size=20))),
+    st.builds(OpBreach, RECORDS),
+    st.builds(OpBatch, st.lists(RECORDS, max_size=4).map(tuple)),
+)
+
+
+@given(PRIVATE_OPS)
+@example(OpBreach(BreachRecord(b"\x01" * ADDRESS_LEN, "", 0)))
+@example(OpBatch(()))
+@example(OpBatch((BreachRecord(b"\x02" * ADDRESS_LEN, "Verf\u00fcgbarkeit < 99,9 % \u2014 \u2713", 2**64 - 1),)))
+@example(OpInit(AgreementRecord(b"\x03" * ADDRESS_LEN, b"\x04" * ADDRESS_LEN, 7, "\u53ef\u7528\u6027 \U0001f4c8")))
+def test_private_op_round_trip_property(op):
+    assert decode_private_op(op.encode()) == op
 
 
 def test_equal_private_op_bytes_decode_to_one_object():

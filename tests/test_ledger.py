@@ -39,14 +39,14 @@ from pactsim.ledger import (
     make_transaction,
 )
 
-from .conftest import call_tx, cred, make_seal, validator_set
+from .conftest import BLOCK_GAS_LIMIT, call_tx, cred, make_seal, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
 
 
 def fresh_store() -> ChainStore:
-    return ChainStore(validator_set(VALIDATORS))
+    return ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT)
 
 
 def sealed_block(store: ChainStore, txs=(), timestamp=None, round_=0, sealers=None) -> Block:
@@ -129,6 +129,51 @@ def test_marker_payload_round_trip():
     tx = make_transaction(cred(1), 0, 41_000, marker)
     decoded = decode_transaction(Cursor(tx.encode()))
     assert decoded.payload == marker
+
+
+PINNED_TXS = (
+    (
+        "1a1d9906ad951712980644650ee85e20f327a2af0b5609810fc06469cb4788ab",
+        "2ad5aff1973f833614adadab5ab7049f3e3354b900f6b3fba051732b3bbc857ead3c8f0cfcfd6b38d2449222899658dffd59cd10"
+        "000000000000000300000000000f42400000000007636174616c6f67000000077075626c6973680000002a0000000673766320c3"
+        "a90505050505050505050505050505050505050505050505050505050505050505000000407125cbcc0baaf692f6e740b7927946"
+        "c79301fb7d7c6df4e9bc0f4518be1edcaa8ef47ffd442603da2a3f7b86e3f216f4d24355fbc7b487150feb85ca765b8bfb",
+    ),
+    (
+        "49f7b228945747cfb8de3afd6d651a435d0abf1f138384ad5d16da71cec88227",
+        "9d09b858f0cbf7657fa160fb5970c28a03b3966018775cfb8051add44ab49282da8f451d7f8290b909c42596813584a89fc0ddcc"
+        "0000000000000007000000000000a028010101010101010101010101010101010101010101010101010101010101010101020202"
+        "020202020202020202020202020202020202020202020202020202020200000040a136b7689634cea07e4430ae922204b8e90e27"
+        "09df81de7c444f0437127d5ca4f0ba00b8314e516540f37dee221354810f032d093222ab6fc8755cccdffa6e7c",
+    ),
+)
+
+
+def test_transaction_ids_and_wire_bytes_are_pinned():
+    # Golden run digests are re-baselined when draws move; these two
+    # transactions pin how a transaction is built and read on its own.
+    built = call_tx(cred(1), 3, "catalog", "publish", "svc \u00e9", b"\x05" * 32)
+    marker = make_transaction(cred(2), 7, 41_000, PrivacyMarker(b"\x01" * 32, b"\x02" * 32))
+    for tx, (tx_id, wire) in zip((built, marker), PINNED_TXS):
+        decoded = decode_transaction(Cursor(bytes.fromhex(wire)))
+        for copy in (tx, decoded):
+            assert copy.tx_id.hex() == tx_id
+            assert copy.encode().hex() == wire
+            assert copy.verify_signature()
+
+
+def test_each_transaction_body_is_encoded_once(monkeypatch):
+    builds = []
+    real = Transaction.body
+    monkeypatch.setattr(Transaction, "body", lambda self: builds.append(self.nonce) or real(self))
+    tx = call_tx(cred(1), 3, "registry", "register", 1)
+    assert builds == [3]
+    # A decoded transaction keeps the bytes it was read from.
+    assert decode_transaction(Cursor(tx.encode())) == tx
+    assert builds == [3]
+    # A copy with a changed field encodes its own body.
+    replace(tx, nonce=4)
+    assert builds == [3, 4]
 
 
 # -- block identity ---------------------------------------------------
@@ -288,6 +333,25 @@ def test_bad_seal_signature_rejected():
     mixed = replace(block, seals=(block.seals[0], block.seals[1], wrong.seals[2]))
     with pytest.raises(InvalidBlock):
         store.append_block(mixed)
+
+
+def test_block_over_the_gas_limit_rejected():
+    store = fresh_store()
+    half = BLOCK_GAS_LIMIT // 2
+    full = [call_tx(cred(i), 0, "registry", "register", 1, gas_limit=half) for i in (1, 2)]
+    store.append_block(sealed_block(store, txs=full))
+    over = sealed_block(
+        store,
+        txs=(
+            call_tx(cred(3), 0, "registry", "register", 1, gas_limit=half),
+            call_tx(cred(4), 0, "registry", "register", 1, gas_limit=half + 1),
+        ),
+    )
+    with pytest.raises(InvalidBlock, match="over the limit"):
+        store.check_extends(over)
+    with pytest.raises(InvalidBlock, match="over the limit"):
+        store.append_block(over)
+    assert store.height == 1
 
 
 def test_bad_tx_signature_rejected():

@@ -2,8 +2,10 @@
 
 import dataclasses
 
-from pactsim.contracts import AgreementRecord, GasSchedule, OpInit
-from pactsim.encoding import digest
+import pytest
+
+from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit, decode_private_op
+from pactsim.encoding import digest, enc_bytes, enc_u8, enc_u64
 from pactsim.ledger import (
     Block,
     ChainStore,
@@ -23,7 +25,7 @@ from pactsim.simulation import (
     Simulator,
 )
 
-from .conftest import call_tx, cred, make_seal, validator_set
+from .conftest import BLOCK_GAS_LIMIT, call_tx, cred, make_seal, validator_set
 
 VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
@@ -40,13 +42,13 @@ def make_cluster(names=("n0", "n1"), name_of=None):
     validators = validator_set(VALIDATORS)
     cluster = Cluster(sim, network, MetricsCollector(), name_of or {})
     for name in names:
-        cluster.add_node(NodeRuntime(name, sim, network, validators, GasSchedule()))
+        cluster.add_node(NodeRuntime(name, sim, network, validators, GasSchedule(), BLOCK_GAS_LIMIT))
     return sim, cluster
 
 
 def build_chain(count, txs_by_height=None):
     """Sealed blocks 1..count consistent with every node's genesis."""
-    ref = ChainStore(validator_set(VALIDATORS))
+    ref = ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT)
     blocks = []
     for h in range(1, count + 1):
         txs = tuple((txs_by_height or {}).get(h, ()))
@@ -286,6 +288,38 @@ def test_marker_without_its_payload_halts_the_group_at_once():
     node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
     assert ledger.agreement is None
     assert ledger.halted
+
+
+BATCH = OpBatch(tuple(BreachRecord(BOB.address, f"late {i}", 1000 + i) for i in range(3))).encode()
+INIT = OpInit(AgreementRecord(ALICE.address, BOB.address, 0, "terms")).encode()
+MALFORMED = {
+    "empty": (b"", "truncated input"),
+    "batch cut in a record": (BATCH[:-1], "truncated input"),
+    "batch cut in its count": (BATCH[:3], "truncated input"),
+    "init cut in its terms": (INIT[:-2], "truncated input"),
+    "batch with a trailing byte": (BATCH + b"\x00", "1 trailing bytes"),
+    "breach details not utf-8": (enc_u8(1) + BOB.address + enc_bytes(b"\xff\xfe") + enc_u64(5), "invalid utf-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
+    plaintext, reason = MALFORMED[case]
+    _, cluster = make_cluster(("n0", "n1"))
+    group, nonce, _ = make_group_setup(cluster.nodes["n0"])
+    ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
+    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
+    before = decode_private_op.cache_info()
+    for node in cluster.nodes.values():
+        node.join_group(group)
+        node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
+        node.on_sealed_block(b1)
+    for node in cluster.nodes.values():
+        ((payload_hash, text),) = node.private_op_failures
+        assert payload_hash == digest(ciphertext) and text.startswith(reason)
+        assert node.read_private_state(group.group_id).agreement is None
+    after = decode_private_op.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
 
 
 def test_marker_for_unknown_group_ignored():

@@ -4,6 +4,7 @@ import hashlib
 import statistics
 
 import pytest
+from cryptography.exceptions import InvalidTag
 
 from pactsim.identity import Credential
 from pactsim.privacy import (
@@ -15,7 +16,6 @@ from pactsim.privacy import (
     GroupInfo,
     PayloadCourier,
     StoredPayload,
-    decrypt_payload,
     encrypt_payload,
     group_id_for,
 )
@@ -42,14 +42,19 @@ def test_encrypt_round_trip_and_tamper_rejection():
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"secret terms", GID)
     assert b"secret terms" not in ct
-    assert decrypt_payload(KEY, nonce, ct, GID) == b"secret terms"
-    with pytest.raises(Exception):
-        decrypt_payload(KEY, nonce, ct, hashlib.sha256(b"other").digest())
-    with pytest.raises(Exception):
-        decrypt_payload(bytes(32), nonce, ct, GID)
-    mangled = bytes([ct[0] ^ 1]) + ct[1:]
-    with pytest.raises(Exception):
-        decrypt_payload(KEY, nonce, mangled, GID)
+    other = hashlib.sha256(b"other").digest()
+    cases = [(KEY, GID, ct), (KEY, other, ct), (bytes(32), GID, ct), (KEY, GID, bytes([ct[0] ^ 1]) + ct[1:])]
+    opened = []
+    for key, gid, data in cases:
+        enclave = Enclave("m1")
+        enclave.store_key(gid, key)
+        h = enclave.receive(StoredPayload(gid, nonce, data))
+        try:
+            opened.append(enclave.open(h))
+        except InvalidTag:
+            opened.append("refused")
+    # Bound to the key, the group id and every ciphertext byte.
+    assert opened == [b"secret terms", "refused", "refused", "refused"]
 
 
 def test_nonce_counter_increments():
