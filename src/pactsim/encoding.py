@@ -123,9 +123,6 @@ class Cursor:
     def fixed(self, length: int) -> bytes:
         return self._take(length)
 
-    def count(self) -> int:
-        return self.u32()
-
     @property
     def pos(self) -> int:
         return self._pos
@@ -134,12 +131,8 @@ class Cursor:
         """The bytes read from offset `start` up to here."""
         return self._data[start : self._pos]
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
-
     def finish(self) -> None:
-        if not self.exhausted:
+        if self._pos != len(self._data):
             raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
 
 

@@ -15,10 +15,11 @@ so they carry over their source's hash.  A transaction encodes its body
 once, when it is built, and derives `tx_id` and its signature check from
 that encoding; `sign_preimage`, `encode` and the block hash preimage
 reuse the stored bytes.  A transaction made by `make_transaction` keeps
-the body it signed, and a decoded one the body bytes it was read from.  Block append, and each validator's check of a
-proposal, re-check every transaction's signature, including ones the
-node already admitted at gossip; for the same object that re-check
-reads the stored result.
+the body it signed, and a decoded one the body bytes it was read from.
+Block append, and each validator's check of a proposal, re-check every
+transaction's signature and the block's gas, including transactions the
+node already admitted at gossip; for the same object the signature
+re-check reads the stored result.
 """
 
 from __future__ import annotations
@@ -109,19 +110,13 @@ def decode_payload(cur: Cursor) -> PublicCall | PrivacyMarker:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """A signed transaction.
-
-    `encoded_body`, when given, must be `body()` of the same fields:
-    `make_transaction` passes the bytes it signed and `decode_transaction`
-    the bytes it parsed, so neither encodes the body a second time.
-    """
-
     sender: bytes
     sender_pubkey: bytes
     nonce: int
     gas_limit: int
     payload: PublicCall | PrivacyMarker
     signature: bytes
+    # `body()` of these fields, from a caller that already holds it.
     encoded_body: InitVar[bytes | None] = None
     tx_id: bytes = field(init=False, compare=False, repr=False)
     _body: bytes = field(init=False, compare=False, repr=False)

@@ -7,16 +7,17 @@ acknowledged; only the payload hash ever reaches the chain, inside a
 privacy marker.  Non-member nodes never receive the key or the payload,
 so their entire byte image contains nothing derived from the plaintext.
 
-Transfer and acknowledgement delays for one payload are drawn from a
-substream keyed by the payload's stable workload index, so the exact
-same byte sequence of delays recurs when unrelated parameters (such as
-the block interval) change.
+Payload `k`'s transfer legs and retry coin are read by index from two
+streams that serve the whole run: legs `4k ... 4k+3` (push, ack, second
+push, second ack) and coin `k`.  So the same delays recur for payload
+`k` when unrelated parameters (such as the block interval) change, and
+in whatever order payloads are distributed (docs/rng.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -31,7 +32,7 @@ from .encoding import (
     enc_list,
     tagged_digest,
 )
-from .simulation import STREAM_ENCLAVE, STREAM_KEYS, Network, RngHub, Simulator, Uniform
+from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Simulator, Uniform
 
 NONCE_LEN = 12
 GROUP_KEY_LEN = 32
@@ -175,7 +176,11 @@ class DistributionResult:
 
 
 class PayloadCourier:
-    """Runs the push/ack protocol for one node's outgoing payloads."""
+    """Runs the push/ack protocol for every node's outgoing payloads.
+
+    Transfer legs come from enclave sub-stream 1 and retry coins from
+    sub-stream 2, each read by index through `IndexedDraws`.
+    """
 
     def __init__(
         self,
@@ -188,10 +193,11 @@ class PayloadCourier:
     ):
         self.sim = sim
         self.network = network
-        self.rng_hub = rng_hub
         self.enclaves = enclaves
-        self.transfer_model = transfer_model
         self.retry_probability = retry_probability
+        self._legs = IndexedDraws(partial(transfer_model.block, rng_hub.derived(STREAM_ENCLAVE, 1)))
+        coin_rng = rng_hub.derived(STREAM_ENCLAVE, 2)
+        self._coins = IndexedDraws(lambda n: coin_rng.random(n).tolist())
 
     def distribute(
         self,
@@ -204,12 +210,12 @@ class PayloadCourier:
         """Encrypt at the source enclave and push to the group's other member.
 
         The group is a pair on two distinct nodes, so there is exactly
-        one recipient.  One transfer draw for the push and one for the
-        acknowledgement; with the configured probability the first
-        attempt is lost and a second push/ack pair follows after the
-        first pair's worth of waiting.  Completion is the
-        acknowledgement's arrival; the payload hash is available
-        immediately.
+        one recipient.  Payload `k` takes transfer legs `4k` (push) and
+        `4k+1` (acknowledgement); if coin `k` falls below the retry
+        probability the first attempt is lost, and legs `4k+2` and
+        `4k+3` carry a second push/ack pair after the first pair's worth
+        of waiting.  Completion is the acknowledgement's arrival; the
+        payload hash is available immediately.
         """
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
@@ -217,19 +223,17 @@ class PayloadCourier:
         payload_hash = self.enclaves[src_node].receive(payload)
         (peer,) = (n for n in group.member_nodes if n != src_node)
 
-        rng = self.rng_hub.derived(STREAM_ENCLAVE, payload_index)
         started_at = self.sim.now
 
         def acknowledged(_ack: bytes) -> None:
             on_complete(DistributionResult(payload_hash, started_at, self.sim.now))
 
-        push1 = self.transfer_model.sample(rng)
-        ack1 = self.transfer_model.sample(rng)
-        if rng.random() < self.retry_probability:
-            push2 = self.transfer_model.sample(rng)
-            ack2 = self.transfer_model.sample(rng)
-            arrive_at = push1 + ack1 + push2
-            done_at = arrive_at + ack2
+        legs, row = self._legs, 4 * payload_index
+        push1 = legs[row]
+        ack1 = legs[row + 1]
+        if self._coins[payload_index] < self.retry_probability:
+            arrive_at = push1 + ack1 + legs[row + 2]
+            done_at = arrive_at + legs[row + 3]
         else:
             arrive_at = push1
             done_at = push1 + ack1

@@ -33,9 +33,9 @@ import numpy as np
 
 MAX_EVENTS = 10_000_000
 
-# Channel delays are drawn this many at a time.  A block draw returns
-# the values that as many scalar draws would (docs/rng.md), so the size
-# never changes an output.
+# Channel delays and indexed draws are taken this many at a time.  A
+# block draw returns the values that as many scalar draws would
+# (docs/rng.md), so the size never changes an output.
 DRAW_BLOCK = 1024
 
 STREAM_CONSENSUS = 1
@@ -126,6 +126,27 @@ Targets = tuple[tuple[str, Handler], ...]
 def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
     while True:
         yield from model.block(rng, DRAW_BLOCK)
+
+
+class IndexedDraws:
+    """The values of one stream, read by their index in it.
+
+    `draw(n)` returns the stream's next `n` values; they are drawn
+    `DRAW_BLOCK` at a time, in index order, and kept.  A block draw
+    gives the values of as many scalar draws, so value `i` depends only
+    on the stream and `i`: not on the order of reads, nor on the block
+    size.
+    """
+
+    def __init__(self, draw: Callable[[int], list]):
+        self._draw = draw
+        self._values: list = []
+
+    def __getitem__(self, i: int):
+        values = self._values
+        while i >= len(values):
+            values.extend(self._draw(DRAW_BLOCK))
+        return values[i]
 
 
 class Simulator:

@@ -112,7 +112,7 @@ def test_bytes_round_trip(value):
 def test_list_is_prefix_free(items):
     encoded = enc_list(items)
     cur = Cursor(encoded)
-    n = cur.count()
+    n = cur.u32()
     assert n == len(items)
 
 

@@ -57,108 +57,108 @@ CASES: dict[str, tuple[dict, int]] = {
 
 GOLDEN: dict[str, dict[str, str | int]] = {
     'paper-default': {
-        'latency.csv': '3990ed0be68ebf820e0df0b94c48217809e81af5e8ee37826fd1f0846ba9362d',
-        'summary.json': '523f06904d1f1e7a2cd89249d6723b50588f02209c40f9db62d904dbb516d8d8',
-        'trace.jsonl': '122c57fb454ffe4dc37a341201811aaabf8f5cba7687b1997735b231f1fce8b8',
-        'events': 5727,
-        'latency-shape': '325e66358848804fe44e6b872f9e2089c5df975f0e41e2d46ede02da566e75b3',
-        'chain:m0': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:m0': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:m1': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:m1': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:m2': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:m2': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:v0': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:v0': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:v1': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:v1': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:v2': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:v2': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
-        'chain:v3': '4850406f71bceefda96018cbedc3169c1808534eeda73ab6ef9f533a33030efb',
-        'shape:v3': 'f7936bf9cf23822a719f806150d5a2bbea16d06fa71a258e907c5c8a17ec52d4',
+        'latency.csv': '15213ed7b1b30adf94339f8117afc60ade4ad17ebecff5c4483b62ca92b8e33c',
+        'summary.json': 'dfd6af00dc07954f7ace591a170627c283303af8b327399ceb98c2c25c78d019',
+        'trace.jsonl': 'ec8d1abe12b44dc86adffa40775c848e373715a0eee2cadbeaa6144ad77c6e18',
+        'events': 5642,
+        'latency-shape': '83cd587c70290a964f5ff815e8275ece46a74133edba58e04233a6448507fb72',
+        'chain:m0': '6c054855cbb1d2b20c0b0b781c846377945f7c514350fa023d418c5f4952420c',
+        'shape:m0': 'ecc8847a0adc2d7538f243369e6afe104cdfb46fc52cbf37641ef6622a5b495a',
+        'chain:m1': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:m1': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
+        'chain:m2': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:m2': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
+        'chain:v0': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:v0': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
+        'chain:v1': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:v1': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
+        'chain:v2': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:v2': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
+        'chain:v3': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'shape:v3': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
     },
     'smoke-batches': {
-        'latency.csv': 'c5c88a9deb5e71cac2750a740e2f884be470cf3b99c5086545479fcdfd6930a6',
-        'summary.json': 'f269c43f3134c9435c93d814483ffc5a6f043d1ce0718dfec35808b1461214a0',
-        'trace.jsonl': 'e70ee83a31bf1e0c96f6bdd9322fdea8a872996d7c6ac16ea5b253ceaa949070',
-        'events': 884,
-        'latency-shape': '12ca05fb5732b390592caffa3ddecf1a4ad34b205d58d84a931e4c5fad9323dc',
-        'chain:m0': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:m0': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:m1': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:m1': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:m2': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:m2': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:v0': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:v0': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:v1': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:v1': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:v2': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:v2': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
-        'chain:v3': '1e4caf4384e63a92b32c35d677bdd39cc1bb811a68ba25fda542aae70c2fb737',
-        'shape:v3': 'be94739145f3702fd96dabb6de124be2f7bea2e74dc7274d360707fc1a67dfdb',
+        'latency.csv': '790a005ba0166a1ec5b7b084098b39bc8890ff259341b4c5094d64b9b1511698',
+        'summary.json': '07bf6a1fac9f39686b647ad56f5eda2991219ef91aae899d32b46ca41c124594',
+        'trace.jsonl': 'a1dd6e5519f96a369260494b6777822e3280bf2ac963a2d9b68970b6b3153810',
+        'events': 848,
+        'latency-shape': '9ddd4590dcd64ee2fdbe4fd375bf258022d51ee935a07ae115ad9252c543e095',
+        'chain:m0': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:m0': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:m1': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:m1': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:m2': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:m2': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:v0': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:v0': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:v1': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:v1': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:v2': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:v2': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
+        'chain:v3': '31651723e4f185f5da0772a83667953b3e250bd86f68a40bd60e5527fbb96c6b',
+        'shape:v3': '0e3356ba90fc7fd8d80944e3e455f5e2ff3ad1589e22725bebc3e132848c1571',
     },
     'smoke-equivocate': {
-        'latency.csv': '20fd5f25d7628fc0fc532b5019976d31c852b7e4487d073b0c75c1d96eab9dde',
-        'summary.json': 'e6f703e9adf8ac4d32c3073b30e2694785870f2d791fdeedd8f701f4682c65ce',
-        'trace.jsonl': '9f9b9f17ff25c795cafc620883fffe77e8f296737bd6d01422f91708182de860',
-        'events': 672,
-        'latency-shape': 'a8efd0681d0e6673ffabd179b8956d7014569b53027b11ddde6a5b3fc8a48e85',
-        'chain:m0': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
-        'shape:m0': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
-        'chain:m1': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
-        'shape:m1': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
-        'chain:m2': '02b5938dac7d5113e90764918aa37532d8556a8d977225ce7ac7356fdfd39645',
-        'shape:m2': 'eaa145e3dbf62ece9eda4573cfdbf917161586012a605d16635d0c731bfa31e5',
-        'chain:v0': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
-        'shape:v0': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
-        'chain:v1': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
-        'shape:v1': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
-        'chain:v2': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
-        'shape:v2': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
-        'chain:v3': '304f5644694a529404be8480ec261c1de8fb54b5a497fc59629ff30213043f07',
-        'shape:v3': '25c8246c2fe96570d74f5c253011d6093bb48a7387c1e9c8caeebc1feb8e62ed',
+        'latency.csv': 'dc71e421ba9e671e657f3210680a215ef0b9f305cdeb9462b0ae83b0d00df33e',
+        'summary.json': 'ce728552751c8513421f18ee918cbca257b51faaef6c59ee47b7c1eea304a513',
+        'trace.jsonl': '2203f7f2981576ccf55ad296d5e5b8185a1799df0dc4261a91edc1ad37aca144',
+        'events': 653,
+        'latency-shape': 'c47e78233f018dde280d72574d264a665816cf203f2b44979ca214de704ef73c',
+        'chain:m0': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:m0': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:m1': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:m1': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:m2': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:m2': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:v0': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:v0': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:v1': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:v1': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:v2': 'edf92359891211645016893d2d67fd976b0d8332ac5ecb18e468f2def5b862a6',
+        'shape:v2': 'cb9c889191bdfd66e0effad4acae2fad0b9fc67d0b95001e3af10e01098b5a59',
+        'chain:v3': '94f7f6d3ce3d5a06e7b07e7c84fbc90484c6d972b3b60619509282ec1f3508e3',
+        'shape:v3': '34347738f74cf90f3d4dd8925c0b572c07ec2292fbe8d8261258a9175c461fee',
     },
     'smoke-multigroup': {
-        'latency.csv': 'f937e1cb1564816800d88844e5765c14e2d623e740ed0b7a627142b55a60f1bf',
-        'summary.json': '84e6540e086a853d9d551754250d5c4f8c28a53e543f12d2762a163c14dfc2d2',
-        'trace.jsonl': 'fff4d4077ba30f75b60f03d7c9438aec5483de8dde3bd5268d368babbbf31498',
-        'events': 1354,
-        'latency-shape': '298eee7e3cfedf00335c7678a4cf99c9ddf6dd4ce76aaab7b62b893734b0a74e',
-        'chain:m0': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:m0': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:m1': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:m1': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:m2': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:m2': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:v0': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:v0': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:v1': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:v1': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:v2': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:v2': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
-        'chain:v3': 'a374aa601c180ec0666d7d500f3a3beea63708bad951b2f11caf6318d614faa1',
-        'shape:v3': '5cfcab320b69e4019497188d076867e54ab3e89477f5668a0065a3d50547fe08',
+        'latency.csv': '5d2ad213d59658af0c8e3f1abbbb5c8f963dde9fa01aeabd467bc25072c30220',
+        'summary.json': '2df28a859667551639d5d733d3fe0eae19d5eb4e12af58b9284c440fd7da4222',
+        'trace.jsonl': '7511c96e16775f856c65e8c1c94341c21acfcf76d7073467e5c1bff1c0d1cd14',
+        'events': 1218,
+        'latency-shape': '55796690f2e02e4d5551d0fed4c864dc484adfac41dd2d4cec39894a432f7618',
+        'chain:m0': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:m0': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
+        'chain:m1': '4d544455d162f0f10867a836e4313d7035498f742f2fc1df60c0966a06350579',
+        'shape:m1': '7503ca7fd13b26bf979d5fca7563091d44ff49afdbc65839f5a0c0bccfb9e1c6',
+        'chain:m2': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:m2': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
+        'chain:v0': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:v0': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
+        'chain:v1': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:v1': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
+        'chain:v2': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:v2': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
+        'chain:v3': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'shape:v3': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
     },
     'smoke-proposer-crash': {
-        'latency.csv': 'a39734895e80d1e65fc5913fa9fb84adeea7c20a20afdb2720fc133408410c1e',
-        'summary.json': 'e52639331559a51188487d2ede48b5faa7c0099501bb0294318520f9463522ea',
-        'trace.jsonl': 'f1e3d63dbb7bb694daba54905d3d4b25e788bd3f21240e2e1ef0df67b3f107ed',
+        'latency.csv': '0457324f15eb79e671a5178799fdd0138b805aed25c7304c2116624c5cb3d42f',
+        'summary.json': '070ba0182fa6a7d053a36326871ae620394a800783b54c6c07adddb5269db07a',
+        'trace.jsonl': '38f00fb487e723eac16d1e0acdb8964f35f98e950ee952518bb73378b9d89d14',
         'events': 351,
-        'latency-shape': 'f22a679ac49b78db62398f706f76f3016fdc9d28db857693ec41e37ebf6e553d',
-        'chain:m0': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'latency-shape': '7c090f1761954c6814cdede58696915ce1c68493b1a69c6ab6eb7cb156566e41',
+        'chain:m0': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:m0': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
-        'chain:m1': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'chain:m1': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:m1': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
-        'chain:m2': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'chain:m2': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:m2': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
-        'chain:v0': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'chain:v0': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:v0': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
-        'chain:v1': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'chain:v1': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:v1': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
         'chain:v2': 'cab0a5eafc4ef82a07232e9ec3132bc9d26921f513af1f0d9aa8a4811bbbbf57',
         'shape:v2': 'f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16',
-        'chain:v3': 'db6e82f16dd85ac65c2a8a5c941541fc9bdb2e4983b3db0fe16185ad276319c9',
+        'chain:v3': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:v3': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
     },
 }

@@ -19,7 +19,7 @@ from pactsim.privacy import (
     encrypt_payload,
     group_id_for,
 )
-from pactsim.simulation import Network, RngHub, Simulator, Uniform
+from pactsim.simulation import STREAM_ENCLAVE, Network, RngHub, Simulator, Uniform
 
 from .conftest import cred
 
@@ -127,12 +127,12 @@ def test_enclave_dump_contains_key_and_payload():
 # -- distribution -----------------------------------------------------
 
 
-def courier_env(retry=0.15):
+def courier_env(retry=0.15, hub=None):
     sim = Simulator()
     net = Network(sim, RngHub(21))
     enclaves = {n: Enclave(n) for n in ("m0", "m1", "m2")}
     courier = PayloadCourier(
-        sim, net, RngHub(21), enclaves, Uniform(400, 2600), retry_probability=retry
+        sim, net, hub or RngHub(21), enclaves, Uniform(400, 2600), retry_probability=retry
     )
     return sim, enclaves, courier
 
@@ -168,21 +168,45 @@ def test_distribute_delivers_ciphertext_and_completes():
     assert enclaves["m1"].open(h) == b"private op"
 
 
-def test_distribution_delays_are_keyed_by_payload_index():
-    def delays(indices):
-        sim, _, courier = courier_env()
-        out = {}
-        for i in indices:
-            nonce_group = group_for(("m0", "m1"))
-            courier.distribute(
-                nonce_group, "m0", b"p%d" % i, i, lambda r, i=i: out.__setitem__(i, r.enclave_ms)
-            )
-        sim.run()
-        return out
+def reference_enclave_ms(indices, retry=0.15) -> dict[int, int]:
+    """Each payload's duration from scalar draws: legs 4k..4k+3 of sub-stream 1, coin k of sub-stream 2."""
+    hub = RngHub(21)
+    legs_rng, coins_rng = hub.derived(STREAM_ENCLAVE, 1), hub.derived(STREAM_ENCLAVE, 2)
+    last = max(indices)
+    legs = [Uniform(400, 2600).sample(legs_rng) for _ in range(4 * last + 4)]
+    coins = [coins_rng.random() for _ in range(last + 1)]
+    return {
+        k: sum(legs[4 * k : 4 * k + 4]) if coins[k] < retry else legs[4 * k] + legs[4 * k + 1] for k in indices
+    }
 
-    a = delays([0, 1, 2])
-    b = delays([2, 0])
+
+def distribution_delays(indices, hub=None):
+    sim, _, courier = courier_env(hub=hub)
+    out = {}
+    for i in indices:
+        courier.distribute(
+            group_for(("m0", "m1")), "m0", b"p%d" % i, i, lambda r, i=i: out.__setitem__(i, r.enclave_ms)
+        )
+    sim.run()
+    return out
+
+
+def test_distribution_delays_are_keyed_by_payload_index():
+    a = distribution_delays([0, 1, 2])
+    b = distribution_delays([2, 0])
     assert a[0] == b[0] and a[2] == b[2]
+
+
+# Legs are drawn 1024 at a time, 256 payloads' worth; coins 1024 payloads' worth.
+@pytest.mark.parametrize(
+    "indices",
+    [[0, 255, 256, 1024, 1500], [1500, 1024, 256, 255, 0], list(range(40, 300)) + [3, 1030], [1030, 3]],
+)
+def test_each_payload_reads_its_own_legs_and_coin_in_any_order(indices):
+    hub = RngHub(21)
+    assert distribution_delays(indices, hub) == reference_enclave_ms(indices)
+    # Two generators serve every payload of the run.
+    assert sorted(hub._streams) == [(STREAM_ENCLAVE, 1), (STREAM_ENCLAVE, 2)]
 
 
 def test_distribution_delay_envelope():

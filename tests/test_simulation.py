@@ -2,14 +2,20 @@
 
 import gc
 import statistics
+from functools import partial
 
 import pytest
 
+from pactsim import simulation
+from pactsim.config import config_from_dict
+from pactsim.scenario import run_scenario
 from pactsim.simulation import (
     DRAW_BLOCK,
     STREAM_CONSENSUS,
+    STREAM_ENCLAVE,
     STREAM_RPC,
     Fixed,
+    IndexedDraws,
     LivelockError,
     LogNormal,
     Network,
@@ -17,6 +23,8 @@ from pactsim.simulation import (
     Simulator,
     Uniform,
 )
+
+from .test_golden import CASES
 
 
 def test_events_fire_in_time_then_insertion_order():
@@ -183,6 +191,37 @@ def test_stream_instances_are_cached():
     assert hub.stream(1) is hub.stream(1)
     assert hub.derived(1, 2) is hub.derived(1, 2)
     assert hub.stream(1) is not hub.derived(1, 2)
+
+
+def test_block_random_draws_equal_scalar_draws():
+    block = RngHub(17).derived(STREAM_ENCLAVE, 2)
+    scalar = RngHub(17).derived(STREAM_ENCLAVE, 2)
+    drawn = block.random(DRAW_BLOCK).tolist() + block.random(DRAW_BLOCK + 3).tolist()
+    assert drawn == [scalar.random() for _ in range(2 * DRAW_BLOCK + 3)]
+    # Both generators are left in the same state.
+    assert block.random() == scalar.random()
+
+
+@pytest.mark.parametrize("block", [1, 7, DRAW_BLOCK])
+def test_indexed_draws_depend_only_on_the_index(monkeypatch, block):
+    monkeypatch.setattr(simulation, "DRAW_BLOCK", block)
+    model = Uniform(400, 2600)
+    reference = RngHub(17).derived(STREAM_ENCLAVE, 1)
+    expected = [model.sample(reference) for _ in range(2 * DRAW_BLOCK + 2)]
+    draws = IndexedDraws(partial(model.block, RngHub(17).derived(STREAM_ENCLAVE, 1)))
+    order = [2 * DRAW_BLOCK + 1, 0, DRAW_BLOCK - 1, DRAW_BLOCK, 5, 2 * DRAW_BLOCK + 1, 1]
+    assert [draws[i] for i in order] == [expected[i] for i in order]
+
+
+def test_draw_block_size_never_changes_an_output(monkeypatch, tmp_path):
+    raw, seed = CASES["smoke-multigroup"]
+    outputs = []
+    for block in (DRAW_BLOCK, 1, 7):
+        monkeypatch.setattr(simulation, "DRAW_BLOCK", block)
+        out = tmp_path / str(block)
+        run_scenario(config_from_dict(raw), seed, out_dir=out)
+        outputs.append([(out / name).read_bytes() for name in ("latency.csv", "summary.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # -- latency models ---------------------------------------------------
