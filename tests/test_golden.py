@@ -53,6 +53,32 @@ CASES: dict[str, tuple[dict, int]] = {
         },
         7,
     ),
+    # Quorum arithmetic at n = 31 under a crashed proposer and three
+    # Byzantine strategies; the other cases have at most 4 validators.
+    "validators-31-faults": (
+        {
+            "preset": "smoke",
+            "validators": 31,
+            "member_nodes": 0,
+            "workload": {
+                "providers": 0,
+                "consumers": 0,
+                "publishes_per_provider": 0,
+                "selects_per_consumer": 0,
+                "breaches_per_group": 0,
+            },
+            "run": {"target_heights": 8},
+            "faults": {
+                "crashes": [{"proposer_of_height": 3, "at_ms": 2500}],
+                "byzantine": [
+                    {"node": "v5", "strategy": "equivocate"},
+                    {"node": "v9", "strategy": "withhold"},
+                    {"node": "v13", "strategy": "echo"},
+                ],
+            },
+        },
+        7,
+    ),
 }
 
 GOLDEN: dict[str, dict[str, str | int]] = {
@@ -160,6 +186,75 @@ GOLDEN: dict[str, dict[str, str | int]] = {
         'shape:v2': 'f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16',
         'chain:v3': '49fe52afe43fe002c311495a3f078d1d9ffbb9f4e72ce23db3e5f2064cae208f',
         'shape:v3': 'c473865fab6053bbbd40ac953be9c5d8a6a0e6316bc6bcc438738d67c07b58c1',
+    },
+    'validators-31-faults': {
+        'latency.csv': 'ef0c1cce541b5f4189e117f68b10fb29a7cb2e92d6982ee3005dfbaf1f51dffc',
+        'summary.json': '5019249d8e30bf01887e10ebb02bc70cb5101483b156f12b0445981d05962a1e',
+        'trace.jsonl': '64db6b4b33f6b36c4e4fa0840c64b9d39c84c1d76b26152ae89fc373bc82995a',
+        'events': 17389,
+        'latency-shape': '23b4c38c3f89275dfe913f3f6dfca35a6325c5e877e4c97874effcf26d72fc36',
+        'chain:v0': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v0': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v1': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v1': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v10': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v10': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v11': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v11': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v12': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v12': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v13': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v13': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v14': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v14': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v15': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v15': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v16': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v16': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v17': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v17': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v18': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v18': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v19': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v19': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v2': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v2': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v20': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v20': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v21': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v21': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v22': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v22': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v23': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v23': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v24': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v24': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v25': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v25': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v26': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v26': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v27': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v27': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v28': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v28': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v29': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v29': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v3': 'cab0a5eafc4ef82a07232e9ec3132bc9d26921f513af1f0d9aa8a4811bbbbf57',
+        'shape:v3': 'f7a6c106dd2f1b3f0931bc9333e6d8772a1b7399f07ccd8b030952c1341aab16',
+        'chain:v30': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v30': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v4': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v4': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v5': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v5': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v6': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v6': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v7': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v7': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v8': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v8': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
+        'chain:v9': '318af1146093e4430c6b9ba13393a3cb9efd8faa883596ee5fdfd84a2f4b74c2',
+        'shape:v9': 'c726aa458b9b1270b4801f86c7c3be07a7694aaf56fc25940ee7be6c6df49860',
     },
 }
 
