@@ -23,6 +23,11 @@ and `FUTURE_HEIGHTS` heights ahead.  Conflicting finalizations are
 caught where validators report them (`MetricsCollector`) and where a
 node appends a block.
 
+Every message a validator takes in, its own included, goes down one
+path (`_process`).  Quorum checks run only at the crossing: a vote is
+recorded, then checked only at `quorum` votes (a prepare also only in
+the current round and before that round's commit is sent).
+
 Senders, prepared-certificate signers and seals are checked against
 the genesis `ValidatorSet` alone (`ValidatorSet.signed`).
 
@@ -440,15 +445,19 @@ class IbftValidator:
         self.send_commit(msg.height, msg.round, digest)
 
     def _process(self, msg: Message, verified: bool = False) -> None:
-        h = self.state.height
+        st = self.state
+        h = st.height
         if msg.height < h:
             return
         # Checked before buffering, so forgeries can neither fill the
         # buffer nor start a sync; a buffered message is replayed with
-        # `verified` set.
-        if not verified and not _authentic(msg, self.validators):
-            self.dropped_invalid += 1
-            return
+        # `verified` set.  A verdict cached for this set is read in place.
+        if not verified:
+            checked = msg.__dict__.get("_authentic")
+            ok = checked[1] if checked is not None and checked[0] is self.validators else _authentic(msg, self.validators)
+            if not ok:
+                self.dropped_invalid += 1
+                return
         if msg.height > h:
             self._sync_from(msg.sender)
             if msg.height - h <= FUTURE_HEIGHTS:
@@ -456,12 +465,17 @@ class IbftValidator:
                 if sum(m.sender == msg.sender for m in buf) < FUTURE_BUFFER_FACTOR:
                     buf.append(msg)
             return
-        if isinstance(msg, PrePrepare):
-            self._on_preprepare(msg)
-        elif isinstance(msg, Prepare):
-            self._on_prepare(msg)
-        elif isinstance(msg, Commit):
+        kind = type(msg)
+        if kind is Prepare:
+            round_ = msg.round
+            votes = st.prepares.setdefault((round_, msg.digest), {})
+            votes[msg.sender] = msg
+            if round_ == st.round and round_ not in st.sent_commit and len(votes) >= self.validators.quorum:
+                self._check_prepare_quorum(round_, msg.digest)
+        elif kind is Commit:
             self._on_commit(msg)
+        elif kind is PrePrepare:
+            self._on_preprepare(msg)
         else:
             self._on_round_change(msg)
 
@@ -493,7 +507,7 @@ class IbftValidator:
             self._advance_round(msg.round, send_rc=False)
         st.proposals[msg.round] = msg
         # The proposal is the proposer's prepare.
-        self._add_prepare_vote(msg.round, digest, msg.sender, None)
+        st.prepares.setdefault((msg.round, digest), {})[msg.sender] = None
         if msg.sender != self.address:
             self.send_prepare(msg.height, msg.round, digest)
         self._check_prepare_quorum(msg.round, digest)
@@ -516,19 +530,14 @@ class IbftValidator:
         best = _highest_prepared(cert)
         return best is None or best.block.hash == digest
 
-    def _add_prepare_vote(self, round_: int, digest: bytes, sender: bytes, msg: Prepare | None) -> None:
-        self.state.prepares.setdefault((round_, digest), {})[sender] = msg
-
-    def _on_prepare(self, msg: Prepare) -> None:
-        self._add_prepare_vote(msg.round, msg.digest, msg.sender, msg)
-        self._check_prepare_quorum(msg.round, msg.digest)
-
     def _on_commit(self, msg: Commit) -> None:
         st = self.state
         commits = st.commits.setdefault((msg.round, msg.digest), {})
         commits[msg.sender] = msg
+        if len(commits) < self.validators.quorum:
+            return
         proposal = st.proposals.get(msg.round)
-        if len(commits) >= self.validators.quorum and (proposal is None or proposal.block.hash != msg.digest):
+        if proposal is None or proposal.block.hash != msg.digest:
             # A quorum committed a block we never saw proposed (say, an
             # equivocator's other variant); its committers will hold it.
             self._sync_from(msg.sender)

@@ -14,7 +14,9 @@ message fires as `handler(item)` at node `dst`.  It is checked twice:
 at send time `Network` drops it if either endpoint is crashed or a
 partition separates them, and at arrival the loop drops it if `dst` has
 crashed since.  `seq` rises with every push, so entries due in the same
-ms fire in insertion order and handlers are never compared.
+ms fire in insertion order and handlers are never compared.  The loop
+keeps the fired-event and delivered-message counts in locals and writes
+them back to `_fired` and `Network.delivered` however it ends.
 
 The cyclic garbage collector is paused while the loop runs: events
 create no reference cycles (a test pins this), so a pass would only walk
@@ -124,8 +126,7 @@ Targets = tuple[tuple[str, Handler], ...]
 
 
 def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
-    while True:
-        yield from model.block(rng, DRAW_BLOCK)
+    return itertools.chain.from_iterable(map(model.block, itertools.repeat(rng), itertools.repeat(DRAW_BLOCK)))
 
 
 class IndexedDraws:
@@ -183,12 +184,16 @@ class Simulator:
 
         The cyclic collector is off meanwhile and its setting is restored
         however the loop ends, so events must create no reference cycles.
+        `_fired` and `network.delivered` are counted in locals and written
+        back however the loop ends, so they are exact only between runs.
         """
         queue = self._queue
         pop = heapq.heappop
         max_events = self.max_events
         net = self.network
         crashed = net.crashed if net is not None else ()
+        fired = self._fired
+        delivered = net.delivered if net is not None else 0
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -197,8 +202,8 @@ class Simulator:
                     self.now = until
                     return
                 fire_at, _, handler, item, dst = pop(queue)
-                self._fired += 1
-                if self._fired > max_events:
+                fired += 1
+                if fired > max_events:
                     raise LivelockError(
                         f"exceeded {self.max_events} events at t={self.now}ms; "
                         "the scenario is not making progress"
@@ -209,11 +214,14 @@ class Simulator:
                 elif dst in crashed:
                     net.dropped_crash += 1
                 else:
-                    net.delivered += 1
+                    delivered += 1
                     handler(item)
             if until is not None and not self._stopped:
                 self.now = max(self.now, until)
         finally:
+            self._fired = fired
+            if net is not None:
+                net.delivered = delivered
             if collecting:
                 gc.enable()
 
@@ -270,12 +278,6 @@ class Network:
         if self.sim.trace_enabled:
             self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
 
-    def _connected(self, src: str, dst: str) -> bool:
-        for group in self.partition:
-            if src in group and dst in group:
-                return True
-        return False
-
     def send(self, src: str, targets: Targets, channel: str, item: object, wire: bytes | None = None) -> None:
         self._fan_out(src, targets, self.channels[channel], item, wire)
 
@@ -290,16 +292,18 @@ class Network:
         # The delay is taken even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
         sim = self.sim
-        queue, seq, now = sim._queue, sim._seq, sim.now
-        log = self.wire_log if wire is not None else None
-        crashed, partition = self.crashed, self.partition
+        queue, seq, now, push = sim._queue, sim._seq, sim.now, heapq.heappush
+        if wire is not None and self.wire_log is not None:
+            self.wire_log.extend((src, dst, wire) for dst, _ in targets)
+        crashed = blocked = self.crashed
         src_down = src in crashed
+        if src_down or self.partition is not None:
+            reachable = () if src_down else set().union(*(g for g in self.partition if src in g))
+            blocked = {dst for dst, _ in targets if dst in crashed or dst not in reachable}
         for (dst, handler), delay in zip(targets, delays):
-            if log is not None:
-                log.append((src, dst, wire))
-            if src_down or dst in crashed:
+            if dst not in blocked:
+                push(queue, (now + delay, next(seq), handler, item, dst))
+            elif src_down or dst in crashed:
                 self.dropped_crash += 1
-            elif partition is not None and not self._connected(src, dst):
-                self.dropped_partition += 1
             else:
-                heapq.heappush(queue, (now + delay, next(seq), handler, item, dst))
+                self.dropped_partition += 1

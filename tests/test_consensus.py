@@ -387,6 +387,103 @@ def test_round_change_carrying_a_certificate_after_the_proposers_own_prepare_is_
             assert v.state.round_changes[1][holder.address] is rc
 
 
+# -- quorum crossings -------------------------------------------------
+
+
+def signed_commit(signer, height, round_, digest):
+    seal = signer.credential.sign(seal_preimage(digest))
+    signature = signer.credential.sign(Commit.preimage(height, round_, digest, seal))
+    return Commit(height, round_, digest, seal, signer.address, signature)
+
+
+def height_one_roles(seed=5):
+    """Started validators of a 4-validator cluster, a height-1 proposal, and its roles.
+
+    Returns (proposal, proposer, holder, peer, other): `holder` is the
+    validator under test; none of the three but `proposer` leads round 0.
+    """
+    cluster = assemble(heights_config({"member_nodes": 0}), seed).cluster
+    validators = [node.validator for node in cluster.nodes.values()]
+    for v in validators:
+        v.start()
+    proposer = next(v for v in validators if v.address == v.validators.proposer_for(1, 0))
+    holder, peer, other = [v for v in validators if v is not proposer]
+    head = holder.store.head
+    block = Block(1, head.timestamp + 1000, head.hash, proposer.address, 0, ())
+    signature = proposer.credential.sign(PrePrepare.preimage(1, 0, block.hash))
+    return PrePrepare(1, 0, block, (), proposer.address, signature), proposer, holder, peer, other
+
+
+def test_a_prepare_after_the_commit_was_sent_is_recorded_but_sends_nothing(monkeypatch):
+    proposal, proposer, holder, peer, other = height_one_roles()
+    digest = proposal.block.hash
+    commits = []
+    real = IbftValidator.send_commit
+    monkeypatch.setattr(
+        IbftValidator, "send_commit", lambda self, *a: commits.append((self.name, *a)) or real(self, *a)
+    )
+    # The proposal, the holder's own prepare and the peer's make a quorum of 3.
+    holder.on_message(proposal)
+    holder.on_message(signed_prepare(peer, 1, 0, digest))
+    cert = holder.state.prepared
+    assert cert is not None and commits == [(holder.name, 1, 0, digest)]
+    late = signed_prepare(other, 1, 0, digest)
+    holder.on_message(late)
+    assert holder.state.prepares[(0, digest)][other.address] is late
+    assert holder.state.prepared is cert
+    assert commits == [(holder.name, 1, 0, digest)]
+
+
+@pytest.mark.parametrize("proposal_first", [True, False], ids=["proposal-first", "commits-first"])
+def test_commits_beyond_quorum_finalize_the_block_once(monkeypatch, proposal_first):
+    proposal, proposer, holder, peer, other = height_one_roles()
+    digest = proposal.block.hash
+    finalized = []
+    node_type = type(holder.node)
+    real = node_type.on_self_finalized
+    monkeypatch.setattr(node_type, "on_self_finalized", lambda self, b: finalized.append(b) or real(self, b))
+    # The holder's own commit comes last, beyond the quorum of 3.
+    commits = [signed_commit(v, 1, 0, digest) for v in (proposer, peer, other, holder)]
+    for msg in [proposal, *commits] if proposal_first else [*commits[:3], proposal, commits[3]]:
+        holder.on_message(msg)
+    assert [b.hash for b in finalized] == [digest]
+    assert holder.store.height == 1 and holder.store.head.hash == digest
+    assert holder.dropped_invalid == 0
+
+
+def test_forged_votes_at_the_current_height_are_dropped_by_every_recipient():
+    proposal, proposer, holder, peer, other = height_one_roles()
+    digest = proposal.block.hash
+    honest = signed_commit(peer, 1, 0, digest)
+    forged = [
+        Prepare(1, 0, digest, peer.address, b"\x00" * 64),
+        Commit(1, 0, digest, honest.seal, peer.address, b"\x00" * 64),
+        replace(honest, seal=b"\x00" * 64),
+    ]
+    # The second recipient of each forgery reads the verdict cached by the first.
+    for recipient in (holder, other):
+        recipient.on_message(proposal)
+        for dropped, msg in enumerate(forged, start=1):
+            recipient.on_message(msg)
+            assert recipient.dropped_invalid == dropped, (recipient.name, msg)
+        assert peer.address not in recipient.state.prepares[(0, digest)]
+        assert recipient.state.commits == {}
+
+
+def test_a_verdict_cached_under_another_validator_set_is_not_reused():
+    proposal, proposer, holder, peer, other = height_one_roles()
+    stranger = height_one_roles(seed=6)[3]
+    digest = proposal.block.hash
+    # Authentic in the stranger's cluster, whose keys differ from the holder's.
+    msg = signed_prepare(stranger, 1, 0, digest)
+    stranger.on_message(msg)
+    assert stranger.dropped_invalid == 0
+    holder.on_message(proposal)
+    holder.on_message(msg)
+    assert holder.dropped_invalid == 1
+    assert stranger.address not in holder.state.prepares[(0, digest)]
+
+
 def test_a_validator_that_learns_it_is_behind_asks_the_sender_for_blocks():
     cluster = assemble(heights_config(), 5).cluster
     node = cluster.nodes["v0"]

@@ -194,3 +194,29 @@ def test_a_run_creates_no_reference_cycles(collector, case, trace):
     # `result` still holds the whole run, so only garbage is unreachable.
     assert gc.collect() == 0
     assert result.completed
+
+
+def test_wire_capture_changes_no_output(tmp_path):
+    # A crashed validator and a healed partition, so the fan-out drops on
+    # both counts; only the run with capture writes the wire log.
+    config = config_from_dict(
+        {
+            "preset": "smoke",
+            "faults": {
+                "crashes": [{"node": "v2", "at_ms": 3000}],
+                "partitions": [
+                    {"from_ms": 5000, "to_ms": 20_000, "groups": [["m0"], ["v0", "v1", "v2", "v3", "m1", "m2"]]}
+                ],
+            },
+        }
+    )
+    runs = {}
+    for capture in (False, True):
+        out = tmp_path / str(capture)
+        result = run_scenario(config, seed=3, out_dir=out, capture_wire=capture)
+        net = result.cluster.network
+        assert (net.wire_log is not None) is capture
+        files = tuple((out / name).read_bytes() for name in ("latency.csv", "summary.json"))
+        runs[capture] = (files, result.sim._fired, net.delivered, net.dropped_crash, net.dropped_partition)
+    assert runs[False] == runs[True]
+    assert runs[False][3] > 0 and runs[False][4] > 0

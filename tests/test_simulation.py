@@ -144,7 +144,29 @@ def test_livelock_guard_counts_deliveries():
     net.send("a", targets, "link", None)
     with pytest.raises(LivelockError):
         sim.run()
-    assert net.delivered == 100
+    # The event that trips the guard is counted but not fired.
+    assert (sim._fired, net.delivered) == (101, 100)
+
+
+def test_counters_are_exact_after_a_pause_a_resume_and_a_stop():
+    # Every delay is 25 ms; "c" goes down at 40 ms.
+    sim, net = wired_network()
+    targets = tuple((dst, lambda _item: None) for dst in "bc")
+    net.send("a", targets, "link", None)
+    sim.schedule(30, lambda: net.send("a", targets, "link", None))
+    sim.schedule(40, lambda: net.crash("c"))
+    sim.schedule(60, sim.stop)
+    sim.schedule(70, lambda: None)
+    sim.run(until=35)
+    # Two deliveries at 25 and the timer at 30.
+    assert (sim._fired, net.delivered, net.dropped_crash) == (3, 2, 0)
+    sim.run(until=50)
+    assert (sim._fired, net.delivered, net.dropped_crash) == (4, 2, 0)
+    sim.run()
+    # One delivery and one drop at arrival at 55, then the stop at 60.
+    assert (sim._fired, net.delivered, net.dropped_crash) == (7, 3, 1)
+    sim.run()
+    assert (sim._fired, net.delivered) == (7, 3) and len(sim._queue) == 1
 
 
 def test_trace_records_only_when_enabled():
