@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-import yaml
-
 from .consensus import STRATEGY_NAMES
 from .contracts import OP_IO, GasSchedule
 from .simulation import Fixed, LatencyModel, LogNormal, Uniform
@@ -416,6 +414,10 @@ def _check_rules(c: ScenarioConfig) -> None:
 
 
 def load_config(path: str) -> ScenarioConfig:
+    # Imported here: only a config file needs YAML, and a run built from
+    # a mapping should not pay for the import.
+    import yaml
+
     try:
         with open(path) as f:
             raw = yaml.safe_load(f)

@@ -13,20 +13,26 @@ other than the sender only when the round-change certificate binds that
 block.
 
 A validator that assembles a commit quorum appends the sealed block
-itself and pushes it to non-validator nodes only.  A validator that
-falls behind pulls what it lacks: a correctly signed message for a
-height above its own, or a commit quorum for a block it never saw
-proposed, makes it ask that message's sender for the blocks above its
-head (`NodeRuntime.request_sync`).  Such messages are kept for the
-height they name, at most `FUTURE_BUFFER_FACTOR` per sender per height
-and `FUTURE_HEIGHTS` heights ahead.  Conflicting finalizations are
-caught where validators report them (`MetricsCollector`) and where a
-node appends a block.
+itself, without checking its seals again (`_authentic` checked each
+peer's seal in its `Commit`), and pushes it to non-validator nodes
+only.  A validator that falls behind pulls what it lacks: a correctly
+signed message for a height above its own, or a commit quorum for a
+block it never saw proposed, makes it ask that message's sender for
+the blocks above its head (`NodeRuntime.request_sync`).  Such
+messages are kept for the height they name, at most
+`FUTURE_BUFFER_FACTOR` per sender per height and `FUTURE_HEIGHTS`
+heights ahead.  Conflicting finalizations are caught where validators
+report them (`MetricsCollector`) and where a node appends a block.
 
-Every message a validator takes in, its own included, goes down one
-path (`_process`).  Quorum checks run only at the crossing: a vote is
-recorded, then checked only at `quorum` votes (a prepare also only in
-the current round and before that round's commit is sent).
+Every message a validator takes in goes down one function.  The
+network delivers to `IbftValidator.on_message`; the validator's own
+broadcasts and its buffered replays call the same function as
+`_process`, with `verified` set, so a probe that wraps `on_message`
+(perfbench's `consensus.handle`) counts network deliveries only, and an
+`echo` validator's own messages take the honest path.  Quorum checks
+run only at the crossing: a prepare or commit is recorded inline, then
+checked only at `quorum` votes (a prepare also only in the current
+round and before that round's commit is sent).
 
 Senders, prepared-certificate signers and seals are checked against
 the genesis `ValidatorSet` alone (`ValidatorSet.signed`).
@@ -300,7 +306,7 @@ class IbftValidator:
             self.sim.schedule_at(start_at, self._guarded(h, 0, self._propose_fresh))
         self.sim.schedule_at(start_at + self.config.base_round_timeout_ms, self._guarded(h, 0, self._on_timeout))
         for msg in self.future.pop(h, []):
-            self._process(msg, verified=True)
+            self._process(msg, True)
         # A sync can jump past buffered heights; their messages are stale.
         for stale in [k for k in self.future if k < h]:
             del self.future[stale]
@@ -323,7 +329,7 @@ class IbftValidator:
             return
         wire = message_wire(msg) if self.network.capture_wire else None
         self.network.send(self.name, self._targets, "consensus", msg, wire)
-        self._process(msg)
+        self._process(msg, True)
 
     def send_prepare(self, height: int, round_: int, digest: bytes) -> None:
         msg = Prepare(
@@ -408,56 +414,30 @@ class IbftValidator:
         for msg, targets in zip(msgs, (self._targets[:half], self._targets[half:])):
             wire = message_wire(msg) if self.network.capture_wire else None
             self.network.send(self.name, targets, "consensus", msg, wire)
-        self._process(msgs[0])
+        self._process(msgs[0], True)
 
     # -- receiving ----------------------------------------------------
 
-    def on_message(self, msg: Message) -> None:
-        if self.strategy == "echo":
-            # It never runs `_process`, but must still catch up: on a
-            # later height, and on a commit quorum for a block it never
-            # stored, which `_on_commit` answers with a sync.
-            if msg.height > self.state.height and _authentic(msg, self.validators):
-                self._sync_from(msg.sender)
-            elif isinstance(msg, Commit) and msg.height == self.state.height and _authentic(msg, self.validators):
-                self._on_commit(msg)
-            self._echo(msg)
-            return
-        self._process(msg)
-
-    def _echo(self, msg: Message) -> None:
-        """Vote for every digest seen, without any validation.
-
-        Once per (height, round, digest): two echoing validators that
-        answered each other's every vote would double their traffic with
-        each hop.
-        """
-        if isinstance(msg, PrePrepare):
-            digest = msg.block.hash
-        elif isinstance(msg, (Prepare, Commit)):
-            digest = msg.digest
-        else:
-            return
-        if (msg.height, msg.round, digest) in self.echoed:
-            return
-        self.echoed.add((msg.height, msg.round, digest))
-        self.send_prepare(msg.height, msg.round, digest)
-        self.send_commit(msg.height, msg.round, digest)
-
-    def _process(self, msg: Message, verified: bool = False) -> None:
+    def on_message(self, msg: Message, verified: bool = False) -> None:
+        """Take in one message; `verified` (own or replayed) skips the signature check and `echo`."""
         st = self.state
         h = st.height
-        if msg.height < h:
-            return
-        # Checked before buffering, so forgeries can neither fill the
-        # buffer nor start a sync; a buffered message is replayed with
-        # `verified` set.  A verdict cached for this set is read in place.
         if not verified:
+            if self.strategy == "echo":
+                self._echo(msg)
+                return
+            if msg.height < h:
+                return
+            # Checked before buffering, so forgeries can neither fill the
+            # buffer nor start a sync.  A verdict cached for this set is
+            # read in place.
             checked = msg.__dict__.get("_authentic")
             ok = checked[1] if checked is not None and checked[0] is self.validators else _authentic(msg, self.validators)
             if not ok:
                 self.dropped_invalid += 1
                 return
+        elif msg.height < h:
+            return
         if msg.height > h:
             self._sync_from(msg.sender)
             if msg.height - h <= FUTURE_HEIGHTS:
@@ -473,11 +453,43 @@ class IbftValidator:
             if round_ == st.round and round_ not in st.sent_commit and len(votes) >= self.validators.quorum:
                 self._check_prepare_quorum(round_, msg.digest)
         elif kind is Commit:
-            self._on_commit(msg)
+            votes = st.commits.setdefault((msg.round, msg.digest), {})
+            votes[msg.sender] = msg
+            if len(votes) >= self.validators.quorum:
+                self._on_commit(msg)
         elif kind is PrePrepare:
             self._on_preprepare(msg)
         else:
             self._on_round_change(msg)
+
+    # The same function under a name that a probe wrapping `on_message`
+    # leaves alone, for own broadcasts and buffered replays.
+    _process = on_message
+
+    def _echo(self, msg: Message) -> None:
+        """Vote for every digest seen, without any validation.
+
+        Once per (height, round, digest): two echoing validators that
+        answered each other's every vote would double their traffic with
+        each hop.  The validator must still catch up: on a later height,
+        and on a commit quorum for a block it never stored, which
+        `_on_commit` answers with a sync.
+        """
+        if msg.height > self.state.height and _authentic(msg, self.validators):
+            self._sync_from(msg.sender)
+        elif isinstance(msg, Commit) and msg.height == self.state.height and _authentic(msg, self.validators):
+            self._process(msg, True)
+        if isinstance(msg, PrePrepare):
+            digest = msg.block.hash
+        elif isinstance(msg, (Prepare, Commit)):
+            digest = msg.digest
+        else:
+            return
+        if (msg.height, msg.round, digest) in self.echoed:
+            return
+        self.echoed.add((msg.height, msg.round, digest))
+        self.send_prepare(msg.height, msg.round, digest)
+        self.send_commit(msg.height, msg.round, digest)
 
     def _on_preprepare(self, msg: PrePrepare) -> None:
         st = self.state
@@ -531,12 +543,8 @@ class IbftValidator:
         return best is None or best.block.hash == digest
 
     def _on_commit(self, msg: Commit) -> None:
-        st = self.state
-        commits = st.commits.setdefault((msg.round, msg.digest), {})
-        commits[msg.sender] = msg
-        if len(commits) < self.validators.quorum:
-            return
-        proposal = st.proposals.get(msg.round)
+        """`msg` brought its (round, digest) to a commit quorum or beyond."""
+        proposal = self.state.proposals.get(msg.round)
         if proposal is None or proposal.block.hash != msg.digest:
             # A quorum committed a block we never saw proposed (say, an
             # equivocator's other variant); its committers will hold it.
@@ -573,7 +581,8 @@ class IbftValidator:
         commits = st.commits.get((round_, digest), {})
         if len(commits) < self.validators.quorum:
             return
-        seals = tuple(sorted(((c.sender, c.seal) for c in commits.values()), key=lambda s: s[0]))
+        # Senders are distinct, so the pairs sort by sender alone.
+        seals = tuple(sorted([(c.sender, c.seal) for c in commits.values()]))
         sealed = proposal.block.replace_unhashed(seals=seals)
         if self.sim.trace_enabled:
             self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)

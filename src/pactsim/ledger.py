@@ -3,8 +3,10 @@
 A transaction either calls a public contract function or carries a
 privacy marker (a group id plus the hash of an encrypted payload that
 travels off-chain).  Blocks are finalized with a quorum of commit seals
-over the block hash; the store verifies seals against the genesis
-`ValidatorSet` and refuses conflicting blocks at the same height.
+over the block hash.  The store refuses conflicting blocks at the same
+height and checks the seals of every block another node sent against
+the genesis `ValidatorSet`; a block a validator sealed itself comes
+from commits whose seals consensus already checked against that set.
 
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
@@ -25,7 +27,7 @@ re-check reads the stored result.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -214,7 +216,8 @@ class Block:
         """A copy with another `round` or `seals`; it keeps this block's hash."""
         if not changes.keys() <= {"round", "seals"}:
             raise ValueError(f"{sorted(changes)} are not all outside the block hash")
-        copy = replace(self, **changes)
+        round_, seals = changes.get("round", self.round), changes.get("seals", self.seals)
+        copy = Block(self.height, self.timestamp, self.parent_hash, self.proposer, round_, self.txs, seals)
         copy.__dict__["hash"] = self.hash
         return copy
 
@@ -284,13 +287,18 @@ class ChainStore:
         if len(seen) < self.validators.quorum:
             raise InsufficientSeals(f"{len(seen)} seals, need {self.validators.quorum}")
 
-    def append_block(self, block: Block) -> bool:
+    def append_block(self, block: Block, seals_verified: bool = False) -> bool:
         """Validate and append a sealed block.
 
         Returns True when appended, False when the identical block was
         already stored.  Raises DuplicateHeight when a *different* block
         is finalized at an occupied height: that is a consensus safety
         violation and the caller must not continue silently.
+
+        Seals are checked (`verify_seals`) unless `seals_verified`: a
+        validator sets it for a block it sealed from its own commit
+        quorum, whose seals consensus checked one `Commit` at a time.
+        The other checks always run.
         """
         if block.height <= self.height:
             known = self.hash_at(block.height)
@@ -301,7 +309,8 @@ class ChainStore:
                 f"{known.hex()[:16]} vs {block.hash.hex()[:16]}"
             )
         self.check_extends(block)
-        self.verify_seals(block)
+        if not seals_verified:
+            self.verify_seals(block)
         self.blocks.append(block)
         return True
 

@@ -19,6 +19,10 @@ its head (`request_sync`); each block of the reply goes through
 may never have arrived, so a node that catches up this way gossips its
 pending transactions again.
 
+A block's seals are checked where it enters a node: by `append_block`
+for a block pushed or synced from a peer, and by consensus, one
+`Commit` at a time, for a block the node's own validator sealed.
+
 A transaction's signature is checked at gossip intake, by each
 validator in a proposal holding it, and when a block holding it is
 appended.  The check is derived once per transaction object, so a
@@ -133,9 +137,9 @@ class NodeRuntime:
     # -- block intake -------------------------------------------------
 
     def on_self_finalized(self, sealed: Block) -> None:
-        """A quorum of commits assembled locally by our own validator."""
+        """A quorum of commits assembled locally by our own validator, whose seals consensus checked."""
         try:
-            appended = self.store.append_block(sealed)
+            appended = self.store.append_block(sealed, seals_verified=True)
         except DuplicateHeight as err:
             self.cluster.metrics.record_safety_violation(self.name, sealed.height, str(err))
             return

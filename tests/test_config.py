@@ -1,6 +1,9 @@
 """Configuration schema: presets, merging, validation, YAML loading."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -375,6 +378,21 @@ def test_load_config_from_yaml(tmp_path):
     assert c.block_interval_ms == 750
     assert c.workload.providers == 3
     assert c.workload.consumers == 2
+
+
+def test_a_config_from_a_mapping_never_imports_yaml():
+    # A fresh interpreter: this one may have imported yaml already.
+    code = (
+        "import sys\n"
+        "import pactsim.scenario\n"
+        "from pactsim.config import config_from_dict\n"
+        "config_from_dict({'preset': 'smoke'})\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_load_config_missing_file():

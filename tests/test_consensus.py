@@ -17,6 +17,7 @@ from pactsim.consensus import (
     ValidatorSet,
     fault_tolerance,
 )
+from pactsim import identity, ledger
 from pactsim.config import config_from_dict
 from pactsim.identity import quorum_size, verify
 from pactsim.ledger import Block, InvalidBlock, genesis_block, hash_block, seal_preimage
@@ -449,6 +450,36 @@ def test_commits_beyond_quorum_finalize_the_block_once(monkeypatch, proposal_fir
     assert [b.hash for b in finalized] == [digest]
     assert holder.store.height == 1 and holder.store.head.hash == digest
     assert holder.dropped_invalid == 0
+
+
+def test_a_self_sealed_block_is_appended_without_checking_its_seals_again(monkeypatch):
+    proposal, proposer, holder, peer, other = height_one_roles()
+    digest = proposal.block.hash
+    commits = [signed_commit(v, 1, 0, digest) for v in (proposer, peer, other)]
+    # Another recipient checks each commit first, as a broadcast's first
+    # recipient does, so the holder reads cached verdicts.
+    for msg in commits:
+        other.on_message(msg)
+    oracle = []
+    for module in (identity, ledger):
+        real = module.verify
+        monkeypatch.setattr(module, "verify", lambda *a, real=real: oracle.append(a) or real(*a))
+    during = []
+    node_type = type(holder.node)
+    real_finalize = node_type.on_self_finalized
+
+    def finalize(self, block):
+        before = len(oracle)
+        real_finalize(self, block)
+        during.append((block.hash, len(oracle) - before))
+
+    monkeypatch.setattr(node_type, "on_self_finalized", finalize)
+    for msg in [proposal, *commits]:
+        holder.on_message(msg)
+    assert holder.store.height == 1 and holder.store.head.hash == digest
+    assert sorted(sealer for sealer, _ in holder.store.head.seals) == sorted(c.sender for c in commits)
+    # Each seal was checked once, in its commit; the append checks none again.
+    assert during == [(digest, 0)]
 
 
 def test_forged_votes_at_the_current_height_are_dropped_by_every_recipient():
