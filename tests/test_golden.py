@@ -15,6 +15,10 @@ moves the full digests but must leave these, and `summary.json`, alone.
 `events` is the number of events the kernel fired.  `events_per_s`
 divides by it, so a refactor that claims to keep behaviour must also
 keep this count.
+
+`WIRE_CASE` pins what crosses the network: the run captures the wire,
+and `wire_digest` gives the log's entry count and a SHA-256 over every
+entry as `src|dst|len|` followed by its bytes.
 """
 
 from __future__ import annotations
@@ -80,6 +84,25 @@ CASES: dict[str, tuple[dict, int]] = {
         7,
     ),
 }
+
+# A crashed validator, an equivocating proposer and a member cut off for
+# 15 s: round changes, sync requests and replies, pushes and enclave
+# traffic all cross the network.
+WIRE_CASE: tuple[dict, int] = (
+    {
+        "preset": "smoke",
+        "faults": {
+            "crashes": [{"node": "v2", "at_ms": 3000}],
+            "byzantine": [{"node": "v1", "strategy": "equivocate"}],
+            "partitions": [
+                {"from_ms": 5000, "to_ms": 20000, "groups": [["m0"], ["v0", "v1", "v2", "v3", "m1", "m2"]]},
+            ],
+        },
+    },
+    3,
+)
+
+WIRE_GOLDEN = (525, 'b772beda89c689712dd2033ef2c486a051ae41bbc7c9858679a958b999a54ed4')
 
 GOLDEN: dict[str, dict[str, str | int]] = {
     'paper-default': {
@@ -285,10 +308,22 @@ def run_digests(raw: dict, seed: int, out_dir: Path) -> dict[str, str | int]:
     return digests
 
 
+def wire_digest(raw: dict, seed: int) -> tuple[int, str]:
+    log = run_scenario(config_from_dict(raw), seed, capture_wire=True).cluster.network.wire_log
+    h = hashlib.sha256()
+    for src, dst, wire in log:
+        h.update(f"{src}|{dst}|{len(wire)}|".encode() + wire)
+    return len(log), h.hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tmp_path):
     raw, seed = CASES[case]
     assert run_digests(raw, seed, tmp_path) == GOLDEN[case]
+
+
+def test_wire_image_digest():
+    assert wire_digest(*WIRE_CASE) == WIRE_GOLDEN
 
 
 if __name__ == "__main__":
@@ -298,3 +333,4 @@ if __name__ == "__main__":
             for name, value in run_digests(raw, seed, Path(tmp) / case).items():
                 print(f"        {name!r}: {value!r},")
             print("    },")
+    print(f"WIRE_GOLDEN = {wire_digest(*WIRE_CASE)!r}")
