@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ledger import PrivacyMarker
-from .scenario import RunResult
+from .scenario import RunResult, wire_bytes
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def isolation_scan(result: RunResult) -> list[Finding]:
         return findings
     images = {name: node_byte_image(result, name) for name in result.cluster.node_names}
     wire_log = result.cluster.network.wire_log
-    wire_image = b"\x00".join(w for _, _, w in wire_log) if wire_log else b""
+    wire_image = b"\x00".join(wire_bytes(item) for _, _, item in wire_log) if wire_log else b""
     for group in result.directory.by_id.values():
         outsiders = [n for n in result.cluster.node_names if n not in group.member_nodes]
         plaintexts = [p for gid, p in result.driver.payload_log if gid == group.group_id]

@@ -327,8 +327,7 @@ class IbftValidator:
     def _broadcast(self, msg: Message) -> None:
         if self.strategy == "withhold":
             return
-        wire = message_wire(msg) if self.network.capture_wire else None
-        self.network.send(self.name, self._targets, "consensus", msg, wire)
+        self.network.send(self.name, self._targets, "consensus", msg)
         self._process(msg, True)
 
     def send_prepare(self, height: int, round_: int, digest: bytes) -> None:
@@ -412,8 +411,7 @@ class IbftValidator:
         # the rest the twin; we keep the first variant for ourselves.
         half = (len(self._targets) + 1) // 2
         for msg, targets in zip(msgs, (self._targets[:half], self._targets[half:])):
-            wire = message_wire(msg) if self.network.capture_wire else None
-            self.network.send(self.name, targets, "consensus", msg, wire)
+            self.network.send(self.name, targets, "consensus", msg)
         self._process(msgs[0], True)
 
     # -- receiving ----------------------------------------------------

@@ -64,8 +64,8 @@ class MetricsCollector:
     def __init__(self):
         self.samples: list[LatencySample] = []
         self._by_tx: dict[bytes, LatencySample] = {}
-        self._block_final: dict[int, int] = {}
-        self._block_hash: dict[int, bytes] = {}
+        # Height -> (block hash, virtual time of its first finalization).
+        self._finalized: dict[int, tuple[bytes, int]] = {}
         self.safety_violations: list[SafetyViolation] = []
         self.finalized_heights = 0
         self.height_callbacks: list = []
@@ -95,18 +95,15 @@ class MetricsCollector:
     # -- finality events ----------------------------------------------
 
     def on_validator_finalized(self, validator: str, block: Block, now: int) -> None:
-        known = self._block_hash.get(block.height)
-        if known is None:
-            self._block_hash[block.height] = block.hash
-        elif known != block.hash:
-            self.record_safety_violation(
-                validator, block.height,
-                f"finalized {block.hash.hex()[:16]} but {known.hex()[:16]} was already final",
-            )
+        known = self._finalized.get(block.height)
+        if known is not None:
+            if known[0] != block.hash:
+                self.record_safety_violation(
+                    validator, block.height,
+                    f"finalized {block.hash.hex()[:16]} but {known[0].hex()[:16]} was already final",
+                )
             return
-        if block.height in self._block_final:
-            return
-        self._block_final[block.height] = now
+        self._finalized[block.height] = (block.hash, now)
         self.finalized_heights = max(self.finalized_heights, block.height)
         for tx in block.txs:
             sample = self._by_tx.get(tx.tx_id)
@@ -122,7 +119,7 @@ class MetricsCollector:
 
     def first_finalized_at(self, height: int) -> int | None:
         """Virtual time at which any validator first finalized a height."""
-        return self._block_final.get(height)
+        return self._finalized.get(height, (None, None))[1]
 
     # -- aggregation --------------------------------------------------
 

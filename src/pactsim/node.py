@@ -45,7 +45,6 @@ from .contracts import (
     Receipt,
     decode_private_op,
 )
-from .encoding import enc_list, enc_u64
 from .identity import ValidatorSet
 from .ledger import (
     Block,
@@ -56,7 +55,6 @@ from .ledger import (
     PrivacyMarker,
     Transaction,
     TxPool,
-    block_wire,
 )
 from .privacy import Enclave, GroupInfo
 from .simulation import Network, Simulator, Targets
@@ -93,7 +91,7 @@ class NodeRuntime:
         self.store = ChainStore(validators, block_gas_limit)
         self.state = PublicState(schedule)
         self.pool = TxPool()
-        self.enclave = Enclave(name)
+        self.enclave = Enclave()
         self.receipts: dict[bytes, ReceiptEntry] = {}
         self._receipt_waiters: dict[bytes, list[Callable[[ReceiptEntry], None]]] = {}
         self.group_ledgers: dict[bytes, BreachLedger] = {}
@@ -119,9 +117,8 @@ class NodeRuntime:
         self._gossip(tx)
 
     def _gossip(self, tx: Transaction) -> None:
-        wire = tx.encode() if self.network.capture_wire else None
         gossip, _ = self.cluster.targets(self.name)
-        self.network.send(self.name, gossip, "rpc", tx, wire)
+        self.network.send(self.name, gossip, "rpc", tx)
 
     def receive_gossip(self, tx: Transaction) -> None:
         if tx.verify_signature():
@@ -190,18 +187,16 @@ class NodeRuntime:
         self.sync_requests += 1
         if self.sim.trace_enabled:
             self.sim.trace("sync_request", node=self.name, peer=peer, from_height=head + 1)
-        wire = enc_u64(head + 1) if self.network.capture_wire else None
         serve = partial(self.cluster.nodes[peer].serve_sync, self.name)
-        self.network.send(self.name, ((peer, serve),), "consensus", head + 1, wire)
+        self.network.send(self.name, ((peer, serve),), "consensus", head + 1)
 
     def serve_sync(self, requester: str, from_height: int) -> None:
         """Send `requester` up to `SYNC_BATCH` stored blocks from `from_height` on."""
         blocks = tuple(self.store.blocks[from_height : from_height + SYNC_BATCH])
         if not blocks:
             return
-        wire = enc_list(block_wire(b) for b in blocks) if self.network.capture_wire else None
         reply = partial(self.cluster.nodes[requester].on_sync_reply, self.name)
-        self.network.send(self.name, ((requester, reply),), "consensus", blocks, wire)
+        self.network.send(self.name, ((requester, reply),), "consensus", blocks)
 
     def on_sync_reply(self, peer: str, blocks: tuple[Block, ...]) -> None:
         """Append a peer's blocks; once caught up, re-gossip the pool and, after a full reply, ask again."""
@@ -325,14 +320,12 @@ class Cluster:
         return pair
 
     def push_to_members(self, src: str, block: Block) -> None:
-        wire = block_wire(block) if self.network.capture_wire else None
         _, members = self.targets(src)
-        self.network.send(src, members, "consensus", block, wire)
+        self.network.send(src, members, "consensus", block)
 
     def submit(self, node_name: str, tx: Transaction) -> None:
         """Client submission over local RPC to the node hosting it."""
-        wire = tx.encode() if self.network.capture_wire else None
-        self.network.send(node_name, ((node_name, self.nodes[node_name].receive_tx),), "rpc", tx, wire)
+        self.network.send(node_name, ((node_name, self.nodes[node_name].receive_tx),), "rpc", tx)
 
     def start_validators(self) -> None:
         for node in self.nodes.values():

@@ -107,10 +107,6 @@ def encrypt_payload(key: bytes, nonce: bytes, plaintext: bytes, group_id: bytes)
     return ChaCha20Poly1305(key).encrypt(nonce, plaintext, group_id)
 
 
-def encode_wire(group_id: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-    return enc_fixed(group_id, HASH_LEN) + enc_fixed(nonce, NONCE_LEN) + enc_bytes(ciphertext)
-
-
 @dataclass(frozen=True)
 class StoredPayload:
     group_id: bytes
@@ -122,21 +118,23 @@ class StoredPayload:
         return digest(self.ciphertext)
 
 
+def encode_wire(p: StoredPayload) -> bytes:
+    return enc_fixed(p.group_id, HASH_LEN) + enc_fixed(p.nonce, NONCE_LEN) + enc_bytes(p.ciphertext)
+
+
 class Enclave:
     """Per-node store of group keys and encrypted payloads.
 
-    A key's cipher is built once, when the key is stored.
+    Like `encrypt_payload`, `open` builds its cipher from the key on
+    each call; no cipher object is kept per key.
     """
 
-    def __init__(self, node_name: str):
-        self.node_name = node_name
+    def __init__(self):
         self.keys: dict[bytes, bytes] = {}
-        self._ciphers: dict[bytes, ChaCha20Poly1305] = {}
         self.payloads: dict[bytes, StoredPayload] = {}
 
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
-        self._ciphers[group_id] = ChaCha20Poly1305(key)
 
     def receive(self, payload: StoredPayload) -> bytes:
         h = payload.payload_hash
@@ -148,10 +146,10 @@ class Enclave:
         stored = self.payloads.get(payload_hash)
         if stored is None:
             return None
-        cipher = self._ciphers.get(stored.group_id)
-        if cipher is None:
+        key = self.keys.get(stored.group_id)
+        if key is None:
             return None
-        return cipher.decrypt(stored.nonce, stored.ciphertext, stored.group_id)
+        return ChaCha20Poly1305(key).decrypt(stored.nonce, stored.ciphertext, stored.group_id)
 
     def dump_bytes(self) -> bytes:
         """Everything this enclave persists, for the isolation scan."""
@@ -159,8 +157,7 @@ class Enclave:
         for gid in sorted(self.keys):
             chunks.append(enc_fixed(gid, HASH_LEN) + enc_bytes(self.keys[gid]))
         for h in sorted(self.payloads):
-            p = self.payloads[h]
-            chunks.append(encode_wire(p.group_id, p.nonce, p.ciphertext))
+            chunks.append(encode_wire(self.payloads[h]))
         return b"".join(chunks)
 
 
@@ -237,9 +234,6 @@ class PayloadCourier:
         else:
             arrive_at = push1
             done_at = push1 + ack1
-        capture = self.network.capture_wire
-        push_wire = encode_wire(group.group_id, nonce, ciphertext) if capture else None
-        ack_wire = enc_fixed(payload_hash, HASH_LEN) if capture else None
-        self.network.send_after(src_node, peer, arrive_at, self.enclaves[peer].receive, payload, push_wire)
-        self.network.send_after(peer, src_node, done_at, acknowledged, payload_hash, ack_wire)
+        self.network.send_after(src_node, peer, arrive_at, self.enclaves[peer].receive, payload)
+        self.network.send_after(peer, src_node, done_at, acknowledged, payload_hash)
         return payload_hash

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import ScenarioConfig
-from .consensus import IbftValidator
+from .consensus import IbftValidator, Message, message_wire
 from .contracts import (
     OP_IO,
     AgreementRecord,
@@ -41,12 +41,12 @@ from .contracts import (
     PrivateOp,
     Role,
 )
-from .encoding import digest, enc_args
+from .encoding import digest, enc_args, enc_list, enc_u64
 from .identity import Credential, ValidatorSet
-from .ledger import PrivacyMarker, PublicCall, Transaction, make_transaction
+from .ledger import Block, PrivacyMarker, PublicCall, Transaction, block_wire, make_transaction
 from .metrics import OFF_CHAIN_FINAL_KINDS, MetricsCollector
 from .node import Cluster, NodeRuntime
-from .privacy import DistributionResult, GroupDirectory, GroupInfo, PayloadCourier
+from .privacy import DistributionResult, GroupDirectory, GroupInfo, PayloadCourier, StoredPayload, encode_wire
 from .simulation import (
     STREAM_CONSENSUS,
     STREAM_KEYS,
@@ -103,6 +103,27 @@ class RunResult:
     completed: bool = False
     summary: dict = field(default_factory=dict)
     out_dir: Path | None = None
+
+
+def wire_bytes(item: object) -> bytes:
+    """The bytes `item` crosses the network as (docs/encoding.md, "What
+    crosses the network").  A run with `capture_wire` logs items, not
+    bytes; this is the one place a logged item is serialized."""
+    if isinstance(item, Transaction):
+        return item.encode()
+    if isinstance(item, Block):
+        return block_wire(item)
+    if isinstance(item, tuple) and all(isinstance(b, Block) for b in item):
+        return enc_list(map(block_wire, item))
+    if isinstance(item, StoredPayload):
+        return encode_wire(item)
+    if isinstance(item, int):
+        return enc_u64(item)
+    if isinstance(item, bytes):
+        return item
+    if isinstance(item, Message):
+        return message_wire(item)
+    raise TypeError(f"no wire form for {type(item).__name__}")
 
 
 def assemble(
@@ -222,7 +243,6 @@ class WorkloadDriver:
         self._outstanding = 0
         self._stage_queue: list = []
         self.completed = False
-        self.completed_at: int | None = None
         self.stage_log: list[tuple[str, int]] = []
         self.domains = {d.address: d for d in run.providers + run.consumers}
 
@@ -248,7 +268,6 @@ class WorkloadDriver:
     def _advance(self) -> None:
         if not self._stage_queue:
             self.completed = True
-            self.completed_at = self.sim.now
             self.sim.trace("workload_done")
             self.sim.schedule(self.config.run.grace_ms, self.sim.stop)
             return

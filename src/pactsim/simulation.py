@@ -242,7 +242,10 @@ class Network:
     otherwise it goes onto the kernel's heap as
     `(now + delay, seq, handler, item, dst)`.  At arrival the kernel
     drops it if `dst` has crashed meanwhile and calls `handler(item)` if
-    not.  Every target of a fan-out gets the same item object.
+    not.  Every target of a fan-out gets the same item object.  With
+    `wire_log` set, every target's `(src, dst, item)` is logged as
+    offered, dropped or not; the log holds items, not bytes
+    (`scenario.wire_bytes` serializes one).
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
@@ -258,12 +261,8 @@ class Network:
         self.dropped_crash = 0
         self.dropped_partition = 0
         # When set, every message offered to the fabric is recorded as
-        # (src, dst, wire bytes), including messages later dropped.
-        self.wire_log: list[tuple[str, str, bytes]] | None = None
-
-    @property
-    def capture_wire(self) -> bool:
-        return self.wire_log is not None
+        # (src, dst, item), including messages later dropped.
+        self.wire_log: list[tuple[str, str, Any]] | None = None
 
     def add_channel(self, name: str, model: LatencyModel, stream_tag: int) -> None:
         self.channels[name] = _delays(model, self.rng_hub.stream(stream_tag))
@@ -278,23 +277,21 @@ class Network:
         if self.sim.trace_enabled:
             self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
 
-    def send(self, src: str, targets: Targets, channel: str, item: object, wire: bytes | None = None) -> None:
-        self._fan_out(src, targets, self.channels[channel], item, wire)
+    def send(self, src: str, targets: Targets, channel: str, item: object) -> None:
+        self._fan_out(src, targets, self.channels[channel], item)
 
-    def send_after(
-        self, src: str, dst: str, delay: int, handler: Handler, item: object, wire: bytes | None = None
-    ) -> None:
+    def send_after(self, src: str, dst: str, delay: int, handler: Handler, item: object) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        self._fan_out(src, ((dst, handler),), (delay,), item, wire)
+        self._fan_out(src, ((dst, handler),), (delay,), item)
 
-    def _fan_out(self, src: str, targets: Targets, delays: Iterable[int], item: object, wire: bytes | None) -> None:
+    def _fan_out(self, src: str, targets: Targets, delays: Iterable[int], item: object) -> None:
         # The delay is taken even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
         sim = self.sim
         queue, seq, now, push = sim._queue, sim._seq, sim.now, heapq.heappush
-        if wire is not None and self.wire_log is not None:
-            self.wire_log.extend((src, dst, wire) for dst, _ in targets)
+        if self.wire_log is not None:
+            self.wire_log.extend((src, dst, item) for dst, _ in targets)
         crashed = blocked = self.crashed
         src_down = src in crashed
         if src_down or self.partition is not None:

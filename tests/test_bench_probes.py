@@ -8,6 +8,12 @@ path and never edited.  One small finished run exposes every attribute
 path `perfbench/child.py` reads of a `RunResult`, so a reshaped result,
 receipt or validator fails here too.
 
+The tracer imports a module it probes that `import pactsim` leaves
+unloaded (`pactsim.audit`) only after it has wrapped the functions
+before it in `PROBES`.  Such a module that bound a probed function by
+name would bind the wrapper, and removing the tracer would leave it
+there; so none may.
+
 The consensus probe wraps `IbftValidator.on_message` on the class, so
 its call count is the layer's `consensus.messages`.  That count must be
 the network's deliveries exactly: a validator's own broadcasts and its
@@ -16,11 +22,15 @@ replays of buffered messages take the same code under another name.
 
 import importlib
 import importlib.util
+import os
+import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pactsim
 from pactsim import config, identity, metrics, scenario
 from pactsim.consensus import Commit, IbftValidator, Prepare, PrePrepare
 from pactsim.ledger import Block, seal_preimage
@@ -49,6 +59,21 @@ def test_layer_probe_resolves(probe):
     if cls is not None:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr))
+
+
+def test_no_late_module_binds_a_probed_function():
+    code = "import sys, pactsim; print(*sorted(m for m in sys.modules if m.startswith('pactsim.')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    late = sorted({f"pactsim.{m.name}" for m in pkgutil.iter_modules(pactsim.__path__)} - set(loaded.stdout.split()))
+    assert "pactsim.audit" in late
+    probed = [(module, getattr(importlib.import_module(module), attr)) for module, cls, attr, _ in load_probes() if cls is None]
+    for name in late:
+        bound = vars(importlib.import_module(name))
+        for owner, fn in probed:
+            if owner != name:
+                assert all(value is not fn for value in bound.values()), f"{name} binds {owner}.{fn.__name__}"
 
 
 def test_child_reads_resolve():

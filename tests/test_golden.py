@@ -18,7 +18,9 @@ keep this count.
 
 `WIRE_CASE` pins what crosses the network: the run captures the wire,
 and `wire_digest` gives the log's entry count and a SHA-256 over every
-entry as `src|dst|len|` followed by its bytes.
+entry as `src|dst|len|` followed by its `wire_bytes`.  The case carries
+every kind of item the network does, so each branch of `wire_bytes` is
+pinned.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from pactsim.config import config_from_dict
-from pactsim.scenario import run_scenario
+from pactsim.scenario import run_scenario, wire_bytes
 
 CASES: dict[str, tuple[dict, int]] = {
     "paper-default": ({"preset": "paper-default"}, 7),
@@ -308,10 +310,14 @@ def run_digests(raw: dict, seed: int, out_dir: Path) -> dict[str, str | int]:
     return digests
 
 
-def wire_digest(raw: dict, seed: int) -> tuple[int, str]:
-    log = run_scenario(config_from_dict(raw), seed, capture_wire=True).cluster.network.wire_log
+def capture(raw: dict, seed: int) -> list:
+    return run_scenario(config_from_dict(raw), seed, capture_wire=True).cluster.network.wire_log
+
+
+def wire_digest(log: list) -> tuple[int, str]:
     h = hashlib.sha256()
-    for src, dst, wire in log:
+    for src, dst, item in log:
+        wire = wire_bytes(item)
         h.update(f"{src}|{dst}|{len(wire)}|".encode() + wire)
     return len(log), h.hexdigest()
 
@@ -322,8 +328,21 @@ def test_golden_digests(case, tmp_path):
     assert run_digests(raw, seed, tmp_path) == GOLDEN[case]
 
 
-def test_wire_image_digest():
-    assert wire_digest(*WIRE_CASE) == WIRE_GOLDEN
+@pytest.fixture(scope="module")
+def wire_log():
+    return capture(*WIRE_CASE)
+
+
+def test_wire_image_digest(wire_log):
+    assert wire_digest(wire_log) == WIRE_GOLDEN
+
+
+def test_wire_case_carries_every_item_kind(wire_log):
+    kinds = {type(item).__name__ for _, _, item in wire_log}
+    assert kinds == {
+        "Transaction", "Block", "tuple", "StoredPayload", "int", "bytes",
+        "PrePrepare", "Prepare", "Commit", "RoundChange",
+    }
 
 
 if __name__ == "__main__":
@@ -333,4 +352,4 @@ if __name__ == "__main__":
             for name, value in run_digests(raw, seed, Path(tmp) / case).items():
                 print(f"        {name!r}: {value!r},")
             print("    },")
-    print(f"WIRE_GOLDEN = {wire_digest(*WIRE_CASE)!r}")
+    print(f"WIRE_GOLDEN = {wire_digest(capture(*WIRE_CASE))!r}")

@@ -46,7 +46,7 @@ def test_encrypt_round_trip_and_tamper_rejection():
     cases = [(KEY, GID, ct), (KEY, other, ct), (bytes(32), GID, ct), (KEY, GID, bytes([ct[0] ^ 1]) + ct[1:])]
     opened = []
     for key, gid, data in cases:
-        enclave = Enclave("m1")
+        enclave = Enclave()
         enclave.store_key(gid, key)
         h = enclave.receive(StoredPayload(gid, nonce, data))
         try:
@@ -94,18 +94,18 @@ def test_directory_forms_once_per_pair():
 def test_enclave_opens_only_with_key():
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"plain", GID)
-    holder = Enclave("m1")
+    holder = Enclave()
     holder.store_key(GID, KEY)
     h = holder.receive(StoredPayload(GID, nonce, ct))
     assert holder.open(h) == b"plain"
-    outsider = Enclave("v0")
+    outsider = Enclave()
     outsider.receive(StoredPayload(GID, nonce, ct))
     assert outsider.open(h) is None
     assert holder.open(b"\x00" * 32) is None
 
 
 def test_enclave_put_is_idempotent():
-    e = Enclave("m0")
+    e = Enclave()
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"x", GID)
     h = e.receive(StoredPayload(GID, nonce, ct))
@@ -115,7 +115,7 @@ def test_enclave_put_is_idempotent():
 
 
 def test_enclave_dump_contains_key_and_payload():
-    e = Enclave("m0")
+    e = Enclave()
     e.store_key(GID, KEY)
     nonce = (0).to_bytes(NONCE_LEN, "big")
     ct = encrypt_payload(KEY, nonce, b"x", GID)
@@ -130,7 +130,7 @@ def test_enclave_dump_contains_key_and_payload():
 def courier_env(retry=0.15, hub=None):
     sim = Simulator()
     net = Network(sim, RngHub(21))
-    enclaves = {n: Enclave(n) for n in ("m0", "m1", "m2")}
+    enclaves = {n: Enclave() for n in ("m0", "m1", "m2")}
     courier = PayloadCourier(
         sim, net, hub or RngHub(21), enclaves, Uniform(400, 2600), retry_probability=retry
     )

@@ -7,7 +7,7 @@ import pytest
 
 from pactsim.config import config_from_dict
 from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
-from pactsim.scenario import run_scenario, run_sweep
+from pactsim.scenario import run_scenario, run_sweep, wire_bytes
 
 SMOKE = config_from_dict({"preset": "smoke"})
 
@@ -220,3 +220,9 @@ def test_wire_capture_changes_no_output(tmp_path):
         runs[capture] = (files, result.sim._fired, net.delivered, net.dropped_crash, net.dropped_partition)
     assert runs[False] == runs[True]
     assert runs[False][3] > 0 and runs[False][4] > 0
+
+
+def test_wire_bytes_refuses_an_item_with_no_wire_form():
+    for item in (None, 1.5, "text", object(), (b"not a block",)):
+        with pytest.raises(TypeError, match="no wire form"):
+            wire_bytes(item)

@@ -426,7 +426,7 @@ def test_send_after_rejects_a_negative_delay():
     sim, net = wired_network()
     net.wire_log = []
     with pytest.raises(ValueError):
-        net.send_after("a", "b", -1, lambda _item: None, None, wire=b"w")
+        net.send_after("a", "b", -1, lambda _item: None, b"w")
     assert net.wire_log == [] and sim._queue == []
 
 
@@ -442,11 +442,12 @@ def test_wire_log_captures_offered_messages():
     sim, net = wired_network()
     net.wire_log = []
     net.crash("b")
-    net.send("a", to("b", lambda: None), "link", None, wire=b"dropped")
-    net.send("a", to("c", lambda: None), "link", None, wire=b"delivered")
-    net.send("a", to("c", lambda: None), "link", None)
+    net.send("a", to("b", lambda: None), "link", b"dropped")
+    net.send("a", to("c", lambda: None), "link", b"delivered")
+    net.send_after("c", "a", 5, lambda _item: None, 7)
     sim.run()
-    assert net.wire_log == [("a", "b", b"dropped"), ("a", "c", b"delivered")]
+    # Every offered message is logged, as the item itself.
+    assert net.wire_log == [("a", "b", b"dropped"), ("a", "c", b"delivered"), ("c", "a", 7)]
 
 
 def test_fan_out_takes_one_delay_per_target_in_order_and_shares_the_item():
@@ -460,7 +461,7 @@ def test_fan_out_takes_one_delay_per_target_in_order_and_shares_the_item():
     received = []
     dsts = ("b", "c", "d", "e", "f")
     targets = tuple((dst, lambda got, dst=dst: received.append((dst, got, sim.now))) for dst in dsts)
-    net.send("a", targets, "link", item, wire=b"w")
+    net.send("a", targets, "link", item)
     sim.run()
     ref = RngHub(17).stream(STREAM_CONSENSUS)
     expected = {dst: Uniform(10, 90).sample(ref) for dst in dsts}
@@ -471,4 +472,4 @@ def test_fan_out_takes_one_delay_per_target_in_order_and_shares_the_item():
     ]
     assert all(got is item for _, got, _ in received)
     assert net.dropped_crash == 1 and net.dropped_partition == 2
-    assert net.wire_log == [("a", dst, b"w") for dst in dsts]
+    assert net.wire_log == [("a", dst, item) for dst in dsts]
