@@ -68,7 +68,11 @@ def test_no_late_module_binds_a_probed_function():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     late = sorted({f"pactsim.{m.name}" for m in pkgutil.iter_modules(pactsim.__path__)} - set(loaded.stdout.split()))
     assert "pactsim.audit" in late
-    probed = [(module, getattr(importlib.import_module(module), attr)) for module, cls, attr, _ in load_probes() if cls is None]
+    probed = [
+        (module, getattr(importlib.import_module(module), attr))
+        for module, cls, attr, _ in load_probes()
+        if cls is None
+    ]
     for name in late:
         bound = vars(importlib.import_module(name))
         for owner, fn in probed:
