@@ -47,9 +47,12 @@ def isolation_scan(result: RunResult) -> list[Finding]:
     images = {name: node_byte_image(result, name) for name in result.cluster.node_names}
     wire_log = result.cluster.network.wire_log
     wire_image = b"\x00".join(wire_bytes(item) for _, _, item in wire_log) if wire_log else b""
+    plaintexts_of: dict[bytes, list[bytes]] = {}
+    for gid, plaintext in result.driver.payload_log:
+        plaintexts_of.setdefault(gid, []).append(plaintext)
     for group in result.directory.by_id.values():
         outsiders = [n for n in result.cluster.node_names if n not in group.member_nodes]
-        plaintexts = [p for gid, p in result.driver.payload_log if gid == group.group_id]
+        plaintexts = plaintexts_of.get(group.group_id, [])
         for name in outsiders:
             image = images[name]
             if group.key in image:

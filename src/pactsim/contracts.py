@@ -18,7 +18,7 @@ a call naming `marker.anchor` is unknown like any other.
 Private side: each privacy group runs a breach ledger whose operations
 (initialize, record a breach, commit a batch) travel encrypted and are
 replayed by every group member; every operation checks membership
-before touching state.
+before touching state.  Records are named tuples, hence immutable.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class Receipt(NamedTuple):
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class ServiceRecord:
+class ServiceRecord(NamedTuple):
     provider: bytes
     name: str
     sla_hash: bytes
@@ -137,8 +136,7 @@ class ServiceRecord:
         return enc_fixed(self.provider, ADDRESS_LEN) + enc_str(self.name) + enc_fixed(self.sla_hash, HASH_LEN)
 
 
-@dataclass(frozen=True)
-class SelectionRecord:
+class SelectionRecord(NamedTuple):
     """Public fact that a consumer selected a provider's service."""
 
     consumer: bytes
@@ -210,7 +208,7 @@ class PublicState:
             raise ExecError(f"provider already has {MAX_SERVICES_PER_PROVIDER} services")
         if any(s.sla_hash == sla_hash for s in existing):
             raise ExecError("duplicate service metadata")
-        existing.append(ServiceRecord(provider=sender, name=name, sla_hash=sla_hash))
+        existing.append(ServiceRecord(sender, name, sla_hash))
 
     def _op_select(self, sender: bytes, call: PublicCall) -> None:
         if self.roles.get(sender) != Role.CONSUMER:
@@ -221,7 +219,7 @@ class PublicState:
         services = self.services.get(provider, [])
         if index >= len(services):
             raise ExecError(f"provider has no service {index}")
-        self.agreements.append(SelectionRecord(consumer=sender, provider=provider, service_index=index))
+        self.agreements.append(SelectionRecord(sender, provider, index))
 
     def _op_marker(self, sender: bytes, marker: PrivacyMarker) -> None:
         self.markers.append((marker.group_id, marker.payload_hash))
@@ -292,14 +290,14 @@ OP_BREACH = 1
 OP_BATCH = 2
 
 
-@dataclass(frozen=True)
-class BreachRecord:
+class BreachRecord(NamedTuple):
     reporter: bytes
     details: str
     reported_at: int
 
     def encode(self) -> bytes:
-        return enc_fixed(self.reporter, ADDRESS_LEN) + enc_str(self.details) + enc_u64(self.reported_at)
+        text = self.details.encode("utf-8")
+        return enc_fixed(self.reporter, ADDRESS_LEN) + enc_u32(len(text)) + text + enc_u64(self.reported_at)
 
 
 @dataclass(frozen=True)
@@ -329,27 +327,35 @@ class OpBatch:
 PrivateOp = OpInit | OpBreach | OpBatch
 
 
-def _text_record(data: bytes, pos: int, before: int, after: int) -> tuple[str, int]:
-    """Check a record of `before` fixed bytes, a u32-prefixed UTF-8 text and `after` fixed bytes.
+def _text_record(data: bytes, pos: int, before: int) -> tuple[str, int]:
+    """Check a record of `before` fixed bytes and a u32-prefixed UTF-8 text that ends it.
 
-    Returns the text and the offset just past the record.
+    Returns the text and the offset past it.  `_breach_at` inlines these checks.
     """
     head = pos + before + 4
     size = len(data)
     if head <= size:
-        stop = head + int.from_bytes(data[head - 4 : head], "big")
-        end = stop + after
+        end = head + int.from_bytes(data[head - 4 : head], "big")
         if end <= size:
             try:
-                return data[head:stop].decode("utf-8"), end
+                return data[head:end].decode("utf-8"), end
             except UnicodeDecodeError as exc:
                 raise DecodeError(f"invalid utf-8 string field: {exc}") from None
     raise DecodeError(f"truncated input: record at offset {pos} runs past {size} bytes")
 
 
 def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
-    details, end = _text_record(data, pos, ADDRESS_LEN, 8)
-    return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[end - 8 : end], "big")), end
+    head = pos + ADDRESS_LEN + 4
+    if head <= len(data):
+        stop = head + int.from_bytes(data[head - 4 : head], "big")
+        end = stop + 8
+        if end <= len(data):
+            try:
+                details = data[head:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DecodeError(f"invalid utf-8 string field: {exc}") from None
+            return BreachRecord(data[pos : head - 4], details, int.from_bytes(data[stop:end], "big")), end
+    raise DecodeError(f"truncated input: record at offset {pos} runs past {len(data)} bytes")
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
@@ -360,15 +366,15 @@ def decode_private_op(data: bytes) -> PrivateOp:
     its fields are sliced out.  Truncated input, trailing bytes and text
     that is not UTF-8 raise `DecodeError`; an unknown kind `ValueError`.
 
-    Sharing it between members is sound: decoding is pure, and the op and
-    its records are frozen, so member ledgers share only immutable records.
+    Sharing it between members is sound: decoding is pure, the op is frozen
+    and records are named tuples, so member ledgers share immutable records.
     Exceptions are not cached, so a malformed payload fails at each member.
     """
     if not data:
         raise DecodeError("truncated input: no operation kind")
     kind = data[0]
     if kind == OP_INIT:
-        terms, end = _text_record(data, 1, 2 * ADDRESS_LEN + 8, 0)
+        terms, end = _text_record(data, 1, 2 * ADDRESS_LEN + 8)
         mid = 1 + ADDRESS_LEN
         top = mid + ADDRESS_LEN
         index = int.from_bytes(data[top : top + 8], "big")
@@ -430,8 +436,9 @@ class BreachLedger:
         else:
             records = (op.record,) if isinstance(op, OpBreach) else op.records
             # Every record is checked before any is stored.
-            if any(r.reporter != sender for r in records):
-                raise ExecError("breach reporter must be the sender")
+            for r in records:
+                if r.reporter != sender:
+                    raise ExecError("breach reporter must be the sender")
             self.records.extend(records)
             if isinstance(op, OpBatch):
                 self.batches.append(BatchSummary(summary_hash=payload_hash, count=len(records)))

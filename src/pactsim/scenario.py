@@ -344,7 +344,7 @@ class WorkloadDriver:
 
     def _breach(self, provider: Domain, details: str) -> BreachRecord:
         """A breach record stamped when the operation fires."""
-        return BreachRecord(reporter=provider.address, details=details, reported_at=self.sim.now)
+        return BreachRecord(provider.address, details, self.sim.now)
 
     # -- stages -------------------------------------------------------
 
@@ -418,7 +418,7 @@ class WorkloadDriver:
                     group,
                     provider,
                     "breach_batch",
-                    lambda p=provider, ds=details: OpBatch(tuple(self._breach(p, d) for d in ds)),
+                    lambda a=provider.address, ds=details: OpBatch(tuple(BreachRecord(a, d, self.sim.now) for d in ds)),
                 )
 
 

@@ -18,12 +18,14 @@ from pactsim.contracts import (
     OpInit,
     PublicState,
     Role,
+    SelectionRecord,
+    ServiceRecord,
     abi_arg_schema,
     abi_description,
     decode_call_args,
     decode_private_op,
 )
-from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_args
+from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_args, enc_bytes, enc_u32, enc_u64
 from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
 
 from .conftest import call_tx, cred, make_call
@@ -122,6 +124,20 @@ def test_select_index_bounds(state):
     good = select(state, CONSUMER, 2, PROVIDER, index=0)
     assert good.ok and good.gas_used == GAS_SELECT
     assert state.agreements[0].consumer == CONSUMER.address
+
+
+def test_stored_public_records_are_immutable_named_tuples(state):
+    register(state, PROVIDER, Role.PROVIDER)
+    register(state, CONSUMER, Role.CONSUMER)
+    assert publish(state, PROVIDER, nonce=1).ok
+    assert select(state, CONSUMER, 1, PROVIDER).ok
+    (service,) = state.services[PROVIDER.address]
+    (selection,) = state.agreements
+    assert type(service) is ServiceRecord and service == (PROVIDER.address, "svc", SLA)
+    assert type(selection) is SelectionRecord and selection == (CONSUMER.address, PROVIDER.address, 0)
+    for record, name in ((service, "name"), (selection, "service_index")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_nonce_gap_fails_without_consuming(state):
@@ -283,7 +299,42 @@ PRIVATE_OPS = st.one_of(
 @example(OpBatch((BreachRecord(b"\x02" * ADDRESS_LEN, "Verf\u00fcgbarkeit < 99,9 % \u2014 \u2713", 2**64 - 1),)))
 @example(OpInit(AgreementRecord(b"\x03" * ADDRESS_LEN, b"\x04" * ADDRESS_LEN, 7, "\u53ef\u7528\u6027 \U0001f4c8")))
 def test_private_op_round_trip_property(op):
-    assert decode_private_op(op.encode()) == op
+    decoded = decode_private_op(op.encode())
+    assert decoded == op
+    # A named tuple equals a plain tuple, so equality alone would pass a
+    # decoder that returned tuples.
+    if isinstance(decoded, OpInit):
+        assert type(decoded.agreement) is AgreementRecord
+        records = ()
+    else:
+        records = decoded.records if isinstance(decoded, OpBatch) else (decoded.record,)
+    for record in records:
+        assert type(record) is BreachRecord
+        with pytest.raises(AttributeError):
+            record.details = "rewritten"
+
+
+def assert_decode_fails_uncached(data: bytes, reason: str) -> None:
+    before = decode_private_op.cache_info()
+    with pytest.raises(DecodeError, match=reason):
+        decode_private_op(data)
+    after = decode_private_op.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+
+@given(PRIVATE_OPS)
+def test_every_proper_prefix_of_a_private_op_fails(op):
+    data = op.encode()
+    for cut in range(len(data)):
+        assert_decode_fails_uncached(data[:cut], "truncated input")
+
+
+@given(st.lists(RECORDS, min_size=3, max_size=3), st.binary(max_size=8))
+def test_invalid_utf8_in_the_last_batch_record_fails(records, tail):
+    last = records[-1]
+    planted = last.reporter + enc_bytes(b"\xff" + tail) + enc_u64(last.reported_at)
+    data = bytes([contracts.OP_BATCH]) + enc_u32(3) + records[0].encode() + records[1].encode() + planted
+    assert_decode_fails_uncached(data, "invalid utf-8 string field")
 
 
 def test_equal_private_op_bytes_decode_to_one_object():
