@@ -71,10 +71,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.path}: ok")
             return EXIT_OK
 
+        if args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer")
+        config = load_config(args.config)
         if args.command == "run":
-            if args.seed < 0:
-                raise ConfigError("--seed must be a non-negative integer")
-            config = load_config(args.config)
             result = run_scenario(config, args.seed, out_dir=args.out, trace=args.trace)
             _print_run(result.summary)
             if result.metrics.safety_violations:
@@ -83,9 +83,6 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_SAFETY
             return EXIT_OK
 
-        if args.seed < 0:
-            raise ConfigError("--seed must be a non-negative integer")
-        config = load_config(args.config)
         values = _parse_values(args.values)
         results, comparison = run_sweep(config, args.seed, values, out_dir=args.out, trace=args.trace)
         for point in comparison["points"]:

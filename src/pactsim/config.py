@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .consensus import STRATEGY_NAMES
-from .contracts import OP_IO, GasSchedule
+from .contracts import OPS, GasSchedule
 from .simulation import Fixed, LatencyModel, LogNormal, Uniform
 
 
@@ -376,9 +376,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 def _check_rules(c: ScenarioConfig) -> None:
     """The rules that span several fields."""
-    for (contract, function), (writes, reads) in OP_IO.items():
-        cost = c.gas.cost(writes, reads)
-        _require(cost < 2**64, f"gas.base + {writes} * gas.per_write + {reads} * gas.per_read = {cost} "
+    for (contract, function), op in OPS.items():
+        cost = c.gas.price(contract, function)
+        _require(cost < 2**64, f"gas.base + {op.writes} * gas.per_write + {op.reads} * gas.per_read = {cost} "
                                f"for {contract}.{function} exceeds the u64 a transaction's gas limit encodes")
         _require(cost <= c.block_gas_limit, f"{contract}.{function} costs {cost} gas, more than "
                                             f"block_gas_limit {c.block_gas_limit}; no block could hold it")

@@ -4,7 +4,8 @@ Public side: domains register a role, providers publish services (at
 most five each, metadata digests unique per provider), consumers select
 a published service, and privacy markers anchor off-chain payloads.
 Gas is metered against a fixed schedule with price zero, so gas caps
-block capacity without moving balances.
+block capacity without moving balances.  `OPS` declares each metered
+operation once: its parameters, and the state I/O its gas is priced by.
 
 Every node executes every public call, so a call's arguments are
 decoded once for all of them (`decode_call_args`, keyed by value), and
@@ -42,6 +43,7 @@ from .encoding import (
     enc_u32,
     enc_u64,
     dec_args,
+    enc_args,
 )
 from .ledger import PrivacyMarker, PublicCall, Transaction
 
@@ -63,27 +65,38 @@ class GasSchedule:
     per_write: int = 20_000
     per_read: int = 2_100
 
-    def cost(self, writes: int, reads: int) -> int:
-        return self.base + writes * self.per_write + reads * self.per_read
+    def price(self, contract: str, function: str) -> int:
+        """The gas a metered operation costs: the one pricing rule."""
+        op = OPS[(contract, function)]
+        return self.base + op.writes * self.per_write + op.reads * self.per_read
 
 
-# (writes, reads) per public operation; marker anchoring is one write.
-OP_IO = {
-    ("registry", "register"): (1, 0),
-    ("catalog", "publish"): (2, 0),
-    ("selection", "select"): (1, 2),
-    ("marker", "anchor"): (1, 0),
-}
+class OpSpec(NamedTuple):
+    params: tuple[tuple[str, str], ...]
+    writes: int
+    reads: int
 
-ABI: dict[str, dict[str, tuple[tuple[str, str], ...]]] = {
-    "registry": {"register": (("role", "u8"),)},
-    "catalog": {"publish": (("name", "str"), ("sla_hash", "hash"))},
-    "selection": {"select": (("provider", "address"), ("service_index", "u64"))},
+
+MARKER = ("marker", "anchor")
+
+# Every metered operation: its parameters as (name, ABI type), and the
+# state writes and reads it is charged for.  The privacy marker is priced
+# here but is not a public call: `PublicState` has no handler for it.
+OPS = {
+    ("registry", "register"): OpSpec((("role", "u8"),), 1, 0),
+    ("catalog", "publish"): OpSpec((("name", "str"), ("sla_hash", "hash")), 2, 0),
+    ("selection", "select"): OpSpec((("provider", "address"), ("service_index", "u64")), 1, 2),
+    MARKER: OpSpec((("group_id", "hash"), ("payload_hash", "hash")), 1, 0),
 }
 
 
 def abi_arg_schema(contract: str, function: str) -> tuple[str, ...]:
-    return tuple(t for _, t in ABI[contract][function])
+    return tuple(t for _, t in OPS[(contract, function)].params)
+
+
+def public_call(contract: str, function: str, *values) -> PublicCall:
+    """A public call with its arguments encoded by the operation's schema."""
+    return PublicCall(contract, function, enc_args(abi_arg_schema(contract, function), values))
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
@@ -93,22 +106,14 @@ def decode_call_args(contract: str, function: str, args: bytes) -> tuple:
 
 
 def abi_description(schedule: GasSchedule | None = None) -> str:
-    """Stable text rendering of the public call surface."""
+    """Stable text rendering of the public call surface, the marker last."""
     schedule = schedule or GasSchedule()
     lines = ["public contract interface", ""]
-    for contract in sorted(ABI):
-        for function in sorted(ABI[contract]):
-            params = ", ".join(f"{n}: {t}" for n, t in ABI[contract][function])
-            writes, reads = OP_IO[(contract, function)]
-            lines.append(
-                f"{contract}.{function}({params})"
-                f"  [writes={writes} reads={reads} gas={schedule.cost(writes, reads)}]"
-            )
-    writes, reads = OP_IO[("marker", "anchor")]
-    lines.append(
-        "privacy marker (group_id: hash, payload_hash: hash)"
-        f"  [writes={writes} reads={reads} gas={schedule.cost(writes, reads)}]"
-    )
+    for key in sorted(OPS, key=lambda k: (k == MARKER, k)):
+        op = OPS[key]
+        params = ", ".join(f"{n}: {t}" for n, t in op.params)
+        name = "privacy marker " if key == MARKER else ".".join(key)
+        lines.append(f"{name}({params})  [writes={op.writes} reads={op.reads} gas={schedule.price(*key)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -183,9 +188,10 @@ class PublicState:
         self.agreements: list[SelectionRecord] = []
         self.markers: list[tuple[bytes, bytes]] = []
         self.nonces: dict[bytes, int] = {}
-        # (contract, function) -> (handler, gas) for each public call.
-        self._calls = {op: (handler, schedule.cost(*OP_IO[op])) for op, handler in self._HANDLERS.items()}
-        self._marker = (PublicState._op_marker, schedule.cost(*OP_IO[("marker", "anchor")]))
+        # (contract, function) -> (handler, gas) for each public call; the
+        # handler of `contract.function` is the method `_op_<function>`.
+        self._calls = {op: (getattr(PublicState, f"_op_{op[1]}"), schedule.price(*op)) for op in OPS if op != MARKER}
+        self._marker = (PublicState._op_marker, schedule.price(*MARKER))
 
     # -- operations ---------------------------------------------------
 
@@ -223,12 +229,6 @@ class PublicState:
 
     def _op_marker(self, sender: bytes, marker: PrivacyMarker) -> None:
         self.markers.append((marker.group_id, marker.payload_hash))
-
-    _HANDLERS = {
-        ("registry", "register"): _op_register,
-        ("catalog", "publish"): _op_publish,
-        ("selection", "select"): _op_select,
-    }
 
     # -- execution ----------------------------------------------------
 

@@ -161,8 +161,6 @@ def enc_args(schema: Sequence[str], values: Sequence[object]) -> bytes:
             out.append(enc_u64(val))
         elif ty == "str":
             out.append(enc_str(val))
-        elif ty == "bool":
-            out.append(enc_u8(1 if val else 0))
         elif ty == "u8":
             out.append(enc_u8(val))
         else:
@@ -182,8 +180,6 @@ def dec_args(schema: Sequence[str], data: bytes) -> tuple:
             out.append(cur.u64())
         elif ty == "str":
             out.append(cur.str_())
-        elif ty == "bool":
-            out.append(cur.u8() != 0)
         elif ty == "u8":
             out.append(cur.u8())
         else:

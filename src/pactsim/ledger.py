@@ -279,10 +279,9 @@ class ChainStore:
             if sealer in seen:
                 raise InvalidBlock(f"duplicate seal from {sealer.hex()}")
             seen.add(sealer)
-            pub = self.validators._key_of.get(sealer)
-            if pub is None:
+            if sealer not in self.validators:
                 raise UnknownValidatorSeal(f"seal from non-validator {sealer.hex()}")
-            if not verify(pub, preimage, sig):
+            if not self.validators.signed(sealer, preimage, sig):
                 raise InvalidBlock(f"bad seal signature from {sealer.hex()}")
         if len(seen) < self.validators.quorum:
             raise InsufficientSeals(f"{len(seen)} seals, need {self.validators.quorum}")

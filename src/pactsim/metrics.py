@@ -88,6 +88,12 @@ class MetricsCollector:
         self.samples.append(sample)
         return sample
 
+    def on_delivered(self, sample: LatencySample, at_ms: int, enclave_ms: int) -> None:
+        """A private payload reached every counterparty enclave: a kind final on delivery is complete."""
+        sample.enclave_ms = enclave_ms
+        if sample.kind in OFF_CHAIN_FINAL_KINDS:
+            sample.final_ms = at_ms
+
     def bind_tx(self, sample: LatencySample, tx_id: bytes) -> None:
         sample.tx_id = tx_id
         self._by_tx[tx_id] = sample
@@ -123,11 +129,8 @@ class MetricsCollector:
 
     # -- aggregation --------------------------------------------------
 
-    def kind_stats(self, kind: str) -> dict | None:
-        values = [s.latency_ms for s in self.samples if s.kind == kind and s.latency_ms is not None]
-        return _stats(values)
-
-    def combined_stats(self, kinds: tuple[str, ...]) -> dict | None:
+    def stats(self, kinds: tuple[str, ...]) -> dict | None:
+        """Latency statistics over the resolved samples of `kinds`."""
         values = [s.latency_ms for s in self.samples if s.kind in kinds and s.latency_ms is not None]
         return _stats(values)
 
@@ -154,15 +157,15 @@ class MetricsCollector:
     def summary(self, seed: int) -> dict:
         kinds = {}
         for kind in ALL_KINDS:
-            st = self.kind_stats(kind)
+            st = self.stats((kind,))
             if st is not None:
                 kinds[kind] = st
         return {
             "seed": seed,
             "blocks_finalized": self.finalized_heights,
             "kinds": kinds,
-            "public": self.combined_stats(PUBLIC_KINDS),
-            "private": self.combined_stats(PRIVATE_KINDS),
+            "public": self.stats(PUBLIC_KINDS),
+            "private": self.stats(PRIVATE_KINDS),
             "unresolved_samples": sum(1 for s in self.samples if s.latency_ms is None),
             "safety_violations": [
                 {"node": v.node, "height": v.height, "detail": v.detail}

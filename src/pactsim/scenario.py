@@ -26,25 +26,25 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .config import ScenarioConfig
 from .consensus import IbftValidator, Message, message_wire
 from .contracts import (
-    OP_IO,
+    MARKER,
     AgreementRecord,
     BreachRecord,
-    GasSchedule,
     OpBatch,
     OpBreach,
     OpInit,
     PrivateOp,
     Role,
+    public_call,
 )
-from .encoding import digest, enc_args, enc_list, enc_u64
+from .encoding import digest, enc_list, enc_u64
 from .identity import Credential, ValidatorSet
 from .ledger import Block, PrivacyMarker, PublicCall, Transaction, block_wire, make_transaction
-from .metrics import OFF_CHAIN_FINAL_KINDS, MetricsCollector
+from .metrics import MetricsCollector
 from .node import Cluster, NodeRuntime
 from .privacy import DistributionResult, GroupDirectory, GroupInfo, PayloadCourier, StoredPayload, encode_wire
 from .simulation import (
@@ -56,10 +56,6 @@ from .simulation import (
     RngHub,
     Simulator,
 )
-
-
-def gas_for(schedule: GasSchedule, contract: str, function: str) -> int:
-    return schedule.cost(*OP_IO[(contract, function)])
 
 
 @dataclass
@@ -293,14 +289,14 @@ class WorkloadDriver:
         self.cluster.nodes[domain.node_name].wait_for_receipt(tx.tx_id, on_receipt)
         self.cluster.submit(domain.node_name, tx)
 
-    def _submit(self, domain: Domain, kind: str, call: PublicCall, on_final: Callable[[], None] | None = None) -> None:
-        """One public call: signed now, submitted at a jittered instant."""
-        gas = gas_for(self.config.gas, call.contract, call.function)
+    def _submit(self, domain: Domain, call: PublicCall, on_final: Callable[[], None] | None = None) -> None:
+        """One public call, sampled as its function's kind: signed now, submitted at a jittered instant."""
+        gas = self.config.gas.price(call.contract, call.function)
         tx = make_transaction(domain.credential, domain.take_nonce(), gas, call)
         self._outstanding += 1
 
         def fire() -> None:
-            self.metrics.new_sample(tx.tx_id, kind, self.sim.now)
+            self.metrics.new_sample(tx.tx_id, call.function, self.sim.now)
             self._submit_and_wait(domain, tx, on_final)
 
         self.sim.schedule(self._jitter(), fire)
@@ -323,15 +319,11 @@ class WorkloadDriver:
         self.payload_log.append((group.group_id, plaintext))
 
         def on_complete(result: DistributionResult) -> None:
-            sample.enclave_ms = result.enclave_ms
-            if kind in OFF_CHAIN_FINAL_KINDS:
-                # Delivery to every counterparty enclave is the
-                # operation's completion; the marker anchors it later.
-                sample.final_ms = result.completed_at
+            self.metrics.on_delivered(sample, result.completed_at, result.enclave_ms)
             tx = make_transaction(
                 sender.credential,
                 sender.take_nonce(),
-                gas_for(self.config.gas, "marker", "anchor"),
+                self.config.gas.price(*MARKER),
                 PrivacyMarker(group_id=group.group_id, payload_hash=result.payload_hash),
             )
             self.metrics.bind_tx(sample, tx.tx_id)
@@ -342,23 +334,23 @@ class WorkloadDriver:
     def _ordered_groups(self) -> list[GroupInfo]:
         return sorted(self.run.directory.by_id.values(), key=lambda g: g.pair_index)
 
-    def _breach(self, provider: Domain, details: str) -> BreachRecord:
-        """A breach record stamped when the operation fires."""
-        return BreachRecord(provider.address, details, self.sim.now)
+    def _stamped(self, reporter: Domain, details: Sequence[str]) -> tuple[BreachRecord, ...]:
+        """Breach records stamped when their operation fires."""
+        address, now = reporter.address, self.sim.now
+        return tuple(BreachRecord(address, d, now) for d in details)
 
     # -- stages -------------------------------------------------------
 
     def _stage_register(self) -> None:
         for domain in self.run.providers + self.run.consumers:
-            args = enc_args(("u8",), (int(domain.role),))
-            self._submit(domain, "register", PublicCall("registry", "register", args))
+            self._submit(domain, public_call("registry", "register", int(domain.role)))
 
     def _stage_publish(self) -> None:
         for provider in self.run.providers:
             for j in range(self.config.workload.publishes_per_provider):
                 name = f"{provider.name}-svc{j}"
-                args = enc_args(("str", "hash"), (name, digest(f"sla terms for {name}".encode())))
-                self._submit(provider, "publish", PublicCall("catalog", "publish", args))
+                sla_hash = digest(f"sla terms for {name}".encode())
+                self._submit(provider, public_call("catalog", "publish", name, sla_hash))
 
     def _stage_select(self) -> None:
         wl = self.config.workload
@@ -366,9 +358,8 @@ class WorkloadDriver:
             for j in range(wl.selects_per_consumer):
                 pair_index = wl.selects_per_consumer * i + j
                 provider = self.run.providers[pair_index % len(self.run.providers)]
-                args = enc_args(("address", "u64"), (provider.address, j % wl.publishes_per_provider))
-                on_final = partial(self._form_group, consumer, provider, pair_index)
-                self._submit(consumer, "select", PublicCall("selection", "select", args), on_final)
+                call = public_call("selection", "select", provider.address, j % wl.publishes_per_provider)
+                self._submit(consumer, call, partial(self._form_group, consumer, provider, pair_index))
 
     def _form_group(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
         info, formed = self.run.directory.get_or_form(
@@ -401,9 +392,9 @@ class WorkloadDriver:
         for group in self._ordered_groups():
             provider = self.domains[group.provider]
             for k in range(self.config.workload.breaches_per_group):
-                details = f"sla violation pair={group.pair_index} seq={k} by {provider.name}"
+                details = (f"sla violation pair={group.pair_index} seq={k} by {provider.name}",)
                 self._submit_private(
-                    group, provider, "register_breach", lambda p=provider, d=details: OpBreach(self._breach(p, d))
+                    group, provider, "register_breach", lambda p=provider, ds=details: OpBreach(*self._stamped(p, ds))
                 )
 
     def _stage_batch(self) -> None:
@@ -415,10 +406,7 @@ class WorkloadDriver:
                     f"batched violation pair={group.pair_index} batch={b} item={i}" for i in range(wl.batch_size)
                 ]
                 self._submit_private(
-                    group,
-                    provider,
-                    "breach_batch",
-                    lambda a=provider.address, ds=details: OpBatch(tuple(BreachRecord(a, d, self.sim.now) for d in ds)),
+                    group, provider, "breach_batch", lambda p=provider, ds=details: OpBatch(self._stamped(p, ds))
                 )
 
 

@@ -15,10 +15,9 @@ import gc
 import pytest
 from hypothesis import settings
 
-from pactsim.contracts import GasSchedule, PublicState, abi_arg_schema
-from pactsim.encoding import enc_args
+from pactsim.contracts import GasSchedule, PublicState, public_call
 from pactsim.identity import Credential, ValidatorSet
-from pactsim.ledger import PublicCall, Transaction, make_transaction, seal_preimage
+from pactsim.ledger import Transaction, make_transaction, seal_preimage
 
 # The presets' block gas limit, for chain stores built outside a run.
 BLOCK_GAS_LIMIT = 8_000_000
@@ -48,10 +47,6 @@ def make_seal(credential: Credential, block_hash: bytes) -> tuple[bytes, bytes]:
     return (credential.address, credential.sign(seal_preimage(block_hash)))
 
 
-def make_call(contract: str, function: str, *args) -> PublicCall:
-    return PublicCall(contract, function, enc_args(abi_arg_schema(contract, function), args))
-
-
 def call_tx(
     sender: Credential,
     nonce: int,
@@ -60,7 +55,7 @@ def call_tx(
     *args,
     gas_limit: int = 1_000_000,
 ) -> Transaction:
-    return make_transaction(sender, nonce, gas_limit, make_call(contract, function, *args))
+    return make_transaction(sender, nonce, gas_limit, public_call(contract, function, *args))
 
 
 @pytest.fixture

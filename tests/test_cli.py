@@ -36,7 +36,17 @@ def test_run_trace_flag_writes_trace(smoke_yaml, tmp_path):
 def test_run_rejects_negative_seed(smoke_yaml, tmp_path, capsys):
     code = cli.main(["run", "--config", smoke_yaml, "--seed", "-1", "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "configuration error: --seed must be a non-negative integer\n"
+
+
+def test_sweep_rejects_negative_seed(smoke_yaml, tmp_path, capsys):
+    code = cli.main([
+        "sweep", "--config", smoke_yaml, "--param", "block-interval",
+        "--values", "1000", "--seed", "-1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: --seed must be a non-negative integer\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_reports_bad_config_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pactsim.config import (
@@ -20,6 +20,7 @@ from pactsim.config import (
     preset_dict,
     render_doc,
 )
+from pactsim.contracts import OPS
 from pactsim.scenario import run_scenario
 from pactsim.simulation import Fixed, LogNormal, Uniform
 
@@ -528,3 +529,53 @@ def test_any_mapping_is_refused_or_runs(raw):
     except ConfigError:
         return
     run_scenario(config, seed=1)
+
+
+# -- property: the gas rules, on both sides of each --------------------
+
+U64 = 2**64
+# A gas part is small, or large enough that an operation's price can pass the u64.
+GAS_PART = st.one_of(st.integers(1, 30_000), st.integers(2**62, 2**63))
+
+
+@st.composite
+def gas_and_limit(draw):
+    """Gas parts, and a block limit one below, at or one above some operation's price,
+    the costliest one half the time."""
+    gas = {key: draw(GAS_PART) for key in ("base", "per_write", "per_read")}
+    prices = sorted(table_prices(gas).values())
+    edge = draw(st.one_of(st.just(prices[-1]), st.sampled_from(prices)))
+    return gas, max(1, edge + draw(st.integers(-1, 1)))
+
+
+def table_prices(gas: dict) -> dict:
+    """Each operation's price from the table's I/O, independently of `GasSchedule.price`."""
+    return {key: gas["base"] + op.writes * gas["per_write"] + op.reads * gas["per_read"] for key, op in OPS.items()}
+
+
+def first_broken_gas_rule(gas: dict, limit: int) -> str | None:
+    for (contract, function), price in table_prices(gas).items():
+        if price >= U64:
+            return f"{contract}.{function} exceeds the u64"
+        if price > limit:
+            return f"{contract}.{function} costs {price} gas, more than block_gas_limit {limit};"
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@example(({"base": U64 - 1 - 40_000, "per_write": 20_000, "per_read": 2_100}, U64 - 1))
+@example(({"base": U64 - 40_000, "per_write": 20_000, "per_read": 2_100}, U64))
+@given(gas_and_limit())
+def test_gas_rules_refuse_exactly_the_unpriceable(drawn):
+    gas, limit = drawn
+    raw = {"preset": "smoke", "gas": gas, "block_gas_limit": limit}
+    broken = first_broken_gas_rule(gas, limit)
+    if broken is not None:
+        with pytest.raises(ConfigError, match=re.escape(broken)):
+            config_from_dict(raw)
+        return
+    config = config_from_dict(raw)
+    assert {key: config.gas.price(*key) for key in OPS} == table_prices(gas)
+    result = run_scenario(config, seed=1)
+    assert result.completed and result.summary["unresolved_samples"] == 0
+    assert result.summary["safety_violations"] == []

@@ -20,15 +20,15 @@ from pactsim.contracts import (
     Role,
     SelectionRecord,
     ServiceRecord,
-    abi_arg_schema,
     abi_description,
     decode_call_args,
     decode_private_op,
+    public_call,
 )
-from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_args, enc_bytes, enc_u32, enc_u64
+from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_bytes, enc_u32, enc_u64
 from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
 
-from .conftest import call_tx, cred, make_call
+from .conftest import call_tx, cred
 
 PROVIDER = cred(30)
 CONSUMER = cred(31)
@@ -58,9 +58,10 @@ def select(state, who, nonce, provider, index=0):
 
 def test_gas_costs_are_frozen():
     s = GasSchedule()
-    assert s.cost(1, 0) == GAS_REGISTER
-    assert s.cost(2, 0) == GAS_PUBLISH
-    assert s.cost(1, 2) == GAS_SELECT
+    assert s.price("registry", "register") == GAS_REGISTER
+    assert s.price("catalog", "publish") == GAS_PUBLISH
+    assert s.price("selection", "select") == GAS_SELECT
+    assert s.price("marker", "anchor") == GAS_MARKER
 
 
 def test_register_and_reregister(state):
@@ -186,12 +187,15 @@ def test_marker_anchor_is_not_a_public_call(state):
     register(state, PROVIDER, Role.PROVIDER)
     publish(state, PROVIDER, nonce=1)
     register(state, CONSUMER, Role.CONSUMER)
-    args = enc_args(abi_arg_schema("selection", "select"), (PROVIDER.address, 0))
+    args = public_call("selection", "select", PROVIDER.address, 0).args
     tx = make_transaction(CONSUMER, 1, 100_000, PublicCall("marker", "anchor", args))
     r = state.execute(tx)
     assert (r.ok, r.gas_used, r.reason) == (False, GasSchedule().base, "unknown call marker.anchor")
+    # The marker's own arguments, well formed, are refused the same way.
+    r = state.execute(call_tx(CONSUMER, 2, "marker", "anchor", b"\x07" * 32, b"\x08" * 32))
+    assert (r.ok, r.gas_used, r.reason) == (False, GasSchedule().base, "unknown call marker.anchor")
     assert state.agreements == [] and state.markers == []
-    assert state.nonces[CONSUMER.address] == 2
+    assert state.nonces[CONSUMER.address] == 3
 
 
 def counting_dec_args(monkeypatch) -> list:
@@ -203,8 +207,8 @@ def counting_dec_args(monkeypatch) -> list:
 
 def test_equal_calls_share_one_decoded_tuple(monkeypatch):
     calls = counting_dec_args(monkeypatch)
-    call = make_call("catalog", "publish", "shared-decode", SLA)
-    twin = make_call("catalog", "publish", "shared-decode", SLA)
+    call = public_call("catalog", "publish", "shared-decode", SLA)
+    twin = public_call("catalog", "publish", "shared-decode", SLA)
     assert twin == call and twin.args is not call.args
     first = decode_call_args(call.contract, call.function, call.args)
     assert decode_call_args(twin.contract, twin.function, twin.args) is first

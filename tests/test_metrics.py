@@ -41,7 +41,7 @@ def test_stats_over_one_to_hundred():
     for v in range(1, 101):
         s = mc.new_sample(v.to_bytes(4, "big"), "register", submit_ms=0)
         s.final_ms = v
-    st = mc.kind_stats("register")
+    st = mc.stats(("register",))
     assert st == {
         "count": 100,
         "mean_ms": 50.5,
@@ -58,7 +58,7 @@ def test_percentiles_use_nearest_rank():
     for i, v in enumerate((30, 10, 20)):
         s = mc.new_sample(bytes([i]), "select", submit_ms=0)
         s.final_ms = v
-    st = mc.kind_stats("select")
+    st = mc.stats(("select",))
     assert st["p50_ms"] == 20  # ceil(0.5 * 3) = 2nd of [10, 20, 30]
     assert st["p95_ms"] == 30
 
@@ -67,7 +67,7 @@ def test_single_sample_stats():
     mc = MetricsCollector()
     s = mc.new_sample(b"\x01", "publish", submit_ms=8)
     s.final_ms = 50
-    st = mc.kind_stats("publish")
+    st = mc.stats(("publish",))
     assert st["count"] == 1
     assert st["mean_ms"] == 42.0
     assert st["p50_ms"] == st["p95_ms"] == 42
@@ -76,8 +76,8 @@ def test_single_sample_stats():
 
 def test_empty_kind_has_no_stats():
     mc = MetricsCollector()
-    assert mc.kind_stats("register") is None
-    assert mc.combined_stats(PUBLIC_KINDS) is None
+    assert mc.stats(("register",)) is None
+    assert mc.stats(PUBLIC_KINDS) is None
 
 
 def test_unknown_kind_rejected():
@@ -110,6 +110,8 @@ def test_bind_tx_links_private_sample_to_its_anchor():
     mc = MetricsCollector()
     tx = call_tx(ALICE, 0, "registry", "register", 1)
     sample = mc.new_private_sample("deploy_private", submit_ms=100, group_id=b"\x05" * 32)
+    mc.on_delivered(sample, at_ms=3000, enclave_ms=2900)
+    assert (sample.enclave_ms, sample.final_ms) == (2900, None)  # final only once anchored
     mc.bind_tx(sample, tx.tx_id)
     finalize(mc, block_with([tx]), now=6100)
     assert sample.final_ms == 6100
@@ -120,7 +122,8 @@ def test_offchain_kinds_keep_their_own_final_time():
     mc = MetricsCollector()
     tx = call_tx(ALICE, 0, "registry", "register", 1)
     sample = mc.new_private_sample("register_breach", submit_ms=100, group_id=b"\x05" * 32)
-    sample.final_ms = 3000  # delivery finished off-chain before anchoring
+    mc.on_delivered(sample, at_ms=3000, enclave_ms=2900)  # final on delivery, before anchoring
+    assert (sample.enclave_ms, sample.final_ms) == (2900, 3000)
     mc.bind_tx(sample, tx.tx_id)
     finalize(mc, block_with([tx]), now=9999)
     assert sample.final_ms == 3000
