@@ -78,7 +78,7 @@ def member_state_consistency(result: RunResult) -> list[Finding]:
     for group in result.directory.by_id.values():
         encodings = {}
         for name in group.member_nodes:
-            ledger = result.cluster.nodes[name].read_private_state(group.group_id)
+            ledger = result.cluster.nodes[name].group_ledgers.get(group.group_id)
             if ledger is None:
                 findings.append(Finding("member-state", name, f"no ledger for group {group.group_id.hex()[:16]}"))
                 continue

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .encoding import (
     ADDRESS_LEN,
@@ -247,7 +247,7 @@ class PublicState:
             call = self._calls.get((payload.contract, payload.function))
             if call is None:
                 reason = f"unknown call {payload.contract}.{payload.function}"
-                return Receipt(tx.tx_id, False, self.schedule.base, reason)
+                return Receipt(tx.tx_id, False, min(self.schedule.base, tx.gas_limit), reason)
             handler, cost = call
         if tx.gas_limit < cost:
             return Receipt(tx.tx_id, False, tx.gas_limit, "out of gas")
@@ -300,8 +300,10 @@ class BreachRecord(NamedTuple):
         return enc_fixed(self.reporter, ADDRESS_LEN) + enc_u32(len(text)) + text + enc_u64(self.reported_at)
 
 
+# `KIND`: the latency sample kind an operation is measured as (`metrics`).
 @dataclass(frozen=True)
 class OpInit:
+    KIND: ClassVar[str] = "deploy_private"
     agreement: AgreementRecord
 
     def encode(self) -> bytes:
@@ -310,6 +312,7 @@ class OpInit:
 
 @dataclass(frozen=True)
 class OpBreach:
+    KIND: ClassVar[str] = "register_breach"
     record: BreachRecord
 
     def encode(self) -> bytes:
@@ -318,6 +321,7 @@ class OpBreach:
 
 @dataclass(frozen=True)
 class OpBatch:
+    KIND: ClassVar[str] = "breach_batch"
     records: tuple[BreachRecord, ...]
 
     def encode(self) -> bytes:

@@ -14,7 +14,7 @@ encodings of different structures can never collide byte-for-byte.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 HASH_LEN = 32
 ADDRESS_LEN = 20
@@ -143,46 +143,36 @@ class DecodeError(ValueError):
 # ---------------------------------------------------------------------------
 # Typed argument vectors (contract ABI encoding).
 #
-# Argument schemas are sequences of type names; the supported types are the
-# ones contract operations actually take.  docs/encoding.md lists them.
+# Argument schemas are sequences of type names.  `ARG_TYPES` is the one list
+# of them, the types contract operations take (docs/encoding.md lists them):
+# each name's encoder and `Cursor` reader.  An encoder calls `enc_*` by global
+# name, so a tracer that rebinds those functions still sees the call.
 # ---------------------------------------------------------------------------
+
+ARG_TYPES: dict[str, tuple[Callable[[Any], bytes], Callable[[Cursor], Any]]] = {
+    "address": (lambda v: enc_fixed(v, ADDRESS_LEN), lambda cur: cur.fixed(ADDRESS_LEN)),
+    "hash": (lambda v: enc_fixed(v, HASH_LEN), lambda cur: cur.fixed(HASH_LEN)),
+    "u64": (lambda v: enc_u64(v), Cursor.u64),
+    "str": (lambda v: enc_str(v), Cursor.str_),
+    "u8": (lambda v: enc_u8(v), Cursor.u8),
+}
+
+
+def _arg_type(ty: str) -> tuple[Callable[[Any], bytes], Callable[[Cursor], Any]]:
+    try:
+        return ARG_TYPES[ty]
+    except KeyError:
+        raise ValueError(f"unknown arg type {ty!r}") from None
 
 
 def enc_args(schema: Sequence[str], values: Sequence[object]) -> bytes:
     if len(schema) != len(values):
         raise ValueError(f"schema has {len(schema)} fields, got {len(values)} values")
-    out = []
-    for ty, val in zip(schema, values):
-        if ty == "address":
-            out.append(enc_fixed(val, ADDRESS_LEN))
-        elif ty == "hash":
-            out.append(enc_fixed(val, HASH_LEN))
-        elif ty == "u64":
-            out.append(enc_u64(val))
-        elif ty == "str":
-            out.append(enc_str(val))
-        elif ty == "u8":
-            out.append(enc_u8(val))
-        else:
-            raise ValueError(f"unknown arg type {ty!r}")
-    return b"".join(out)
+    return b"".join(_arg_type(ty)[0](val) for ty, val in zip(schema, values))
 
 
 def dec_args(schema: Sequence[str], data: bytes) -> tuple:
     cur = Cursor(data)
-    out = []
-    for ty in schema:
-        if ty == "address":
-            out.append(cur.fixed(ADDRESS_LEN))
-        elif ty == "hash":
-            out.append(cur.fixed(HASH_LEN))
-        elif ty == "u64":
-            out.append(cur.u64())
-        elif ty == "str":
-            out.append(cur.str_())
-        elif ty == "u8":
-            out.append(cur.u8())
-        else:
-            raise ValueError(f"unknown arg type {ty!r}")
+    out = tuple(_arg_type(ty)[1](cur) for ty in schema)
     cur.finish()
-    return tuple(out)
+    return out

@@ -340,12 +340,15 @@ class TxPool:
     """Pending transactions with FIFO, nonce-sequential block packing.
 
     An entry is `(arrival, tx_id, tx)`, so entries sort by arrival with
-    ties broken by tx id.
+    ties broken by tx id.  `nonces` is the executed state's map of each
+    sender's next nonce (`PublicState.nonces`): the pool reads it and
+    never writes it, so a sender advances only when its next nonce
+    executes in sequence.
     """
 
-    def __init__(self):
+    def __init__(self, nonces: dict[bytes, int]):
         self._entries: dict[bytes, tuple[int, bytes, Transaction]] = {}
-        self._next_nonce: dict[bytes, int] = {}
+        self._nonces = nonces
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -354,28 +357,23 @@ class TxPool:
         """Every pooled transaction, in arrival order."""
         return [tx for _, _, tx in self._entries.values()]
 
-    def note_executed_nonce(self, sender: bytes, nonce: int) -> None:
-        cur = self._next_nonce.get(sender, 0)
-        if nonce + 1 > cur:
-            self._next_nonce[sender] = nonce + 1
-
     def add(self, tx: Transaction, now: int) -> bool:
         if tx.tx_id in self._entries:
             return False
-        if tx.nonce < self._next_nonce.get(tx.sender, 0):
+        if tx.nonce < self._nonces.get(tx.sender, 0):
             return False
         self._entries[tx.tx_id] = (now, tx.tx_id, tx)
         return True
 
     def remove_included(self, txs: tuple[Transaction, ...]) -> None:
+        """Drop a block's transactions once the state has executed them."""
         for tx in txs:
             self._entries.pop(tx.tx_id, None)
-            self.note_executed_nonce(tx.sender, tx.nonce)
         # Anything now stale (nonce already executed elsewhere) is dead weight.
         stale = [
             tx_id
             for _, tx_id, tx in self._entries.values()
-            if tx.nonce < self._next_nonce.get(tx.sender, 0)
+            if tx.nonce < self._nonces.get(tx.sender, 0)
         ]
         for tx_id in stale:
             del self._entries[tx_id]
@@ -392,7 +390,7 @@ class TxPool:
         block gas limit below the cost of any operation.
         """
         remaining = [tx for _, _, tx in sorted(self._entries.values())]
-        expected = dict(self._next_nonce)
+        expected = dict(self._nonces)
         chosen: list[Transaction] = []
         gas_used = 0
         progressed = True

@@ -6,6 +6,8 @@ their anchoring marker).  Breach reports are timed to the moment the
 encrypted payload has reached every counterparty enclave, because that
 is when the report is actually delivered; the marker that anchors it
 lands in a block asynchronously and only fills in the block height.
+Sample kinds come from `contracts`: a public call's function name in
+`OPS`, or a private operation's `KIND`.
 
 All output files are a pure function of the run, so two runs with the
 same seed and configuration produce identical bytes.
@@ -17,16 +19,18 @@ import csv
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args
 
+from .contracts import MARKER, OPS, OpBatch, OpBreach, PrivateOp
 from .ledger import Block
 
 CSV_HEADER = ["tx_id", "kind", "submit_ms", "final_ms", "latency_ms", "enclave_ms", "block_height", "group_id"]
 
-PUBLIC_KINDS = ("register", "publish", "select")
-PRIVATE_KINDS = ("deploy_private", "register_breach", "breach_batch")
+PUBLIC_KINDS = tuple(op[1] for op in OPS if op != MARKER)
+PRIVATE_KINDS = tuple(op.KIND for op in get_args(PrivateOp))
 # Kinds final on delivery to every counterparty enclave; their anchoring
 # block fills in only the height.
-OFF_CHAIN_FINAL_KINDS = ("register_breach", "breach_batch")
+OFF_CHAIN_FINAL_KINDS = (OpBreach.KIND, OpBatch.KIND)
 ALL_KINDS = PUBLIC_KINDS + PRIVATE_KINDS
 
 
@@ -88,9 +92,9 @@ class MetricsCollector:
         self.samples.append(sample)
         return sample
 
-    def on_delivered(self, sample: LatencySample, at_ms: int, enclave_ms: int) -> None:
-        """A private payload reached every counterparty enclave: a kind final on delivery is complete."""
-        sample.enclave_ms = enclave_ms
+    def on_delivered(self, sample: LatencySample, at_ms: int) -> None:
+        """A private payload, sent at `submit_ms`, reached every counterparty enclave at `at_ms`."""
+        sample.enclave_ms = at_ms - sample.submit_ms
         if sample.kind in OFF_CHAIN_FINAL_KINDS:
             sample.final_ms = at_ms
 

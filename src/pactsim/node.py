@@ -90,7 +90,7 @@ class NodeRuntime:
         self.network = network
         self.store = ChainStore(validators, block_gas_limit)
         self.state = PublicState(schedule)
-        self.pool = TxPool()
+        self.pool = TxPool(self.state.nonces)
         self.enclave = Enclave()
         self.receipts: dict[bytes, ReceiptEntry] = {}
         self._receipt_waiters: dict[bytes, list[Callable[[ReceiptEntry], None]]] = {}
@@ -252,9 +252,6 @@ class NodeRuntime:
             self.group_ledgers[group.group_id] = BreachLedger(
                 group_id=group.group_id, members=group.members
             )
-
-    def read_private_state(self, group_id: bytes) -> BreachLedger | None:
-        return self.group_ledgers.get(group_id)
 
     def _on_marker(self, height: int, sender: bytes, marker: PrivacyMarker) -> None:
         """Open the anchored payload and apply its operation to this node's ledger of its group.

@@ -3,9 +3,10 @@
 Each node runs an enclave holding group keys and encrypted payloads.
 A private operation is encrypted under its group's symmetric key,
 pushed directly to the enclave of the group's other member node, and
-acknowledged; only the payload hash ever reaches the chain, inside a
-privacy marker.  Non-member nodes never receive the key or the payload,
-so their entire byte image contains nothing derived from the plaintext.
+acknowledged with its hash; only the payload hash ever reaches the
+chain, inside a privacy marker.  Non-member nodes never receive the key
+or the payload, so their entire byte image contains nothing derived
+from the plaintext.
 
 Payload `k`'s transfer legs and retry coin are read by index from two
 streams that serve the whole run: legs `4k ... 4k+3` (push, ack, second
@@ -32,7 +33,7 @@ from .encoding import (
     enc_list,
     tagged_digest,
 )
-from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Simulator, Uniform
+from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Uniform
 
 NONCE_LEN = 12
 GROUP_KEY_LEN = 32
@@ -161,17 +162,6 @@ class Enclave:
         return b"".join(chunks)
 
 
-@dataclass
-class DistributionResult:
-    payload_hash: bytes
-    started_at: int
-    completed_at: int
-
-    @property
-    def enclave_ms(self) -> int:
-        return self.completed_at - self.started_at
-
-
 class PayloadCourier:
     """Runs the push/ack protocol for every node's outgoing payloads.
 
@@ -181,14 +171,12 @@ class PayloadCourier:
 
     def __init__(
         self,
-        sim: Simulator,
         network: Network,
         rng_hub: RngHub,
         enclaves: dict[str, Enclave],
         transfer_model: Uniform,
         retry_probability: float,
     ):
-        self.sim = sim
         self.network = network
         self.enclaves = enclaves
         self.retry_probability = retry_probability
@@ -202,7 +190,7 @@ class PayloadCourier:
         src_node: str,
         plaintext: bytes,
         payload_index: int,
-        on_complete: Callable[[DistributionResult], None],
+        on_complete: Callable[[bytes], None],
     ) -> bytes:
         """Encrypt at the source enclave and push to the group's other member.
 
@@ -211,19 +199,15 @@ class PayloadCourier:
         `4k+1` (acknowledgement); if coin `k` falls below the retry
         probability the first attempt is lost, and legs `4k+2` and
         `4k+3` carry a second push/ack pair after the first pair's worth
-        of waiting.  Completion is the acknowledgement's arrival; the
-        payload hash is available immediately.
+        of waiting.  The acknowledgement, the payload hash, reaches
+        `on_complete` when the transfer is complete, so the caller reads
+        that time from the clock.  The hash is also returned at once.
         """
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
         payload = StoredPayload(group_id=group.group_id, nonce=nonce, ciphertext=ciphertext)
         payload_hash = self.enclaves[src_node].receive(payload)
         (peer,) = (n for n in group.member_nodes if n != src_node)
-
-        started_at = self.sim.now
-
-        def acknowledged(_ack: bytes) -> None:
-            on_complete(DistributionResult(payload_hash, started_at, self.sim.now))
 
         legs, row = self._legs, 4 * payload_index
         push1 = legs[row]
@@ -235,5 +219,5 @@ class PayloadCourier:
             arrive_at = push1
             done_at = push1 + ack1
         self.network.send_after(src_node, peer, arrive_at, self.enclaves[peer].receive, payload)
-        self.network.send_after(peer, src_node, done_at, acknowledged, payload_hash)
+        self.network.send_after(peer, src_node, done_at, on_complete, payload_hash)
         return payload_hash

@@ -44,9 +44,9 @@ from .contracts import (
 from .encoding import digest, enc_list, enc_u64
 from .identity import Credential, ValidatorSet
 from .ledger import Block, PrivacyMarker, PublicCall, Transaction, block_wire, make_transaction
-from .metrics import MetricsCollector
+from .metrics import LatencySample, MetricsCollector
 from .node import Cluster, NodeRuntime
-from .privacy import DistributionResult, GroupDirectory, GroupInfo, PayloadCourier, StoredPayload, encode_wire
+from .privacy import GroupDirectory, GroupInfo, PayloadCourier, StoredPayload, encode_wire
 from .simulation import (
     STREAM_CONSENSUS,
     STREAM_KEYS,
@@ -155,7 +155,6 @@ def assemble(
 
     directory = GroupDirectory(rng_hub)
     courier = PayloadCourier(
-        sim=sim,
         network=network,
         rng_hub=rng_hub,
         enclaves={name: cluster.nodes[name].enclave for name in config.node_names},
@@ -301,35 +300,33 @@ class WorkloadDriver:
 
         self.sim.schedule(self._jitter(), fire)
 
-    def _submit_private(self, group: GroupInfo, sender: Domain, kind: str, make_op: Callable[[], PrivateOp]) -> None:
-        """One private operation: built at a jittered instant, then distributed and anchored."""
+    def _submit_private(self, group: GroupInfo, sender: Domain, make_op: Callable[[], PrivateOp]) -> None:
+        """One private operation, sampled as its `KIND`: built at a jittered instant, distributed, then anchored."""
         payload_index = self._payload_seq
         self._payload_seq += 1
         self._outstanding += 1
-        self.sim.schedule(
-            self._jitter(), lambda: self._distribute_then_anchor(group, sender, make_op(), payload_index, kind)
-        )
 
-    def _distribute_then_anchor(
-        self, group: GroupInfo, sender: Domain, op: PrivateOp, payload_index: int, kind: str
-    ) -> None:
-        """One private operation: sample, distribute, anchor a marker."""
-        sample = self.metrics.new_private_sample(kind, self.sim.now, group.group_id)
-        plaintext = op.encode()
-        self.payload_log.append((group.group_id, plaintext))
+        def fire() -> None:
+            op = make_op()
+            # Registered in the event that sends the payload, so delivery
+            # time less `submit_ms` is the enclave transfer time.
+            sample = self.metrics.new_private_sample(op.KIND, self.sim.now, group.group_id)
+            plaintext = op.encode()
+            self.payload_log.append((group.group_id, plaintext))
+            self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, partial(anchor, sample))
 
-        def on_complete(result: DistributionResult) -> None:
-            self.metrics.on_delivered(sample, result.completed_at, result.enclave_ms)
+        def anchor(sample: LatencySample, payload_hash: bytes) -> None:
+            self.metrics.on_delivered(sample, self.sim.now)
             tx = make_transaction(
                 sender.credential,
                 sender.take_nonce(),
                 self.config.gas.price(*MARKER),
-                PrivacyMarker(group_id=group.group_id, payload_hash=result.payload_hash),
+                PrivacyMarker(group_id=group.group_id, payload_hash=payload_hash),
             )
             self.metrics.bind_tx(sample, tx.tx_id)
             self._submit_and_wait(sender, tx)
 
-        self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, on_complete)
+        self.sim.schedule(self._jitter(), fire)
 
     def _ordered_groups(self) -> list[GroupInfo]:
         return sorted(self.run.directory.by_id.values(), key=lambda g: g.pair_index)
@@ -386,16 +383,14 @@ class WorkloadDriver:
                     f"latency <= {150 + 10 * group.pair_index}ms, penalty tier B"
                 ),
             )
-            self._submit_private(group, self.domains[group.consumer], "deploy_private", partial(OpInit, agreement))
+            self._submit_private(group, self.domains[group.consumer], partial(OpInit, agreement))
 
     def _stage_breach(self) -> None:
         for group in self._ordered_groups():
             provider = self.domains[group.provider]
             for k in range(self.config.workload.breaches_per_group):
                 details = (f"sla violation pair={group.pair_index} seq={k} by {provider.name}",)
-                self._submit_private(
-                    group, provider, "register_breach", lambda p=provider, ds=details: OpBreach(*self._stamped(p, ds))
-                )
+                self._submit_private(group, provider, lambda p=provider, ds=details: OpBreach(*self._stamped(p, ds)))
 
     def _stage_batch(self) -> None:
         wl = self.config.workload
@@ -405,9 +400,7 @@ class WorkloadDriver:
                 details = [
                     f"batched violation pair={group.pair_index} batch={b} item={i}" for i in range(wl.batch_size)
                 ]
-                self._submit_private(
-                    group, provider, "breach_batch", lambda p=provider, ds=details: OpBatch(self._stamped(p, ds))
-                )
+                self._submit_private(group, provider, lambda p=provider, ds=details: OpBatch(self._stamped(p, ds)))
 
 
 def run_scenario(
@@ -487,8 +480,8 @@ def run_sweep(
             {
                 "value": value,
                 "public_mean_ms": (r.summary["public"] or {}).get("mean_ms"),
-                "private_deploy_mean_ms": (r.summary["kinds"].get("deploy_private") or {}).get("mean_ms"),
-                "breach_mean_ms": (r.summary["kinds"].get("register_breach") or {}).get("mean_ms"),
+                "private_deploy_mean_ms": (r.summary["kinds"].get(OpInit.KIND) or {}).get("mean_ms"),
+                "breach_mean_ms": (r.summary["kinds"].get(OpBreach.KIND) or {}).get("mean_ms"),
                 "completed": r.completed,
             }
             for value, r in zip(values, results)

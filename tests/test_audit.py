@@ -109,7 +109,7 @@ def test_divergent_member_ledger_is_found():
     result = fresh()
     group = any_group(result)
     node = result.cluster.nodes[group.member_nodes[0]]
-    ledger = node.read_private_state(group.group_id)
+    ledger = node.group_ledgers.get(group.group_id)
     ledger.records.append(BreachRecord(reporter=group.consumer, details="forged", reported_at=1))
     found = member_state_consistency(result)
     assert any(f.check == "member-state" and "divergent" in f.detail for f in found)
@@ -198,7 +198,7 @@ def test_breach_record_from_non_member_is_found():
     result = fresh()
     group = any_group(result)
     node = result.cluster.nodes[group.member_nodes[0]]
-    ledger = node.read_private_state(group.group_id)
+    ledger = node.group_ledgers.get(group.group_id)
     ledger.records.append(BreachRecord(reporter=b"\xee" * 20, details="planted", reported_at=5))
     found = authorization_replay(result)
     assert any(f.check == "authorization" and "non-member" in f.detail for f in found)

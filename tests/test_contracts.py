@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pactsim import contracts
 from pactsim.contracts import (
     MAX_SERVICES_PER_PROVIDER,
+    OPS,
     AgreementRecord,
     BatchSummary,
     BreachRecord,
@@ -25,7 +26,7 @@ from pactsim.contracts import (
     decode_private_op,
     public_call,
 )
-from pactsim.encoding import ADDRESS_LEN, DecodeError, digest, enc_bytes, enc_u32, enc_u64
+from pactsim.encoding import ADDRESS_LEN, ARG_TYPES, DecodeError, digest, enc_bytes, enc_u32, enc_u64
 from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
 
 from .conftest import call_tx, cred
@@ -254,6 +255,10 @@ def test_abi_description_lists_all_operations():
     for needle in ("registry.register", "catalog.publish", "selection.select", "privacy marker"):
         assert needle in text
     assert f"gas={GAS_PUBLISH}" in text
+
+
+def test_every_parameter_type_is_an_encoding_arg_type():
+    assert {ty for op in OPS.values() for _, ty in op.params} <= ARG_TYPES.keys()
 
 
 def test_abi_doc_file_matches_code():

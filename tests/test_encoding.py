@@ -1,6 +1,8 @@
 """Canonical encoding: frozen byte values and round-trip properties."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from pactsim.encoding import (
     ADDRESS_LEN,
+    ARG_TYPES,
     HASH_LEN,
     Cursor,
     DecodeError,
@@ -127,10 +130,16 @@ ARG_VALUES = st.fixed_dictionaries(
 )
 
 
-@given(ARG_VALUES, st.permutations(["address", "hash", "u64", "str", "u8"]))
+@given(ARG_VALUES, st.permutations(sorted(ARG_TYPES)))
 def test_args_round_trip(values, schema):
     vals = tuple(values[t] for t in schema)
     assert dec_args(schema, enc_args(schema, vals)) == vals
+
+
+def test_docs_name_exactly_the_argument_types():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "encoding.md").read_text()
+    sentence = text.split("Supported argument types:", 1)[1].split(".", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(ARG_TYPES)
 
 
 def test_args_reject_trailing_bytes():

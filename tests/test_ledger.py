@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pactsim import ledger
+from pactsim.contracts import GasSchedule, PublicState
 from pactsim.encoding import (
     ADDRESS_LEN,
     TAG_BLOCK,
@@ -403,19 +404,20 @@ def ref_pack(txs_in_arrival_order, gas_limit, executed_nonces):
 SENDERS = [cred(200 + i) for i in range(6)]
 
 
-def pool_with(txs):
-    pool = TxPool()
+def pool_with(txs, nonces=None):
+    pool = TxPool({} if nonces is None else nonces)
     for t, tx in enumerate(txs):
         assert pool.add(tx, now=t)
     return pool
 
 
 def test_pool_rejects_duplicates_and_stale_nonces():
-    pool = TxPool()
+    nonces = {}
+    pool = TxPool(nonces)
     tx = call_tx(SENDERS[0], 0, "registry", "register", 1)
     assert pool.add(tx, 0)
     assert not pool.add(tx, 1)
-    pool.note_executed_nonce(SENDERS[0].address, 3)
+    nonces[SENDERS[0].address] = 4  # the executed state is past nonce 3
     late = call_tx(SENDERS[0], 2, "registry", "register", 1)
     assert not pool.add(late, 2)
     assert pool.add(call_tx(SENDERS[0], 4, "registry", "register", 1), 3)
@@ -449,7 +451,7 @@ def test_two_of_three_fit():
 
 
 def test_empty_pool_builds_empty_block():
-    assert TxPool().select(8_000_000) == []
+    assert TxPool({}).select(8_000_000) == []
 
 
 def test_gas_limit_caps_block_and_preserves_fifo():
@@ -465,7 +467,9 @@ def test_remove_included_prunes_stale_competitors():
     a = SENDERS[0]
     tx0 = call_tx(a, 0, "registry", "register", 1)
     rival = call_tx(a, 0, "registry", "register", 2)
-    pool = pool_with([tx0, rival])
+    nonces = {}
+    pool = pool_with([tx0, rival], nonces)
+    nonces[a.address] = 1  # the state executed tx0
     pool.remove_included((tx0,))
     assert len(pool) == 0
 
@@ -473,7 +477,8 @@ def test_remove_included_prunes_stale_competitors():
 class RefPool:
     """Reference pool: a list in arrival order; after every block, any
     transaction whose sender's nonce has executed is swept from the
-    whole pool."""
+    whole pool.  A sender advances only when its next nonce executes,
+    as in `PublicState`."""
 
     def __init__(self):
         self.entries = []  # [tx, arrival]
@@ -492,7 +497,8 @@ class RefPool:
     def remove_included(self, txs):
         ids = {tx.tx_id for tx in txs}
         for tx in txs:
-            self.next_nonce[tx.sender] = max(self.next_nonce.get(tx.sender, 0), tx.nonce + 1)
+            if tx.nonce == self.next_nonce.get(tx.sender, 0):
+                self.next_nonce[tx.sender] = tx.nonce + 1
         self.entries = [
             e for e in self.entries
             if e[0].tx_id not in ids and e[0].nonce >= self.next_nonce.get(e[0].sender, 0)
@@ -527,13 +533,17 @@ GAS_LIMIT = st.shared(st.sampled_from([100_000, 200_000, 500_000]), key="pool ga
 @settings(max_examples=120, deadline=None)
 @given(GAS_LIMIT.flatmap(pool_steps), GAS_LIMIT)
 def test_packing_matches_reference(steps, gas_limit):
-    pool, ref = TxPool(), RefPool()
+    state = PublicState(GasSchedule())
+    pool, ref = TxPool(state.nonces), RefPool()
 
     def check():
         assert len(pool) == len(ref.entries)
         assert pool.pending() == ref.pending()
+        assert state.nonces == ref.next_nonce
 
     def execute(txs):
+        for tx in txs:
+            state.execute(tx)
         pool.remove_included(txs)
         ref.remove_included(txs)
         check()

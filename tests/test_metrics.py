@@ -110,7 +110,7 @@ def test_bind_tx_links_private_sample_to_its_anchor():
     mc = MetricsCollector()
     tx = call_tx(ALICE, 0, "registry", "register", 1)
     sample = mc.new_private_sample("deploy_private", submit_ms=100, group_id=b"\x05" * 32)
-    mc.on_delivered(sample, at_ms=3000, enclave_ms=2900)
+    mc.on_delivered(sample, at_ms=3000)
     assert (sample.enclave_ms, sample.final_ms) == (2900, None)  # final only once anchored
     mc.bind_tx(sample, tx.tx_id)
     finalize(mc, block_with([tx]), now=6100)
@@ -122,7 +122,7 @@ def test_offchain_kinds_keep_their_own_final_time():
     mc = MetricsCollector()
     tx = call_tx(ALICE, 0, "registry", "register", 1)
     sample = mc.new_private_sample("register_breach", submit_ms=100, group_id=b"\x05" * 32)
-    mc.on_delivered(sample, at_ms=3000, enclave_ms=2900)  # final on delivery, before anchoring
+    mc.on_delivered(sample, at_ms=3000)  # final on delivery, before anchoring
     assert (sample.enclave_ms, sample.final_ms) == (2900, 3000)
     mc.bind_tx(sample, tx.tx_id)
     finalize(mc, block_with([tx]), now=9999)

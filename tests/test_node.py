@@ -10,6 +10,7 @@ from pactsim.ledger import (
     Block,
     ChainStore,
     PrivacyMarker,
+    PublicCall,
     hash_block,
     make_transaction,
 )
@@ -269,7 +270,7 @@ def test_marker_applies_directly_when_payload_precedes_block():
     node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     node.on_sealed_block(b1)
-    ledger = node.read_private_state(group.group_id)
+    ledger = node.group_ledgers.get(group.group_id)
     assert ledger.agreement is not None
     assert ledger.agreement.terms == "availability >= 99.9%"
 
@@ -280,7 +281,7 @@ def test_marker_without_its_payload_halts_the_group_at_once():
     group, nonce, ciphertext = make_group_setup(node)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     node.on_sealed_block(b1)
-    ledger = node.read_private_state(group.group_id)
+    ledger = node.group_ledgers.get(group.group_id)
     assert ledger.halted
     assert node.private_op_failures == [(digest(ciphertext), "payload missing; group halted")]
     sim.run()
@@ -317,7 +318,7 @@ def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
     for node in cluster.nodes.values():
         ((payload_hash, text),) = node.private_op_failures
         assert payload_hash == digest(ciphertext) and text.startswith(reason)
-        assert node.read_private_state(group.group_id).agreement is None
+        assert node.group_ledgers.get(group.group_id).agreement is None
     after = decode_private_op.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
 
@@ -333,8 +334,36 @@ def test_marker_for_unknown_group_ignored():
     )
     (b1,) = build_chain(1, {1: [tx]})
     node.on_sealed_block(b1)
-    assert node.read_private_state(b"\x01" * 32) is None
+    assert node.group_ledgers.get(b"\x01" * 32) is None
     assert node.private_op_failures == []
+
+
+def test_out_of_sequence_block_leaves_the_pool_at_the_executed_nonce():
+    # Nothing checks a block's nonces before it executes, so any proposer
+    # can finalize one holding a sender's nonce 2 while it is at 0.
+    _, cluster = make_cluster(("n0",))
+    node = cluster.nodes["n0"]
+    gapped = call_tx(ALICE, 2, "registry", "register", 1)
+    (b1,) = build_chain(1, {1: [gapped]})
+    node.on_sealed_block(b1)
+    receipt = node.receipts[gapped.tx_id].receipt
+    assert (receipt.ok, receipt.reason) == (False, "nonce 2, expected 0")
+    assert node.state.nonces.get(ALICE.address, 0) == 0
+    first = call_tx(ALICE, 0, "registry", "register", 1)
+    assert node.pool.add(first, now=0)
+    assert node.pool.select(BLOCK_GAS_LIMIT) == [first]
+
+
+def test_unknown_call_charges_at_most_its_gas_limit():
+    _, cluster = make_cluster(("n0",))
+    node = cluster.nodes["n0"]
+    tx = make_transaction(ALICE, 0, 100, PublicCall("registry", "destroy", b""))
+    (b1,) = build_chain(1, {1: [tx]})
+    node.on_sealed_block(b1)
+    receipt = node.receipts[tx.tx_id].receipt
+    assert (receipt.ok, receipt.gas_used, receipt.reason) == (False, 100, "unknown call registry.destroy")
+    gas = int(node.chain_dump().splitlines()[1].split()[6])
+    assert gas <= sum(t.gas_limit for t in b1.txs) <= BLOCK_GAS_LIMIT
 
 
 def test_chain_dump_one_line_per_block_with_gas():

@@ -10,7 +10,6 @@ from pactsim.identity import Credential
 from pactsim.privacy import (
     GROUP_KEY_LEN,
     NONCE_LEN,
-    DistributionResult,
     Enclave,
     GroupDirectory,
     GroupInfo,
@@ -131,9 +130,7 @@ def courier_env(retry=0.15, hub=None):
     sim = Simulator()
     net = Network(sim, RngHub(21))
     enclaves = {n: Enclave() for n in ("m0", "m1", "m2")}
-    courier = PayloadCourier(
-        sim, net, hub or RngHub(21), enclaves, Uniform(400, 2600), retry_probability=retry
-    )
+    courier = PayloadCourier(net, hub or RngHub(21), enclaves, Uniform(400, 2600), retry_probability=retry)
     return sim, enclaves, courier
 
 
@@ -152,13 +149,13 @@ def group_for(nodes) -> GroupInfo:
 def test_distribute_delivers_ciphertext_and_completes():
     sim, enclaves, courier = courier_env()
     group = group_for(("m0", "m1"))
-    results = []
-    h = courier.distribute(group, "m0", b"private op", 0, results.append)
+    acks = []
+    h = courier.distribute(group, "m0", b"private op", 0, lambda ack: acks.append((ack, sim.now)))
     assert enclaves["m0"].payloads.get(h) is not None
     sim.run()
-    assert len(results) == 1
-    r = results[0]
-    assert r.payload_hash == h and r.completed_at >= r.started_at + 800
+    # Sent at time 0, so the acknowledgement's arrival time is the transfer time.
+    ((ack, acked_at),) = acks
+    assert ack == h and acked_at >= 800
     stored = enclaves["m1"].payloads.get(h)
     assert stored is not None and b"private op" not in stored.ciphertext
     assert enclaves["m2"].payloads.get(h) is None
@@ -181,12 +178,11 @@ def reference_enclave_ms(indices, retry=0.15) -> dict[int, int]:
 
 
 def distribution_delays(indices, hub=None):
+    """Each payload's transfer time: every payload is sent at time 0, so it is the acknowledgement's arrival."""
     sim, _, courier = courier_env(hub=hub)
     out = {}
     for i in indices:
-        courier.distribute(
-            group_for(("m0", "m1")), "m0", b"p%d" % i, i, lambda r, i=i: out.__setitem__(i, r.enclave_ms)
-        )
+        courier.distribute(group_for(("m0", "m1")), "m0", b"p%d" % i, i, lambda _h, i=i: out.__setitem__(i, sim.now))
     sim.run()
     return out
 
@@ -211,11 +207,12 @@ def test_each_payload_reads_its_own_legs_and_coin_in_any_order(indices):
 
 def test_distribution_delay_envelope():
     # One recipient: no-retry span is 800..5200, retry span up to 10400;
-    # with p=0.15 the long-run mean sits near 3450.
+    # with p=0.15 the long-run mean sits near 3450.  Every payload is sent at
+    # time 0, so an acknowledgement's arrival time is its transfer time.
     sim, _, courier = courier_env()
     samples = []
     for i in range(600):
-        courier.distribute(group_for(("m0", "m1")), "m0", b"x%d" % i, i, lambda r: samples.append(r.enclave_ms))
+        courier.distribute(group_for(("m0", "m1")), "m0", b"x%d" % i, i, lambda _h: samples.append(sim.now))
     sim.run()
     assert min(samples) >= 800
     assert max(samples) <= 10400
@@ -227,11 +224,7 @@ def test_retry_probability_zero_tightens_envelope():
     sim, _, courier = courier_env(retry=0.0)
     samples = []
     for i in range(200):
-        courier.distribute(group_for(("m0", "m1")), "m0", b"y%d" % i, i, lambda r: samples.append(r.enclave_ms))
+        courier.distribute(group_for(("m0", "m1")), "m0", b"y%d" % i, i, lambda _h: samples.append(sim.now))
     sim.run()
     assert max(samples) <= 5200
 
-
-def test_distribution_result_exposes_duration():
-    r = DistributionResult(b"\x00" * 32, started_at=100, completed_at=350)
-    assert r.enclave_ms == 250

@@ -47,7 +47,7 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
     assert len(smoke_run.directory.by_id) == 2
     for group in smoke_run.directory.by_id.values():
         for name in group.member_nodes:
-            ledger = smoke_run.cluster.nodes[name].read_private_state(group.group_id)
+            ledger = smoke_run.cluster.nodes[name].group_ledgers.get(group.group_id)
             assert ledger.agreement is not None
             assert len(ledger.records) == 1
             assert not ledger.halted
@@ -55,7 +55,7 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
 
 def test_group_members_hold_their_own_ledgers_of_shared_records(smoke_run):
     for group in smoke_run.directory.by_id.values():
-        a, b = (smoke_run.cluster.nodes[n].read_private_state(group.group_id) for n in group.member_nodes)
+        a, b = (smoke_run.cluster.nodes[n].group_ledgers.get(group.group_id) for n in group.member_nodes)
         assert a is not b and a.records is not b.records
         assert a.encode() == b.encode()
         # Both members applied the one decoded operation.
@@ -90,7 +90,7 @@ def test_member_crash_never_leaves_a_marker_without_its_payload(private_stress_s
         assert runtime.private_op_failures == []
     for group in result.directory.by_id.values():
         live = [n for n in group.member_nodes if n not in result.cluster.network.crashed]
-        ledgers = [result.cluster.nodes[n].read_private_state(group.group_id) for n in live]
+        ledgers = [result.cluster.nodes[n].group_ledgers.get(group.group_id) for n in live]
         assert not any(ledger.halted for ledger in ledgers)
         assert len({ledger.state_digest() for ledger in ledgers}) == 1
 
