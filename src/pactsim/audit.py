@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ledger import PrivacyMarker
+from .ledger import PrivacyMarker, block_wire
 from .scenario import RunResult, wire_bytes
 
 
@@ -25,10 +25,7 @@ class Finding:
 def node_byte_image(result: RunResult, name: str) -> bytes:
     """Everything a node persists: chain, world state, enclave store."""
     node = result.cluster.nodes[name]
-    chain = b"".join(
-        block.header_and_body() + b"".join(addr + sig for addr, sig in block.seals)
-        for block in node.store.blocks
-    )
+    chain = b"".join(block_wire(block) for block in node.store.blocks)
     return chain + node.state.encode() + node.enclave.dump_bytes()
 
 
@@ -44,14 +41,14 @@ def isolation_scan(result: RunResult) -> list[Finding]:
     findings: list[Finding] = []
     if result.driver is None:
         return findings
-    images = {name: node_byte_image(result, name) for name in result.cluster.node_names}
+    images = {name: node_byte_image(result, name) for name in result.config.node_names}
     wire_log = result.cluster.network.wire_log
     wire_image = b"\x00".join(wire_bytes(item) for _, _, item in wire_log) if wire_log else b""
     plaintexts_of: dict[bytes, list[bytes]] = {}
     for gid, plaintext in result.driver.payload_log:
         plaintexts_of.setdefault(gid, []).append(plaintext)
     for group in result.directory.by_id.values():
-        outsiders = [n for n in result.cluster.node_names if n not in group.member_nodes]
+        outsiders = [n for n in result.config.node_names if n not in group.member_nodes]
         plaintexts = plaintexts_of.get(group.group_id, [])
         for name in outsiders:
             image = images[name]
@@ -148,7 +145,7 @@ def authorization_replay(result: RunResult) -> list[Finding]:
     """
     findings: list[Finding] = []
     directory = result.directory
-    ref_name = result.cluster.node_names[0]
+    ref_name = result.config.node_names[0]
     ref_node = result.cluster.nodes[ref_name]
     for block in ref_node.store.blocks:
         for tx in block.txs:

@@ -47,7 +47,7 @@ per recipient; a `replace` copy builds and checks its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
 from .encoding import (
@@ -62,7 +62,7 @@ from .encoding import (
 # `verify` is unused here but stays importable from this module;
 # perfbench's tracer test reads `consensus.verify`.
 from .identity import Credential, ValidatorSet, fault_tolerance, verify
-from .ledger import Block, ChainStore, LedgerError, block_wire, seal_preimage
+from .ledger import Block, LedgerError, block_wire, seal_preimage
 from .simulation import Targets
 
 if TYPE_CHECKING:
@@ -250,11 +250,12 @@ class _HeightState:
 class IbftValidator:
     """One validator's consensus engine, driven by network events.
 
-    Built from its node, which supplies the simulator, the network and
-    the genesis validator set (`node.store.validators`), and from the
-    run's config, which supplies the block interval, the base round
-    timeout, the block gas limit and the peer order
-    (`config.validator_names` without this node).  A crash is recorded
+    Built from its node, which supplies the name, the simulator, the
+    network, the chain store and the genesis validator set
+    (`node.store.validators`), and from the run's config, which supplies
+    the block interval, the base round timeout, the block gas limit and
+    the peer order (`config.validator_names` without this node).  The
+    node calls `start` after each block it appends.  A crash is recorded
     only in `Network.crashed`: the kernel drops every message to a
     crashed node, and every timer of this validator is `_guarded`.
     """
@@ -265,8 +266,10 @@ class IbftValidator:
         self.address = credential.address
         self.config = config
         self.strategy = strategy
+        self.name = node.name
         self.sim = node.sim
         self.network = node.network
+        self.store = node.store
         self.validators = node.store.validators
         self.future: dict[int, list[Message]] = {}
         self.state = _HeightState(height=0)
@@ -280,20 +283,10 @@ class IbftValidator:
         peers = (peer for peer in self.config.validator_names if peer != self.name)
         return tuple((peer, nodes[peer].validator.on_message) for peer in peers)
 
-    @property
-    def store(self) -> ChainStore:
-        return self.node.store
-
-    @property
-    def name(self) -> str:
-        return self.node.name
-
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        self._enter_height()
-
-    def _enter_height(self) -> None:
+        """Enter the height above the store's head."""
         h = self.store.height + 1
         if self.state.height == h:
             return
@@ -303,7 +296,7 @@ class IbftValidator:
         if self.sim.trace_enabled:
             self.sim.trace("height_start", node=self.name, height=h, at=start_at)
         if self.validators.proposer_for(h, 0) == self.address:
-            self.sim.schedule_at(start_at, self._guarded(h, 0, self._propose_fresh))
+            self.sim.schedule_at(start_at, self._guarded(h, 0, partial(self._propose, 0, ())))
         self.sim.schedule_at(start_at + self.config.base_round_timeout_ms, self._guarded(h, 0, self._on_timeout))
         for msg in self.future.pop(h, []):
             self._process(msg, True)
@@ -376,9 +369,6 @@ class IbftValidator:
             round=round_,
             txs=txs,
         )
-
-    def _propose_fresh(self) -> None:
-        self._propose(0, ())
 
     def _propose(self, round_: int, rc_cert: tuple[RoundChange, ...]) -> None:
         if round_ in self.state.proposed_rounds or self.strategy == "withhold":
@@ -639,12 +629,6 @@ class IbftValidator:
                 self._advance_round(target, send_rc=True)
             cert = tuple(senders.values())
             self._propose(target, cert)
-
-    # -- external finality --------------------------------------------
-
-    def on_chain_extended(self) -> None:
-        """The store advanced (own finalize or sealed-block sync)."""
-        self._enter_height()
 
     def _sync_from(self, sender: bytes) -> None:
         self.node.request_sync(self.node.cluster.name_of[sender])

@@ -7,6 +7,8 @@ over the block hash.  The store refuses conflicting blocks at the same
 height and checks the seals of every block another node sent against
 the genesis `ValidatorSet`; a block a validator sealed itself comes
 from commits whose seals consensus already checked against that set.
+It also refuses a block whose transactions do not continue each
+sender's executed nonce in sequence, the state's own rule.
 
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
@@ -256,9 +258,10 @@ def genesis_block() -> Block:
 class ChainStore:
     """Finalized blocks of one node, genesis upward, no gaps."""
 
-    def __init__(self, validators: ValidatorSet, block_gas_limit: int):
+    def __init__(self, validators: ValidatorSet, block_gas_limit: int, nonces: dict[bytes, int]):
         self.validators = validators
         self.block_gas_limit = block_gas_limit
+        self.nonces = nonces
         self.blocks: list[Block] = [genesis_block()]
 
     @property
@@ -318,8 +321,9 @@ class ChainStore:
 
         It must sit at head + 1 on the head's hash, not go back in time,
         and hold only correctly signed transactions whose gas limits sum
-        to at most the block gas limit.  Consensus checks a proposal with
-        this before voting for it.
+        to at most the block gas limit and whose nonces continue each
+        sender's executed nonce (`nonces`, the state's map) in sequence.
+        Consensus checks a proposal with this before voting for it.
         """
         if block.height != self.height + 1:
             raise HeightGap(f"got height {block.height}, head is {self.height}")
@@ -328,9 +332,14 @@ class ChainStore:
         if block.timestamp < self.head.timestamp:
             raise InvalidBlock("timestamp went backwards")
         gas = 0
+        next_nonce: dict[bytes, int] = {}
         for tx in block.txs:
             if not tx.verify_signature():
                 raise InvalidBlock(f"bad tx signature in block {block.height}")
+            expected = next_nonce[tx.sender] if tx.sender in next_nonce else self.nonces.get(tx.sender, 0)
+            if tx.nonce != expected:
+                raise InvalidBlock(f"nonce {tx.nonce}, expected {expected}, in block {block.height}")
+            next_nonce[tx.sender] = expected + 1
             gas += tx.gas_limit
         if gas > self.block_gas_limit:
             raise InvalidBlock(f"block {block.height} holds {gas} gas, over the limit of {self.block_gas_limit}")

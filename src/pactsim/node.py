@@ -12,16 +12,16 @@ enclave has acknowledged its payload, so each operation is opened and
 applied in the block that executes its marker; a member that finds the
 payload missing halts the group instead of applying past the gap.
 
-Validators push the blocks they finalize to the non-validator nodes.  A
-node that finds itself behind asks one peer for the sealed blocks above
-its head (`request_sync`); each block of the reply goes through
-`on_sealed_block` like a push.  Gossip sent while a node was cut off
-may never have arrived, so a node that catches up this way gossips its
-pending transactions again.
-
-A block's seals are checked where it enters a node: by `append_block`
-for a block pushed or synced from a peer, and by consensus, one
-`Commit` at a time, for a block the node's own validator sealed.
+A sealed block enters a node down one path, `_take_block`: from
+`on_self_finalized` when the node's own validator sealed it, whose seals
+consensus checked one `Commit` at a time, and from `on_sealed_block`
+when a peer pushed or synced it, whose seals `append_block` checks.
+Only a block its own validator sealed is pushed on to the non-validator
+nodes.  A node that finds itself behind asks one peer for the sealed
+blocks above its head (`request_sync`); each block of the reply goes
+through `on_sealed_block` like a push.  Gossip sent while a node was
+cut off may never have arrived, so a node that catches up this way
+gossips its pending transactions again.
 
 A transaction's signature is checked at gossip intake, by each
 validator in a proposal holding it, and when a block holding it is
@@ -88,8 +88,8 @@ class NodeRuntime:
         self.name = name
         self.sim = sim
         self.network = network
-        self.store = ChainStore(validators, block_gas_limit)
         self.state = PublicState(schedule)
+        self.store = ChainStore(validators, block_gas_limit, self.state.nonces)
         self.pool = TxPool(self.state.nonces)
         self.enclave = Enclave()
         self.receipts: dict[bytes, ReceiptEntry] = {}
@@ -134,19 +134,17 @@ class NodeRuntime:
     # -- block intake -------------------------------------------------
 
     def on_self_finalized(self, sealed: Block) -> None:
-        """A quorum of commits assembled locally by our own validator, whose seals consensus checked."""
-        try:
-            appended = self.store.append_block(sealed, seals_verified=True)
-        except DuplicateHeight as err:
-            self.cluster.metrics.record_safety_violation(self.name, sealed.height, str(err))
-            return
-        if appended:
-            self._after_append(sealed, self_finalized=True)
+        """A block our own validator sealed from a commit quorum, whose seals consensus checked."""
+        self._take_block(sealed, True)
 
     def on_sealed_block(self, block: Block) -> None:
         """A fully sealed block arriving from another node."""
+        self._take_block(block, False)
+
+    def _take_block(self, block: Block, own: bool) -> None:
+        """Append, apply and pass on `block`; `own` if this node's validator sealed it."""
         try:
-            appended = self.store.append_block(block)
+            appended = self.store.append_block(block, seals_verified=own)
         except DuplicateHeight as err:
             self.cluster.metrics.record_safety_violation(self.name, block.height, str(err))
             return
@@ -160,17 +158,14 @@ class NodeRuntime:
         except LedgerError:
             self.dropped_invalid_blocks += 1
             return
-        if appended:
-            self._after_append(block, self_finalized=False)
-
-    def _after_append(self, block: Block, self_finalized: bool) -> None:
+        if not appended:
+            return
         self._apply_block(block)
         if self.validator is not None:
             self.cluster.metrics.on_validator_finalized(self.name, block, self.sim.now)
-        if self_finalized:
-            self.cluster.push_to_members(self.name, block)
-        if self.validator is not None:
-            self.validator.on_chain_extended()
+            if own:
+                self.network.send(self.name, self.cluster.targets(self.name)[1], "consensus", block)
+            self.validator.start()
         # Drain any buffered successor.
         nxt = self.future_blocks.pop(self.store.height + 1, None)
         if nxt is not None:
@@ -292,7 +287,6 @@ class Cluster:
         self.network = network
         self.metrics = metrics
         self.nodes: dict[str, NodeRuntime] = {}
-        self.node_names: tuple[str, ...] = ()
         # Validator address -> the name of the node running it.
         self.name_of = name_of
         # Source node -> its (gossip, member push) targets, built on first use.
@@ -301,7 +295,6 @@ class Cluster:
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node
         node.cluster = self
-        self.node_names = tuple(self.nodes)
         self._targets.clear()
 
     def targets(self, src: str) -> tuple[Targets, Targets]:
@@ -315,10 +308,6 @@ class Cluster:
                 tuple((name, node.on_sealed_block) for name, node in others if node.validator is None),
             )
         return pair
-
-    def push_to_members(self, src: str, block: Block) -> None:
-        _, members = self.targets(src)
-        self.network.send(src, members, "consensus", block)
 
     def submit(self, node_name: str, tx: Transaction) -> None:
         """Client submission over local RPC to the node hosting it."""

@@ -34,7 +34,7 @@ def any_group(result):
 
 
 def outsider_of(result, group):
-    return next(n for n in result.cluster.node_names if n not in group.member_nodes)
+    return next(n for n in result.config.node_names if n not in group.member_nodes)
 
 
 # -- negative control -------------------------------------------------
@@ -173,7 +173,7 @@ def test_tampered_world_state_is_found():
 def test_marker_from_non_member_is_found():
     result = fresh()
     group = any_group(result)
-    ref = result.cluster.nodes[result.cluster.node_names[0]]
+    ref = result.cluster.nodes[result.config.node_names[0]]
     intruder = cred(99)
     tx = make_transaction(
         intruder, nonce=0, gas_limit=50_000,

@@ -551,12 +551,16 @@ def test_each_message_object_is_checked_once_for_every_recipient(monkeypatch):
     assert len(checks) == 3
 
 
+def height_one_proposer(a):
+    return next(
+        node for node in a.cluster.nodes.values() if node.validator.address == a.validator_set.proposer_for(1, 0)
+    )
+
+
 def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on():
     cfg = heights_config({"member_nodes": 0})
     a = assemble(cfg, 5)
-    proposer = next(
-        node for node in a.cluster.nodes.values() if node.validator.address == a.validator_set.proposer_for(1, 0)
-    )
+    proposer = height_one_proposer(a)
     tx = call_tx(cred(1), 0, "registry", "register", 1)
     forged = replace(tx, gas_limit=tx.gas_limit + 1)  # the signature no longer matches
     proposer.pool.add(forged, 0)
@@ -570,17 +574,8 @@ def test_proposal_holding_a_forged_transaction_is_dropped_and_the_chain_moves_on
     assert a.cluster.nodes["v0"].store.blocks[1].round == 1
 
 
-def test_proposal_over_the_block_gas_limit_gets_no_honest_prepare(monkeypatch):
-    cfg = heights_config()
-    a = assemble(cfg, 5)
-    proposer = next(
-        node for node in a.cluster.nodes.values() if node.validator.address == a.validator_set.proposer_for(1, 0)
-    )
-    txs = [call_tx(cred(1 + i), 0, "registry", "register", 1, gas_limit=5_000_000) for i in range(3)]
-    overweight = Block(1, 1000, genesis_block().hash, proposer.validator.address, 0, tuple(txs))
-    with pytest.raises(InvalidBlock, match="15000000 gas"):
-        a.cluster.nodes["v0"].store.check_extends(overweight)
-    # A Byzantine proposer packs past the limit at every height it proposes.
+def assert_packing_gets_no_honest_prepare(monkeypatch, a, proposer, txs):
+    """A Byzantine proposer packs `txs` at every height it proposes; honest validators move on without it."""
     monkeypatch.setattr(proposer.pool, "select", lambda limit: txs)
     prepares = []
     real = IbftValidator.send_prepare
@@ -589,12 +584,33 @@ def test_proposal_over_the_block_gas_limit_gets_no_honest_prepare(monkeypatch):
     )
     a.cluster.start_validators()
     a.sim.run(until=60_000)
-    nodes = [a.cluster.nodes[n] for n in cfg.validator_names]
+    nodes = [a.cluster.nodes[n] for n in a.config.validator_names]
     assert min(node.store.height for node in nodes) >= 3
     assert all(tx not in block.txs for node in nodes for block in node.store.blocks for tx in txs)
     assert all(node.validator.dropped_invalid >= 1 for node in nodes)
     assert not [p for p in prepares if p[1:] == (1, 0)]
     assert nodes[0].store.blocks[1].round == 1
+
+
+def test_proposal_over_the_block_gas_limit_gets_no_honest_prepare(monkeypatch):
+    a = assemble(heights_config(), 5)
+    proposer = height_one_proposer(a)
+    txs = [call_tx(cred(1 + i), 0, "registry", "register", 1, gas_limit=5_000_000) for i in range(3)]
+    overweight = Block(1, 1000, genesis_block().hash, proposer.validator.address, 0, tuple(txs))
+    with pytest.raises(InvalidBlock, match="15000000 gas"):
+        a.cluster.nodes["v0"].store.check_extends(overweight)
+    assert_packing_gets_no_honest_prepare(monkeypatch, a, proposer, txs)
+
+
+def test_proposal_out_of_nonce_sequence_gets_no_honest_prepare(monkeypatch):
+    a = assemble(heights_config(), 5)
+    proposer = height_one_proposer(a)
+    # The sender's nonce 1 is missing, so its nonce 2 cannot execute.
+    txs = [call_tx(cred(1), nonce, "registry", "register", 1) for nonce in (0, 2)]
+    gapped = Block(1, 1000, genesis_block().hash, proposer.validator.address, 0, tuple(txs))
+    with pytest.raises(InvalidBlock, match="nonce 2, expected 1"):
+        a.cluster.nodes["v0"].store.check_extends(gapped)
+    assert_packing_gets_no_honest_prepare(monkeypatch, a, proposer, txs)
 
 
 # -- signed bytes -----------------------------------------------------

@@ -47,7 +47,7 @@ QUORUM = 3
 
 
 def fresh_store() -> ChainStore:
-    return ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT)
+    return ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT, {})
 
 
 def sealed_block(store: ChainStore, txs=(), timestamp=None, round_=0, sealers=None) -> Block:
@@ -353,6 +353,28 @@ def test_block_over_the_gas_limit_rejected():
     with pytest.raises(InvalidBlock, match="over the limit"):
         store.append_block(over)
     assert store.height == 1
+
+
+def test_block_must_continue_each_senders_executed_nonce():
+    alice, bob = cred(1), cred(2)
+    nonces = {alice.address: 1}
+    store = ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT, nonces)
+
+    def register(sender, nonce, role=1):
+        return call_tx(sender, nonce, "registry", "register", role)
+
+    cases = {
+        "nonce 3, expected 2": [register(alice, 1), register(alice, 3)],  # a gap
+        "nonce 1, expected 2": [register(alice, 1), register(alice, 1, role=2)],  # a repeat
+        "nonce 0, expected 1": [register(alice, 0)],  # already executed
+    }
+    for reason, txs in cases.items():
+        with pytest.raises(InvalidBlock, match=reason):
+            store.append_block(sealed_block(store, txs=txs))
+    in_sequence = [register(alice, 1), register(bob, 0), register(alice, 2, role=2)]
+    assert store.append_block(sealed_block(store, txs=in_sequence)) is True
+    # The store reads the executed nonces and never writes them.
+    assert store.height == 1 and nonces == {alice.address: 1}
 
 
 def test_bad_tx_signature_rejected():

@@ -47,22 +47,26 @@ def make_cluster(names=("n0", "n1"), name_of=None):
     return sim, cluster
 
 
+def seal(block):
+    """`block` with a quorum of valid seals."""
+    return dataclasses.replace(block, seals=tuple(make_seal(v, block.hash) for v in VALIDATORS[:QUORUM]))
+
+
 def build_chain(count, txs_by_height=None):
     """Sealed blocks 1..count consistent with every node's genesis."""
-    ref = ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT)
+    ref = ChainStore(validator_set(VALIDATORS), BLOCK_GAS_LIMIT, {})
     blocks = []
     for h in range(1, count + 1):
         txs = tuple((txs_by_height or {}).get(h, ()))
-        block = Block(
-            height=h,
-            timestamp=h * 1000,
-            parent_hash=ref.hash_at(h - 1),
-            proposer=VALIDATORS[h % 4].address,
-            round=0,
-            txs=txs,
-        )
-        block = dataclasses.replace(
-            block, seals=tuple(make_seal(v, block.hash) for v in VALIDATORS[:QUORUM])
+        block = seal(
+            Block(
+                height=h,
+                timestamp=h * 1000,
+                parent_hash=ref.hash_at(h - 1),
+                proposer=VALIDATORS[h % 4].address,
+                round=0,
+                txs=txs,
+            )
         )
         ref.append_block(block)
         blocks.append(block)
@@ -137,6 +141,20 @@ def test_duplicate_sealed_block_is_a_no_op():
     assert cluster.metrics.safety_violations == []
 
 
+@pytest.mark.parametrize("entry", ["on_sealed_block", "on_self_finalized"])
+def test_conflicting_block_is_a_safety_violation_at_either_entry(entry):
+    _, cluster = make_cluster(("n0",))
+    node = cluster.nodes["n0"]
+    (b1,) = build_chain(1)
+    node.on_sealed_block(b1)
+    rival = seal(dataclasses.replace(b1, timestamp=b1.timestamp + 1))
+    getattr(node, entry)(rival)
+    (violation,) = cluster.metrics.safety_violations
+    assert (violation.node, violation.height) == ("n0", 1)
+    assert node.store.blocks[1:] == [b1]
+    assert node.dropped_invalid_blocks == 0
+
+
 def test_unverifiable_block_dropped_and_counted():
     _, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
@@ -157,8 +175,7 @@ def test_tampered_copy_of_admitted_tx_refused_at_gossip_and_append():
     node.receive_gossip(tampered)
     assert len(node.pool) == 1
     (b1,) = build_chain(1, {1: [tx]})
-    bad = dataclasses.replace(b1, txs=(tampered,))
-    bad = dataclasses.replace(bad, seals=tuple(make_seal(v, bad.hash) for v in VALIDATORS[:QUORUM]))
+    bad = seal(dataclasses.replace(b1, txs=(tampered,)))
     node.on_sealed_block(bad)
     assert node.store.height == 0
     assert node.dropped_invalid_blocks == 1
@@ -339,15 +356,14 @@ def test_marker_for_unknown_group_ignored():
 
 
 def test_out_of_sequence_block_leaves_the_pool_at_the_executed_nonce():
-    # Nothing checks a block's nonces before it executes, so any proposer
-    # can finalize one holding a sender's nonce 2 while it is at 0.
+    # A block must continue each sender's executed nonce, so one holding
+    # a sender's nonce 2 while it is at 0 is refused before it executes.
     _, cluster = make_cluster(("n0",))
     node = cluster.nodes["n0"]
     gapped = call_tx(ALICE, 2, "registry", "register", 1)
-    (b1,) = build_chain(1, {1: [gapped]})
-    node.on_sealed_block(b1)
-    receipt = node.receipts[gapped.tx_id].receipt
-    assert (receipt.ok, receipt.reason) == (False, "nonce 2, expected 0")
+    node.on_sealed_block(seal(Block(1, 1000, node.store.head.hash, VALIDATORS[1].address, 0, (gapped,))))
+    assert node.dropped_invalid_blocks == 1
+    assert node.store.height == 0 and gapped.tx_id not in node.receipts
     assert node.state.nonces.get(ALICE.address, 0) == 0
     first = call_tx(ALICE, 0, "registry", "register", 1)
     assert node.pool.add(first, now=0)

@@ -107,7 +107,7 @@ def test_identical_seed_and_config_reproduce_everything():
     b = run_scenario(SMOKE, seed=9)
     assert a.summary == b.summary
     assert [s.__dict__ for s in a.metrics.samples] == [s.__dict__ for s in b.metrics.samples]
-    for name in a.cluster.node_names:
+    for name in a.config.node_names:
         assert [blk.hash for blk in a.cluster.nodes[name].store.blocks] == [
             blk.hash for blk in b.cluster.nodes[name].store.blocks
         ]
