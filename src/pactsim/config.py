@@ -354,6 +354,13 @@ _READERS = {
 }
 
 
+def read_field(path: str, value, where: str):
+    """Read `value` as a configuration's key `path` is read, naming it `where` in an error."""
+    parent, _, key = path.rpartition(".")
+    f = _CHILDREN[parent][key]
+    return _READERS[f.type](f, value, where)
+
+
 # -- configurations ---------------------------------------------------
 
 

@@ -13,8 +13,10 @@ other than the sender only when the round-change certificate binds that
 block.
 
 A validator that assembles a commit quorum appends the sealed block
-itself, without checking its seals again (`_authentic` checked each
-peer's seal in its `Commit`), and pushes it to non-validator nodes
+itself without checking it again (`append_block` with `checked`): it
+ran `ChainStore.check_extends` on the block as a proposal, against the
+same head since any append ends the height, and `_authentic` on each
+seal's `Commit`.  It pushes the block to non-validator nodes
 only.  A validator that falls behind pulls what it lacks: a correctly
 signed message for a height above its own, or a commit quorum for a
 block it never saw proposed, makes it ask that message's sender for
@@ -243,7 +245,6 @@ class _HeightState:
     commits: dict[tuple[int, bytes], dict[bytes, Commit]] = field(default_factory=dict)
     round_changes: dict[int, dict[bytes, RoundChange]] = field(default_factory=dict)
     prepared: PreparedCert | None = None
-    sent_commit: set[int] = field(default_factory=set)
     proposed_rounds: set[int] = field(default_factory=set)
 
 
@@ -438,7 +439,9 @@ class IbftValidator:
             round_ = msg.round
             votes = st.prepares.setdefault((round_, msg.digest), {})
             votes[msg.sender] = msg
-            if round_ == st.round and round_ not in st.sent_commit and len(votes) >= self.validators.quorum:
+            if round_ == st.round and len(votes) >= self.validators.quorum and (
+                st.prepared is None or st.prepared.round < round_
+            ):
                 self._check_prepare_quorum(round_, msg.digest)
         elif kind is Commit:
             votes = st.commits.setdefault((msg.round, msg.digest), {})
@@ -549,6 +552,8 @@ class IbftValidator:
         votes = st.prepares.get((round_, digest), {})
         if len(votes) < self.validators.quorum:
             return
+        # `prepared` is never from a later round than the current one, so
+        # one from this round means its commit is already sent.
         if st.prepared is None or st.prepared.round < round_:
             proofs = tuple(v for sender, v in votes.items() if v is not None and sender != proposal.sender)
             st.prepared = PreparedCert(
@@ -557,8 +562,6 @@ class IbftValidator:
                 proposer_sig=proposal.signature,
                 prepares=proofs,
             )
-        if round_ not in st.sent_commit:
-            st.sent_commit.add(round_)
             self.send_commit(st.height, round_, digest)
 
     def _check_commit_quorum(self, round_: int, digest: bytes) -> None:

@@ -331,35 +331,27 @@ class OpBatch:
 PrivateOp = OpInit | OpBreach | OpBatch
 
 
-def _text_record(data: bytes, pos: int, before: int) -> tuple[str, int]:
-    """Check a record of `before` fixed bytes and a u32-prefixed UTF-8 text that ends it.
+def _text_record(data: bytes, pos: int, before: int, after: int) -> tuple[str, int, int]:
+    """Check a record of `before` fixed bytes, a u32-prefixed UTF-8 text and `after` fixed bytes.
 
-    Returns the text and the offset past it.  `_breach_at` inlines these checks.
+    Returns the text, the offset past it and the offset past the record.
     """
     head = pos + before + 4
     size = len(data)
     if head <= size:
-        end = head + int.from_bytes(data[head - 4 : head], "big")
+        stop = head + int.from_bytes(data[head - 4 : head], "big")
+        end = stop + after
         if end <= size:
             try:
-                return data[head:end].decode("utf-8"), end
+                return data[head:stop].decode("utf-8"), stop, end
             except UnicodeDecodeError as exc:
                 raise DecodeError(f"invalid utf-8 string field: {exc}") from None
     raise DecodeError(f"truncated input: record at offset {pos} runs past {size} bytes")
 
 
 def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
-    head = pos + ADDRESS_LEN + 4
-    if head <= len(data):
-        stop = head + int.from_bytes(data[head - 4 : head], "big")
-        end = stop + 8
-        if end <= len(data):
-            try:
-                details = data[head:stop].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"invalid utf-8 string field: {exc}") from None
-            return BreachRecord(data[pos : head - 4], details, int.from_bytes(data[stop:end], "big")), end
-    raise DecodeError(f"truncated input: record at offset {pos} runs past {len(data)} bytes")
+    details, stop, end = _text_record(data, pos, ADDRESS_LEN, 8)
+    return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[stop:end], "big")), end
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
@@ -378,7 +370,7 @@ def decode_private_op(data: bytes) -> PrivateOp:
         raise DecodeError("truncated input: no operation kind")
     kind = data[0]
     if kind == OP_INIT:
-        terms, end = _text_record(data, 1, 2 * ADDRESS_LEN + 8)
+        terms, end, _ = _text_record(data, 1, 2 * ADDRESS_LEN + 8, 0)
         mid = 1 + ADDRESS_LEN
         top = mid + ADDRESS_LEN
         index = int.from_bytes(data[top : top + 8], "big")

@@ -3,12 +3,12 @@
 A transaction either calls a public contract function or carries a
 privacy marker (a group id plus the hash of an encrypted payload that
 travels off-chain).  Blocks are finalized with a quorum of commit seals
-over the block hash.  The store refuses conflicting blocks at the same
-height and checks the seals of every block another node sent against
-the genesis `ValidatorSet`; a block a validator sealed itself comes
-from commits whose seals consensus already checked against that set.
-It also refuses a block whose transactions do not continue each
-sender's executed nonce in sequence, the state's own rule.
+over the block hash.  The store refuses any block that conflicts with
+a stored one at its height.  It checks a block another node sent once,
+on append: `check_extends`, then its seals against the genesis
+`ValidatorSet`.  A block a validator sealed itself was checked in
+consensus, as a proposal and one `Commit` at a time.  Any refusal but a
+conflict or a gap is an `InvalidBlock`.
 
 A block's `hash` and a transaction's `tx_id` and signature check are
 derived from content, once per object: none is a constructor argument,
@@ -20,10 +20,10 @@ once, when it is built, and derives `tx_id` and its signature check from
 that encoding; `sign_preimage`, `encode` and the block hash preimage
 reuse the stored bytes.  A transaction made by `make_transaction` keeps
 the body it signed, and a decoded one the body bytes it was read from.
-Block append, and each validator's check of a proposal, re-check every
-transaction's signature and the block's gas, including transactions the
-node already admitted at gossip; for the same object the signature
-re-check reads the stored result.
+Appending a peer's block, and each validator's check of a proposal,
+re-check every transaction's signature and the block's gas, including
+transactions the node already admitted at gossip; for the same object
+the signature re-check reads the stored result.
 """
 
 from __future__ import annotations
@@ -68,16 +68,8 @@ class DuplicateHeight(LedgerError):
     """A different block is already finalized at this height."""
 
 
-class InsufficientSeals(LedgerError):
-    """Fewer distinct valid seals than the required quorum."""
-
-
-class UnknownValidatorSeal(LedgerError):
-    """A seal claims an address outside the validator set."""
-
-
 class InvalidBlock(LedgerError):
-    """Structural or signature failure inside the block."""
+    """A structural, transaction or seal failure inside the block."""
 
 
 @dataclass(frozen=True)
@@ -283,13 +275,13 @@ class ChainStore:
                 raise InvalidBlock(f"duplicate seal from {sealer.hex()}")
             seen.add(sealer)
             if sealer not in self.validators:
-                raise UnknownValidatorSeal(f"seal from non-validator {sealer.hex()}")
+                raise InvalidBlock(f"seal from non-validator {sealer.hex()}")
             if not self.validators.signed(sealer, preimage, sig):
                 raise InvalidBlock(f"bad seal signature from {sealer.hex()}")
         if len(seen) < self.validators.quorum:
-            raise InsufficientSeals(f"{len(seen)} seals, need {self.validators.quorum}")
+            raise InvalidBlock(f"{len(seen)} seals, need {self.validators.quorum}")
 
-    def append_block(self, block: Block, seals_verified: bool = False) -> bool:
+    def append_block(self, block: Block, checked: bool = False) -> bool:
         """Validate and append a sealed block.
 
         Returns True when appended, False when the identical block was
@@ -297,10 +289,10 @@ class ChainStore:
         is finalized at an occupied height: that is a consensus safety
         violation and the caller must not continue silently.
 
-        Seals are checked (`verify_seals`) unless `seals_verified`: a
-        validator sets it for a block it sealed from its own commit
-        quorum, whose seals consensus checked one `Commit` at a time.
-        The other checks always run.
+        `checked` skips `check_extends` and `verify_seals`: a validator
+        sets it for a block it sealed from its own commit quorum, which
+        consensus checked as a proposal against this same head (any
+        append ends the height) and one seal per `Commit`.
         """
         if block.height <= self.height:
             known = self.hash_at(block.height)
@@ -310,8 +302,8 @@ class ChainStore:
                 f"conflicting block at height {block.height}: "
                 f"{known.hex()[:16]} vs {block.hash.hex()[:16]}"
             )
-        self.check_extends(block)
-        if not seals_verified:
+        if not checked:
+            self.check_extends(block)
             self.verify_seals(block)
         self.blocks.append(block)
         return True

@@ -12,10 +12,10 @@ enclave has acknowledged its payload, so each operation is opened and
 applied in the block that executes its marker; a member that finds the
 payload missing halts the group instead of applying past the gap.
 
-A sealed block enters a node down one path, `_take_block`: from
-`on_self_finalized` when the node's own validator sealed it, whose seals
-consensus checked one `Commit` at a time, and from `on_sealed_block`
-when a peer pushed or synced it, whose seals `append_block` checks.
+A sealed block enters a node down one path, `_take_block`, and is
+checked once: on append when a peer pushed or synced it
+(`on_sealed_block`), in consensus when the node's own validator sealed
+it (`on_self_finalized`), whose append checks only for a conflict.
 Only a block its own validator sealed is pushed on to the non-validator
 nodes.  A node that finds itself behind asks one peer for the sealed
 blocks above its head (`request_sync`); each block of the reply goes
@@ -24,8 +24,8 @@ cut off may never have arrived, so a node that catches up this way
 gossips its pending transactions again.
 
 A transaction's signature is checked at gossip intake, by each
-validator in a proposal holding it, and when a block holding it is
-appended.  The check is derived once per transaction object, so a
+validator in a proposal holding it, and when a peer's block holding it
+is appended.  The check is derived once per transaction object, so a
 later check of an object the node already admitted costs a lookup,
 while a tampered copy is checked afresh and, inside a proposal or a
 block, gets it dropped.
@@ -134,7 +134,7 @@ class NodeRuntime:
     # -- block intake -------------------------------------------------
 
     def on_self_finalized(self, sealed: Block) -> None:
-        """A block our own validator sealed from a commit quorum, whose seals consensus checked."""
+        """A block our own validator sealed from a commit quorum; consensus checked it and its seals."""
         self._take_block(sealed, True)
 
     def on_sealed_block(self, block: Block) -> None:
@@ -142,9 +142,9 @@ class NodeRuntime:
         self._take_block(block, False)
 
     def _take_block(self, block: Block, own: bool) -> None:
-        """Append, apply and pass on `block`; `own` if this node's validator sealed it."""
+        """Append, apply and pass on `block`; `own` if this node's validator sealed (and so checked) it."""
         try:
-            appended = self.store.append_block(block, seals_verified=own)
+            appended = self.store.append_block(block, checked=own)
         except DuplicateHeight as err:
             self.cluster.metrics.record_safety_violation(self.name, block.height, str(err))
             return
@@ -282,8 +282,7 @@ class NodeRuntime:
 class Cluster:
     """All nodes of one run plus the routing glue between them."""
 
-    def __init__(self, sim: Simulator, network: Network, metrics: "MetricsCollector", name_of: dict[bytes, str]):
-        self.sim = sim
+    def __init__(self, network: Network, metrics: "MetricsCollector", name_of: dict[bytes, str]):
         self.network = network
         self.metrics = metrics
         self.nodes: dict[str, NodeRuntime] = {}

@@ -143,7 +143,7 @@ def assemble(
     ]
     validator_set = ValidatorSet(tuple((c.address, c.public_key) for c in validator_creds))
 
-    cluster = Cluster(sim, network, metrics, dict(zip(validator_set.addresses, config.validator_names)))
+    cluster = Cluster(network, metrics, dict(zip(validator_set.addresses, config.validator_names)))
     for name in config.node_names:
         node = NodeRuntime(name, sim, network, validator_set, config.gas, config.block_gas_limit)
         cluster.add_node(node)

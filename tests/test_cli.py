@@ -85,7 +85,7 @@ def test_sweep_runs_each_value(smoke_yaml, tmp_path, capsys):
     assert "block-interval=2000ms" in printed
 
 
-@pytest.mark.parametrize("values", ["", "abc", "100,abc", "0", "-5"])
+@pytest.mark.parametrize("values", ["", "abc", "100,abc", "0", "-5", str(2**62 + 1)])
 def test_sweep_rejects_bad_values(smoke_yaml, tmp_path, values, capsys):
     code = cli.main([
         "sweep", "--config", smoke_yaml, "--param", "block-interval",

@@ -1,6 +1,7 @@
 """Validator agreement: quorums, certificates, rounds, fault handling."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,10 +21,11 @@ from pactsim.consensus import (
 from pactsim import identity, ledger
 from pactsim.config import config_from_dict
 from pactsim.identity import quorum_size, verify
-from pactsim.ledger import Block, InvalidBlock, genesis_block, hash_block, seal_preimage
+from pactsim.ledger import Block, ChainStore, InvalidBlock, genesis_block, hash_block, seal_preimage
 from pactsim.scenario import assemble, run_scenario
 
 from .conftest import call_tx, cred, validator_set
+from .test_golden import CASES
 
 VALIDATORS = [cred(70 + i) for i in range(4)]
 VSET = validator_set(VALIDATORS)
@@ -464,22 +466,41 @@ def test_a_self_sealed_block_is_appended_without_checking_its_seals_again(monkey
     for module in (identity, ledger):
         real = module.verify
         monkeypatch.setattr(module, "verify", lambda *a, real=real: oracle.append(a) or real(*a))
+    extends = []
+    real_extends = ChainStore.check_extends
+    monkeypatch.setattr(ChainStore, "check_extends", lambda self, b: extends.append(b.hash) or real_extends(self, b))
     during = []
     node_type = type(holder.node)
     real_finalize = node_type.on_self_finalized
 
     def finalize(self, block):
-        before = len(oracle)
+        before = len(oracle), len(extends)
         real_finalize(self, block)
-        during.append((block.hash, len(oracle) - before))
+        during.append((block.hash, len(oracle) - before[0], len(extends) - before[1]))
 
     monkeypatch.setattr(node_type, "on_self_finalized", finalize)
     for msg in [proposal, *commits]:
         holder.on_message(msg)
     assert holder.store.height == 1 and holder.store.head.hash == digest
     assert sorted(sealer for sealer, _ in holder.store.head.seals) == sorted(c.sender for c in commits)
-    # Each seal was checked once, in its commit; the append checks none again.
-    assert during == [(digest, 0)]
+    # The block was checked once, as a proposal, and each seal once, in its
+    # commit; the append checks neither again.
+    assert extends == [digest]
+    assert during == [(digest, 0, 0)]
+
+
+@pytest.mark.parametrize("case", ["smoke-proposer-crash", "validators-31-faults"])
+def test_each_store_checks_each_block_once_per_round(monkeypatch, case):
+    checks = Counter()
+    real = ChainStore.check_extends
+    monkeypatch.setattr(
+        ChainStore, "check_extends", lambda self, b: checks.update([(self, b.hash, b.round)]) or real(self, b)
+    )
+    raw, seed = CASES[case]
+    result = run_scenario(config_from_dict(raw), seed)
+    assert result.completed and not result.metrics.safety_violations
+    twice = [(h.hex()[:16], r) for (_, h, r), n in checks.items() if n > 1]
+    assert checks and twice == []
 
 
 def test_forged_votes_at_the_current_height_are_dropped_by_every_recipient():

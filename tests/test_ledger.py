@@ -27,13 +27,11 @@ from pactsim.ledger import (
     ChainStore,
     DuplicateHeight,
     HeightGap,
-    InsufficientSeals,
     InvalidBlock,
     PrivacyMarker,
     PublicCall,
     Transaction,
     TxPool,
-    UnknownValidatorSeal,
     decode_transaction,
     genesis_block,
     hash_block,
@@ -308,14 +306,14 @@ def test_timestamp_must_not_go_backwards():
 def test_insufficient_seals():
     store = fresh_store()
     block = sealed_block(store, sealers=VALIDATORS[:2])
-    with pytest.raises(InsufficientSeals):
+    with pytest.raises(InvalidBlock, match="2 seals, need 3"):
         store.append_block(block)
 
 
 def test_duplicate_sealer_does_not_count_twice():
     store = fresh_store()
     block = sealed_block(store, sealers=[VALIDATORS[0], VALIDATORS[0], VALIDATORS[1]])
-    with pytest.raises(InvalidBlock):
+    with pytest.raises(InvalidBlock, match="duplicate seal from"):
         store.append_block(block)
 
 
@@ -323,7 +321,7 @@ def test_unknown_sealer_rejected():
     store = fresh_store()
     outsider = cred(999)
     block = sealed_block(store, sealers=[VALIDATORS[0], VALIDATORS[1], outsider])
-    with pytest.raises(UnknownValidatorSeal):
+    with pytest.raises(InvalidBlock, match=f"seal from non-validator {outsider.address.hex()}"):
         store.append_block(block)
 
 
@@ -332,7 +330,7 @@ def test_bad_seal_signature_rejected():
     block = sealed_block(store)
     wrong = sealed_block(store, timestamp=7777)
     mixed = replace(block, seals=(block.seals[0], block.seals[1], wrong.seals[2]))
-    with pytest.raises(InvalidBlock):
+    with pytest.raises(InvalidBlock, match="bad seal signature from"):
         store.append_block(mixed)
 
 

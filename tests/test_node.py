@@ -41,7 +41,7 @@ def make_cluster(names=("n0", "n1"), name_of=None):
     network.add_channel("consensus", Fixed(5), STREAM_CONSENSUS)
     network.add_channel("rpc", Fixed(5), STREAM_RPC)
     validators = validator_set(VALIDATORS)
-    cluster = Cluster(sim, network, MetricsCollector(), name_of or {})
+    cluster = Cluster(network, MetricsCollector(), name_of or {})
     for name in names:
         cluster.add_node(NodeRuntime(name, sim, network, validators, GasSchedule(), BLOCK_GAS_LIMIT))
     return sim, cluster
