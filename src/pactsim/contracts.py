@@ -19,7 +19,11 @@ a call naming `marker.anchor` is unknown like any other.
 Private side: each privacy group runs a breach ledger whose operations
 (initialize, record a breach, commit a batch) travel encrypted and are
 replayed by every group member; every operation checks membership
-before touching state.  Records are named tuples, hence immutable.
+before touching state.  Records are named tuples, hence immutable.  A
+sender encodes its operation with `encode_private_op`, which remembers
+it under its bytes: a member whose decrypted payload matches them byte
+for byte takes the sender's op, and a member holding any other bytes
+decodes them with every check.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .ledger import PrivacyMarker, PublicCall, Transaction
 
 MAX_SERVICES_PER_PROVIDER = 5
 
-# Decoded private operations, and public call arguments, kept for the
-# other nodes that execute them.
+# Private operations by their bytes, and decoded public call arguments,
+# kept for the other nodes that execute them.
 DECODE_CACHE_SIZE = 1024
 
 
@@ -354,17 +358,47 @@ def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
     return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[stop:end], "big")), end
 
 
-@lru_cache(maxsize=DECODE_CACHE_SIZE)
+# Private operations by their exact bytes, oldest evicted first: each op
+# a sender encoded, and each other successful decode.
+_private_ops: dict[bytes, PrivateOp] = {}
+
+
+def _remember(data: bytes, op: PrivateOp) -> None:
+    _private_ops.pop(data, None)
+    if len(_private_ops) >= DECODE_CACHE_SIZE:
+        del _private_ops[next(iter(_private_ops))]
+    _private_ops[data] = op
+
+
+def encode_private_op(op: PrivateOp) -> bytes:
+    """Encode a private operation and remember it, so its members' decodes return it."""
+    data = op.encode()
+    _remember(data, op)
+    return data
+
+
 def decode_private_op(data: bytes) -> PrivateOp:
     """Decode a private operation; equal bytes give the same object.
+
+    Bytes `encode_private_op` made give back the op it encoded; other
+    bytes are parsed.  Sharing one op between the sender and its members
+    is sound: parsing is pure, the op is frozen, records are named tuples
+    and `decode(encode(op)) == op`.  A failed parse is not remembered, so
+    a malformed payload fails at each member.
+    """
+    op = _private_ops.get(data)
+    if op is None:
+        op = _parse_private_op(data)
+        _remember(data, op)
+    return op
+
+
+def _parse_private_op(data: bytes) -> PrivateOp:
+    """Parse a private operation's bytes.
 
     One pass over the bytes: each record's bounds are checked once, then
     its fields are sliced out.  Truncated input, trailing bytes and text
     that is not UTF-8 raise `DecodeError`; an unknown kind `ValueError`.
-
-    Sharing it between members is sound: decoding is pure, the op is frozen
-    and records are named tuples, so member ledgers share immutable records.
-    Exceptions are not cached, so a malformed payload fails at each member.
     """
     if not data:
         raise DecodeError("truncated input: no operation kind")

@@ -10,7 +10,10 @@ and replay its encrypted operations in block order as the anchoring
 markers finalize.  A marker is submitted only after every member
 enclave has acknowledged its payload, so each operation is opened and
 applied in the block that executes its marker; a member that finds the
-payload missing halts the group instead of applying past the gap.
+payload missing halts the group instead of applying past the gap.  A
+member opens the payload in its enclave either way; when the plaintext
+is the bytes the sender encoded, `decode_private_op` returns the
+sender's op, and any other plaintext is decoded with every check.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it

@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, read_field
 from .consensus import IbftValidator, Message, message_wire
 from .contracts import (
     MARKER,
@@ -39,6 +39,7 @@ from .contracts import (
     OpInit,
     PrivateOp,
     Role,
+    encode_private_op,
     public_call,
 )
 from .encoding import digest, enc_list, enc_u64
@@ -217,9 +218,9 @@ def _schedule_faults(
             target = cluster.name_of[validator_set.proposer_for(crash.proposer_of_height, 0)]
         sim.schedule_at(crash.at_ms, partial(network.crash, target))
 
-    for part in config.faults.partitions:
-        sim.schedule_at(part.from_ms, lambda p=part: network.set_partition(p.groups))
-        sim.schedule_at(part.to_ms, lambda: network.set_partition(None))
+    for i, part in enumerate(config.faults.partitions):
+        sim.schedule_at(part.from_ms, partial(network.set_partition, part.groups, i))
+        sim.schedule_at(part.to_ms, partial(network.set_partition, None, i))
 
 
 class WorkloadDriver:
@@ -311,7 +312,7 @@ class WorkloadDriver:
             # Registered in the event that sends the payload, so delivery
             # time less `submit_ms` is the enclave transfer time.
             sample = self.metrics.new_private_sample(op.KIND, self.sim.now, group.group_id)
-            plaintext = op.encode()
+            plaintext = encode_private_op(op)
             self.payload_log.append((group.group_id, plaintext))
             self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, partial(anchor, sample))
 
@@ -468,7 +469,12 @@ def run_sweep(
     out_dir: str | Path | None = None,
     trace: bool = False,
 ) -> tuple[list[RunResult], dict]:
-    """Re-run the same seeded scenario at each block interval."""
+    """Re-run the same seeded scenario at each block interval.
+
+    Every value is read as the schema reads `block_interval_ms` before
+    any point runs, so a value it refuses raises `ConfigError`.
+    """
+    values = [read_field("block_interval_ms", v, "--values") for v in values]
     results = []
     for value in values:
         sub = Path(out_dir) / f"block-interval-{value}" if out_dir is not None else None

@@ -246,6 +246,11 @@ class Network:
     `wire_log` set, every target's `(src, dst, item)` is logged as
     offered, dropped or not; the log holds items, not bytes
     (`scenario.wire_bytes` serializes one).
+
+    Splits may overlap.  Each active split is kept under its index, and
+    the partition in force is their meet: two nodes sit in one group
+    only if every active split puts them in one group.  Healing one
+    split leaves the others in force.
     """
 
     def __init__(self, sim: Simulator, rng_hub: RngHub):
@@ -256,6 +261,8 @@ class Network:
         self.rng_hub = rng_hub
         self.channels: dict[str, Iterator[int]] = {}
         self.crashed: set[str] = set()
+        # The active splits by index, and their meet (None with none active).
+        self.splits: dict[int, list[set[str]]] = {}
         self.partition: list[set[str]] | None = None
         self.delivered = 0
         self.dropped_crash = 0
@@ -272,8 +279,16 @@ class Network:
         if self.sim.trace_enabled:
             self.sim.trace("crash", node=node)
 
-    def set_partition(self, groups: Iterable[Iterable[str]] | None) -> None:
-        self.partition = [set(g) for g in groups] if groups is not None else None
+    def set_partition(self, groups: Iterable[Iterable[str]] | None, index: int = 0) -> None:
+        """Put split `index` in force with `groups`, or heal it with None."""
+        if groups is None:
+            self.splits.pop(index, None)
+        else:
+            self.splits[index] = [set(g) for g in groups]
+        meet = None
+        for split in self.splits.values():
+            meet = split if meet is None else [a & b for a in meet for b in split if a & b]
+        self.partition = meet
         if self.sim.trace_enabled:
             self.sim.trace("partition", groups=[sorted(g) for g in self.partition] if self.partition else None)
 

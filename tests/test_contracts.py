@@ -1,12 +1,14 @@
 """Public contract rules, gas accounting, and the private breach ledger."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pactsim import contracts
+from pactsim.config import config_from_dict
 from pactsim.contracts import (
     MAX_SERVICES_PER_PROVIDER,
     OPS,
@@ -24,10 +26,12 @@ from pactsim.contracts import (
     abi_description,
     decode_call_args,
     decode_private_op,
+    encode_private_op,
     public_call,
 )
 from pactsim.encoding import ADDRESS_LEN, ARG_TYPES, DecodeError, digest, enc_bytes, enc_u32, enc_u64
 from pactsim.ledger import PrivacyMarker, PublicCall, make_transaction
+from pactsim.scenario import run_scenario
 
 from .conftest import call_tx, cred
 
@@ -308,27 +312,37 @@ PRIVATE_OPS = st.one_of(
 @example(OpBatch((BreachRecord(b"\x02" * ADDRESS_LEN, "Verf\u00fcgbarkeit < 99,9 % \u2014 \u2713", 2**64 - 1),)))
 @example(OpInit(AgreementRecord(b"\x03" * ADDRESS_LEN, b"\x04" * ADDRESS_LEN, 7, "\u53ef\u7528\u6027 \U0001f4c8")))
 def test_private_op_round_trip_property(op):
-    decoded = decode_private_op(op.encode())
-    assert decoded == op
-    # A named tuple equals a plain tuple, so equality alone would pass a
-    # decoder that returned tuples.
-    if isinstance(decoded, OpInit):
-        assert type(decoded.agreement) is AgreementRecord
+    data = encode_private_op(op)
+    assert data == op.encode()
+    # A member holding the bytes the sender encoded takes the sender's op.
+    assert decode_private_op(data) is op
+    # Parsed with the memo bypassed, the same bytes give an equal op.  A
+    # named tuple equals a plain tuple, so equality alone would pass a
+    # decoder that returned tuples: the types are checked too.
+    parsed = contracts._parse_private_op(data)
+    assert parsed == op
+    if isinstance(parsed, OpInit):
+        assert type(parsed.agreement) is AgreementRecord
+        assert [type(v) for v in vars(parsed.agreement).values()] == [bytes, bytes, int, str]
         records = ()
     else:
-        records = decoded.records if isinstance(decoded, OpBatch) else (decoded.record,)
+        records = parsed.records if isinstance(parsed, OpBatch) else (parsed.record,)
     for record in records:
         assert type(record) is BreachRecord
+        assert [type(v) for v in record] == [bytes, str, int]
         with pytest.raises(AttributeError):
             record.details = "rewritten"
 
 
-def assert_decode_fails_uncached(data: bytes, reason: str) -> None:
-    before = decode_private_op.cache_info()
-    with pytest.raises(DecodeError, match=reason):
-        decode_private_op(data)
-    after = decode_private_op.cache_info()
-    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+def assert_decode_fails_uncached(data: bytes, reason: str, error: type[Exception] = DecodeError) -> None:
+    """The bytes reach the parser, fail, and stay out of the memo."""
+    size = len(contracts._private_ops)
+    with mock.patch.object(contracts, "_parse_private_op", wraps=contracts._parse_private_op) as parse:
+        with pytest.raises(error, match=reason):
+            decode_private_op(data)
+    assert parse.call_count == 1
+    assert data not in contracts._private_ops
+    assert len(contracts._private_ops) == size
 
 
 @given(PRIVATE_OPS)
@@ -357,14 +371,23 @@ def test_equal_private_op_bytes_decode_to_one_object():
 # A failed decode is not cached, so a malformed payload fails at each member.
 def test_private_op_rejects_trailing_bytes():
     for _ in range(2):
-        with pytest.raises(DecodeError):
-            decode_private_op(OpInit(agreement()).encode() + b"\x00")
+        assert_decode_fails_uncached(encode_private_op(OpInit(agreement())) + b"\x00", "1 trailing bytes")
 
 
 def test_private_op_rejects_unknown_kind():
     for _ in range(2):
-        with pytest.raises(ValueError):
-            decode_private_op(b"\x09")
+        assert_decode_fails_uncached(b"\x09", "unknown private op 9", ValueError)
+
+
+@pytest.mark.parametrize("workload", [{}, {"batches_per_group": 2}], ids=["smoke", "smoke-batches"])
+def test_a_warm_memo_changes_no_output(workload, tmp_path, monkeypatch):
+    monkeypatch.setattr(contracts, "_private_ops", {})
+    config = config_from_dict({"preset": "smoke", "workload": workload})
+    run_scenario(config, 7, tmp_path / "cold")
+    assert contracts._private_ops
+    run_scenario(config, 7, tmp_path / "warm")
+    for name in ("latency.csv", "summary.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 def fresh_ledger():

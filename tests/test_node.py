@@ -1,10 +1,12 @@
 """Node runtime: block intake, receipt waiters, gossip, private replay."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
-from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit, decode_private_op
+from pactsim import contracts
+from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit
 from pactsim.encoding import digest, enc_bytes, enc_u8, enc_u64
 from pactsim.ledger import (
     Block,
@@ -327,17 +329,20 @@ def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
     group, nonce, _ = make_group_setup(cluster.nodes["n0"])
     ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
-    before = decode_private_op.cache_info()
-    for node in cluster.nodes.values():
-        node.join_group(group)
-        node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
-        node.on_sealed_block(b1)
+    size = len(contracts._private_ops)
+    with mock.patch.object(contracts, "_parse_private_op", wraps=contracts._parse_private_op) as parse:
+        for node in cluster.nodes.values():
+            node.join_group(group)
+            node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
+            node.on_sealed_block(b1)
     for node in cluster.nodes.values():
         ((payload_hash, text),) = node.private_op_failures
         assert payload_hash == digest(ciphertext) and text.startswith(reason)
         assert node.group_ledgers.get(group.group_id).agreement is None
-    after = decode_private_op.cache_info()
-    assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
+    # Each member parsed the plaintext itself, and the memo kept none of it.
+    assert parse.call_args_list == [mock.call(plaintext)] * 2
+    assert plaintext not in contracts._private_ops
+    assert len(contracts._private_ops) == size
 
 
 def test_marker_for_unknown_group_ignored():

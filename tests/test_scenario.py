@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from pactsim.config import config_from_dict
+from pactsim import scenario
+from pactsim.config import ConfigError, config_from_dict
 from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
 from pactsim.scenario import run_scenario, run_sweep, wire_bytes
 
@@ -159,6 +160,20 @@ def test_sweep_writes_comparison_and_subdirs(tmp_path):
 def test_sweep_point_at_matching_interval_reproduces_single_run(smoke_run):
     results, _ = run_sweep(SMOKE, seed=5, values=[1000])
     assert results[0].summary["kinds"] == smoke_run.summary["kinds"]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [([2**62 + 1], r"--values must be <= 2\*\*62"), ([1000, 0], "--values must be >= 1")],
+    ids=["above-the-bound", "zero-after-a-good-value"],
+)
+def test_sweep_checks_every_value_before_running_any(values, message, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(scenario, "run_scenario", lambda *args: ran.append(args))
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(config_from_dict({"preset": "smoke"}), 0, values, out_dir=tmp_path / "sweep")
+    assert ran == []
+    assert not (tmp_path / "sweep").exists()
 
 
 # A run leaves no reference cycles behind: the kernel pauses the cyclic

@@ -133,9 +133,9 @@ def test_fault_mixes_within_f_stay_safe_and_every_honest_node_catches_up(mix):
     assert_safe_and_live(*mix)
 
 
-def split_off(side: list[str], from_ms: int, to_ms: int) -> dict:
-    """`side` against the rest of ten validators."""
-    rest = [f"v{i}" for i in range(10) if f"v{i}" not in side]
+def split_off(side: list[str], from_ms: int, to_ms: int, validators: int = 10) -> dict:
+    """`side` against the rest of the validators."""
+    rest = [f"v{i}" for i in range(validators) if f"v{i}" not in side]
     return {"from_ms": from_ms, "to_ms": to_ms, "groups": [side, rest]}
 
 
@@ -165,3 +165,19 @@ SELF_PREPARE_MIXES = {
 @pytest.mark.parametrize("seed", sorted(SELF_PREPARE_MIXES))
 def test_a_proposers_own_prepare_does_not_stall_round_changes(seed):
     assert_safe_and_live(10, SELF_PREPARE_MIXES[seed], seed)
+
+
+def test_overlapping_splits_take_their_meet():
+    # v0 is cut off from 1,000 to 8,000 ms; v1 from 2,000 to 3,000 ms.
+    # Healing v1's split must leave v0's in force.
+    faults = {"partitions": [split_off(["v0"], 1000, 8000, 4), split_off(["v1"], 2000, 3000, 4)]}
+    result = run_scenario(consensus_config(4, faults, target_heights=12), seed=0, trace=True)
+    assert result.completed and result.sim.now > 8000
+    changes = [(e["t"], e["groups"]) for e in result.sim.trace_log if e["kind"] == "partition"]
+    assert changes == [
+        (1000, [["v0"], ["v1", "v2", "v3"]]),
+        (2000, [["v0"], ["v1"], ["v2", "v3"]]),
+        (3000, [["v0"], ["v1", "v2", "v3"]]),
+        (8000, None),
+    ]
+
