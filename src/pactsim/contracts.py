@@ -19,7 +19,10 @@ a call naming `marker.anchor` is unknown like any other.
 Private side: each privacy group runs a breach ledger whose operations
 (initialize, record a breach, commit a batch) travel encrypted and are
 replayed by every group member; every operation checks membership
-before touching state.  Records are named tuples, hence immutable.  A
+before touching state.  Records are named tuples, hence immutable, and
+one encoder writes them (`enc_breaches`): a run of records that share a
+reporter and a stamp, as a batch's do, has that reporter and stamp
+checked and encoded once, with the bytes each record would give alone.  A
 sender encodes its operation with `encode_private_op`, which remembers
 it under its bytes: a member whose decrypted payload matches them byte
 for byte takes the sender's op, and a member holding any other bytes
@@ -31,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 from .encoding import (
     ADDRESS_LEN,
@@ -299,9 +302,24 @@ class BreachRecord(NamedTuple):
     details: str
     reported_at: int
 
-    def encode(self) -> bytes:
-        text = self.details.encode("utf-8")
-        return enc_fixed(self.reporter, ADDRESS_LEN) + enc_u32(len(text)) + text + enc_u64(self.reported_at)
+
+def enc_breaches(records: Iterable[BreachRecord]) -> bytes:
+    """Breach records back to back, each as docs/encoding.md's `breach`.
+
+    A run of consecutive records that share a reporter and a stamp
+    checks and encodes them once and repeats their bytes; each record
+    still gets its own u32-prefixed UTF-8 details.
+    """
+    parts: list[bytes] = []
+    reporter = reported_at = None
+    for who, details, at in records:
+        if at != reported_at or who != reporter:
+            reporter, reported_at = who, at
+            head = enc_fixed(who, ADDRESS_LEN)
+            stamp = enc_u64(at)
+        text = details.encode("utf-8")
+        parts += (head, enc_u32(len(text)), text, stamp)
+    return b"".join(parts)
 
 
 # `KIND`: the latency sample kind an operation is measured as (`metrics`).
@@ -320,7 +338,7 @@ class OpBreach:
     record: BreachRecord
 
     def encode(self) -> bytes:
-        return enc_u8(OP_BREACH) + self.record.encode()
+        return enc_u8(OP_BREACH) + enc_breaches((self.record,))
 
 
 @dataclass(frozen=True)
@@ -329,7 +347,7 @@ class OpBatch:
     records: tuple[BreachRecord, ...]
 
     def encode(self) -> bytes:
-        return enc_u8(OP_BATCH) + enc_list(r.encode() for r in self.records)
+        return enc_u8(OP_BATCH) + enc_u32(len(self.records)) + enc_breaches(self.records)
 
 
 PrivateOp = OpInit | OpBreach | OpBatch
@@ -480,7 +498,8 @@ class BreachLedger:
             + enc_fixed(self.group_id, HASH_LEN)
             + enc_list(enc_fixed(m, ADDRESS_LEN) for m in sorted(self.members))
             + enc_bytes(agreement)
-            + enc_list(r.encode() for r in self.records)
+            + enc_u32(len(self.records))
+            + enc_breaches(self.records)
             + enc_list(b.encode() for b in self.batches)
             + enc_u8(1 if self.halted else 0)
         )

@@ -56,6 +56,7 @@ from .simulation import (
     Network,
     RngHub,
     Simulator,
+    uniform_draws,
 )
 
 
@@ -232,7 +233,7 @@ class WorkloadDriver:
         self.sim = run.sim
         self.cluster = run.cluster
         self.metrics = run.metrics
-        self.rng = run.rng_hub.stream(STREAM_WORKLOAD)
+        self._uniforms = uniform_draws(run.rng_hub.stream(STREAM_WORKLOAD))
         self.window = self.config.block_interval_ms
         self.payload_log: list[tuple[bytes, bytes]] = []
         self._payload_seq = 0
@@ -272,7 +273,7 @@ class WorkloadDriver:
         stage()
 
     def _jitter(self) -> int:
-        return int(self.rng.random() * self.window)
+        return int(next(self._uniforms) * self.window)
 
     def _task_done(self) -> None:
         self._outstanding -= 1
@@ -333,9 +334,14 @@ class WorkloadDriver:
         return sorted(self.run.directory.by_id.values(), key=lambda g: g.pair_index)
 
     def _stamped(self, reporter: Domain, details: Sequence[str]) -> tuple[BreachRecord, ...]:
-        """Breach records stamped when their operation fires."""
-        address, now = reporter.address, self.sim.now
-        return tuple(BreachRecord(address, d, now) for d in details)
+        """Breach records stamped when their operation fires.
+
+        The named tuple's `__new__` only binds the fields, so calling
+        `tuple.__new__` on the class builds the same records without a
+        Python frame for each.
+        """
+        address, now, new = reporter.address, self.sim.now, tuple.__new__
+        return tuple([new(BreachRecord, (address, d, now)) for d in details])
 
     # -- stages -------------------------------------------------------
 

@@ -129,6 +129,15 @@ def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
     return itertools.chain.from_iterable(map(model.block, itertools.repeat(rng), itertools.repeat(DRAW_BLOCK)))
 
 
+def _random_block(rng: np.random.Generator) -> list[float]:
+    return rng.random(DRAW_BLOCK).tolist()
+
+
+def uniform_draws(rng: np.random.Generator) -> Iterator[float]:
+    """`rng`'s doubles in [0, 1), drawn `DRAW_BLOCK` at a time as each block is reached."""
+    return itertools.chain.from_iterable(map(_random_block, itertools.repeat(rng)))
+
+
 class IndexedDraws:
     """The values of one stream, read by their index in it.
 

@@ -1,5 +1,6 @@
 """Public contract rules, gas accounting, and the private breach ledger."""
 
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +27,7 @@ from pactsim.contracts import (
     abi_description,
     decode_call_args,
     decode_private_op,
+    enc_breaches,
     encode_private_op,
     public_call,
 )
@@ -334,6 +336,67 @@ def test_private_op_round_trip_property(op):
             record.details = "rewritten"
 
 
+# Records drawn from a few reporters and stamps, so that runs sharing
+# both are common, mixed with arbitrary ones.
+SHARED_REPORTERS = (b"\x05" * ADDRESS_LEN, b"\x06" * ADDRESS_LEN)
+RUN_RECORDS = st.lists(
+    st.builds(
+        BreachRecord,
+        st.sampled_from(SHARED_REPORTERS) | ADDRESSES,
+        st.text(max_size=6),
+        st.sampled_from((0, 40, 2**64 - 1)) | U64S,
+    ),
+    max_size=8,
+)
+
+
+def breach_grammar(record: BreachRecord) -> bytes:
+    """docs/encoding.md's `breach`, field by field."""
+    text = record.details.encode("utf-8")
+    assert len(record.reporter) == ADDRESS_LEN
+    return record.reporter + len(text).to_bytes(4, "big") + text + record.reported_at.to_bytes(8, "big")
+
+
+A, B = SHARED_REPORTERS
+
+
+@given(RUN_RECORDS)
+@example([])
+@example(
+    [
+        BreachRecord(A, "late", 40),
+        BreachRecord(A, "Verf\u00fcgbarkeit \u2713", 40),
+        BreachRecord(B, "", 40),
+        BreachRecord(B, "\U0001f4c8", 41),
+        BreachRecord(A, "again", 40),
+        BreachRecord(A, "again", 40),
+    ]
+)
+def test_breach_encoder_writes_the_grammar(records):
+    assert enc_breaches(records) == b"".join(map(breach_grammar, records))
+    op = OpBatch(tuple(records))
+    assert contracts._parse_private_op(op.encode()) == op
+
+
+BAD_FIELDS = [
+    ("reporter", b"\x05" * (ADDRESS_LEN - 1), "expected 20 bytes, got 19"),
+    ("reporter", b"\x05" * (ADDRESS_LEN + 1), "expected 20 bytes, got 21"),
+    ("reported_at", -1, "u64 out of range: -1"),
+    ("reported_at", 2**64, f"u64 out of range: {2**64}"),
+]
+
+
+@given(RUN_RECORDS.filter(bool), st.data())
+def test_breach_encoder_refuses_one_bad_field(records, data):
+    i = data.draw(st.integers(0, len(records) - 1))
+    name, value, message = data.draw(st.sampled_from(BAD_FIELDS))
+    records[i] = records[i]._replace(**{name: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enc_breaches(records)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OpBatch(tuple(records)).encode()
+
+
 def assert_decode_fails_uncached(data: bytes, reason: str, error: type[Exception] = DecodeError) -> None:
     """The bytes reach the parser, fail, and stay out of the memo."""
     size = len(contracts._private_ops)
@@ -356,7 +419,7 @@ def test_every_proper_prefix_of_a_private_op_fails(op):
 def test_invalid_utf8_in_the_last_batch_record_fails(records, tail):
     last = records[-1]
     planted = last.reporter + enc_bytes(b"\xff" + tail) + enc_u64(last.reported_at)
-    data = bytes([contracts.OP_BATCH]) + enc_u32(3) + records[0].encode() + records[1].encode() + planted
+    data = bytes([contracts.OP_BATCH]) + enc_u32(3) + enc_breaches(records[:2]) + planted
     assert_decode_fails_uncached(data, "invalid utf-8 string field")
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from pactsim import simulation
 from pactsim.config import config_from_dict
-from pactsim.scenario import run_scenario
+from pactsim.scenario import WorkloadDriver, assemble, run_scenario
 from pactsim.simulation import (
     DRAW_BLOCK,
     STREAM_CONSENSUS,
     STREAM_ENCLAVE,
     STREAM_RPC,
+    STREAM_WORKLOAD,
     Fixed,
     IndexedDraws,
     LivelockError,
@@ -236,14 +237,50 @@ def test_indexed_draws_depend_only_on_the_index(monkeypatch, block):
 
 
 def test_draw_block_size_never_changes_an_output(monkeypatch, tmp_path):
-    raw, seed = CASES["smoke-multigroup"]
-    outputs = []
-    for block in (DRAW_BLOCK, 1, 7):
-        monkeypatch.setattr(simulation, "DRAW_BLOCK", block)
-        out = tmp_path / str(block)
-        run_scenario(config_from_dict(raw), seed, out_dir=out)
-        outputs.append([(out / name).read_bytes() for name in ("latency.csv", "summary.json")])
-    assert outputs[0] == outputs[1] == outputs[2]
+    for case in ("smoke-multigroup", "smoke-batches"):
+        raw, seed = CASES[case]
+        outputs = []
+        for block in (DRAW_BLOCK, 1, 7):
+            monkeypatch.setattr(simulation, "DRAW_BLOCK", block)
+            out = tmp_path / case / str(block)
+            run_scenario(config_from_dict(raw), seed, out_dir=out)
+            outputs.append([(out / name).read_bytes() for name in ("latency.csv", "summary.json")])
+        assert outputs[0] == outputs[1] == outputs[2], case
+
+
+def test_workload_jitters_equal_scalar_draws():
+    config = config_from_dict({"preset": "smoke"})
+    driver = WorkloadDriver(assemble(config, 23))
+    scalar = RngHub(23).stream(STREAM_WORKLOAD)
+    n = 2 * DRAW_BLOCK + 3
+    jitters = [driver._jitter() for _ in range(n)]
+    assert jitters == [int(scalar.random() * config.block_interval_ms) for _ in range(n)]
+    assert len(set(jitters)) > 1
+
+
+class SpyGenerator:
+    """A generator that logs the size of each `random` draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_workload_jitter_is_drawn_in_blocks_of_the_current_size(monkeypatch):
+    monkeypatch.setattr(simulation, "DRAW_BLOCK", 7)
+    config = config_from_dict({"preset": "smoke"})
+    run = assemble(config, 23)
+    spy = SpyGenerator(run.rng_hub.stream(STREAM_WORKLOAD))
+    run.rng_hub._streams[(STREAM_WORKLOAD,)] = spy
+    driver = WorkloadDriver(run)
+    scalar = RngHub(23).stream(STREAM_WORKLOAD)
+    jitters = [driver._jitter() for _ in range(15)]
+    assert spy.sizes == [7, 7, 7]
+    assert jitters == [int(scalar.random() * config.block_interval_ms) for _ in range(15)]
 
 
 # -- latency models ---------------------------------------------------
