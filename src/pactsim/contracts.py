@@ -10,11 +10,11 @@ operation once: its parameters, and the state I/O its gas is priced by.
 Every node executes every public call, so a call's arguments are
 decoded once for all of them (`decode_call_args`, keyed by value), and
 each `PublicState` looks a call's handler and gas up in a table built
-when it is created.  Sharing a decode between nodes is sound for the
-reasons `decode_private_op` gives: decoding is pure, the result holds
-only immutable values, and a failed decode is not cached, so malformed
-arguments fail at every node.  A privacy marker is not a public call:
-a call naming `marker.anchor` is unknown like any other.
+when it is created.  Sharing a decode between nodes is sound: decoding
+is pure, the result holds only immutable values, and a failed decode is
+not cached, so malformed arguments fail at every node.  A privacy
+marker is not a public call: a call naming `marker.anchor` is unknown
+like any other.
 
 Private side: each privacy group runs a breach ledger whose operations
 (initialize, record a breach, commit a batch) travel encrypted and are
@@ -22,11 +22,13 @@ replayed by every group member; every operation checks membership
 before touching state.  Records are named tuples, hence immutable, and
 one encoder writes them (`enc_breaches`): a run of records that share a
 reporter and a stamp, as a batch's do, has that reporter and stamp
-checked and encoded once, with the bytes each record would give alone.  A
-sender encodes its operation with `encode_private_op`, which remembers
-it under its bytes: a member whose decrypted payload matches them byte
-for byte takes the sender's op, and a member holding any other bytes
-decodes them with every check.
+checked and encoded once, with the bytes each record would give alone.
+A run keeps each op a sender encoded under its bytes
+(`node.Cluster.sent_ops`): a member whose decrypted payload matches them
+byte for byte takes the sender's op, and a member holding any other
+bytes parses them with `decode_private_op`, with every check.  Sharing
+the op is sound: it is frozen, its records are named tuples and
+`decode_private_op(op.encode()) == op`.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .ledger import PrivacyMarker, PublicCall, Transaction
 
 MAX_SERVICES_PER_PROVIDER = 5
 
-# Private operations by their bytes, and decoded public call arguments,
-# kept for the other nodes that execute them.
+# Decoded public call arguments (`decode_call_args`), kept for the other
+# nodes that execute them.
 DECODE_CACHE_SIZE = 1024
 
 
@@ -376,42 +378,7 @@ def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
     return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[stop:end], "big")), end
 
 
-# Private operations by their exact bytes, oldest evicted first: each op
-# a sender encoded, and each other successful decode.
-_private_ops: dict[bytes, PrivateOp] = {}
-
-
-def _remember(data: bytes, op: PrivateOp) -> None:
-    _private_ops.pop(data, None)
-    if len(_private_ops) >= DECODE_CACHE_SIZE:
-        del _private_ops[next(iter(_private_ops))]
-    _private_ops[data] = op
-
-
-def encode_private_op(op: PrivateOp) -> bytes:
-    """Encode a private operation and remember it, so its members' decodes return it."""
-    data = op.encode()
-    _remember(data, op)
-    return data
-
-
 def decode_private_op(data: bytes) -> PrivateOp:
-    """Decode a private operation; equal bytes give the same object.
-
-    Bytes `encode_private_op` made give back the op it encoded; other
-    bytes are parsed.  Sharing one op between the sender and its members
-    is sound: parsing is pure, the op is frozen, records are named tuples
-    and `decode(encode(op)) == op`.  A failed parse is not remembered, so
-    a malformed payload fails at each member.
-    """
-    op = _private_ops.get(data)
-    if op is None:
-        op = _parse_private_op(data)
-        _remember(data, op)
-    return op
-
-
-def _parse_private_op(data: bytes) -> PrivateOp:
     """Parse a private operation's bytes.
 
     One pass over the bytes: each record's bounds are checked once, then

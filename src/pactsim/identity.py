@@ -65,8 +65,9 @@ def verify(public_key_bytes: bytes, preimage: bytes, signature: bytes) -> bool:
     """Check a signature against the oracle; False on any mismatch, never raises."""
     if len(signature) != SIGNATURE_LEN or len(public_key_bytes) != PUBKEY_LEN:
         return False
-    # The cache keys on the full preimage: a repeated check of the same
-    # signed bytes, which every node makes for a broadcast message, runs once.
+    # The cache keys on the full preimage.  A run repeats few checks, since
+    # consensus checks each message object once (`consensus._authentic`);
+    # the cache stays because `perfbench` reads its counts.
     return _verify_cached(public_key_bytes, signature, preimage)
 
 

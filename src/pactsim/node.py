@@ -10,10 +10,11 @@ and replay its encrypted operations in block order as the anchoring
 markers finalize.  A marker is submitted only after every member
 enclave has acknowledged its payload, so each operation is opened and
 applied in the block that executes its marker; a member that finds the
-payload missing halts the group instead of applying past the gap.  A
-member opens the payload in its enclave either way; when the plaintext
-is the bytes the sender encoded, `decode_private_op` returns the
-sender's op, and any other plaintext is decoded with every check.
+payload missing, or finds it belongs to another group, halts the group
+instead of applying past the gap.  A member opens the payload in its
+enclave either way; when the plaintext is the bytes a sender encoded in
+this run, it takes the sender's op from `Cluster.sent_ops`, and any
+other plaintext is parsed by `decode_private_op` with every check.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it
@@ -44,6 +45,7 @@ from .contracts import (
     BreachLedger,
     ExecError,
     GasSchedule,
+    PrivateOp,
     PublicState,
     Receipt,
     decode_private_op,
@@ -257,12 +259,13 @@ class NodeRuntime:
         The workload puts a marker on the chain only after every live
         member's enclave has acknowledged its payload, so a member that
         executes the marker already holds the payload.  If it does not,
-        the group halts at once: nothing is applied past a missing
-        operation, so members never diverge.
+        or the payload is another group's, the group halts at once:
+        nothing is applied past a missing operation, so members never
+        diverge.
         """
         group_id = marker.group_id
         ledger = self.group_ledgers[group_id]
-        plaintext = self.enclave.open(marker.payload_hash)
+        plaintext = self.enclave.open(group_id, marker.payload_hash)
         if plaintext is None:
             ledger.halted = True
             self.private_op_failures.append((marker.payload_hash, "payload missing; group halted"))
@@ -270,7 +273,7 @@ class NodeRuntime:
                 self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
             return
         try:
-            op = decode_private_op(plaintext)
+            op = self.cluster.sent_ops.get(plaintext) or decode_private_op(plaintext)
             ledger.apply(sender, op, marker.payload_hash)
             if self.sim.trace_enabled:
                 self.sim.trace(
@@ -293,6 +296,8 @@ class Cluster:
         self.name_of = name_of
         # Source node -> its (gossip, member push) targets, built on first use.
         self._targets: dict[str, tuple[Targets, Targets]] = {}
+        # Each private op a sender encoded in this run, under its bytes.
+        self.sent_ops: dict[bytes, PrivateOp] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node

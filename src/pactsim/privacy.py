@@ -33,7 +33,7 @@ from .encoding import (
     enc_list,
     tagged_digest,
 )
-from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Uniform
+from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Uniform, doubles
 
 NONCE_LEN = 12
 GROUP_KEY_LEN = 32
@@ -142,15 +142,13 @@ class Enclave:
         self.payloads.setdefault(h, payload)
         return h
 
-    def open(self, payload_hash: bytes) -> bytes | None:
-        """Decrypt a stored payload if this enclave holds the group key."""
+    def open(self, group_id: bytes, payload_hash: bytes) -> bytes | None:
+        """Decrypt a stored payload of group `group_id` if this enclave holds that group's key."""
         stored = self.payloads.get(payload_hash)
-        if stored is None:
+        key = self.keys.get(group_id)
+        if stored is None or key is None or stored.group_id != group_id:
             return None
-        key = self.keys.get(stored.group_id)
-        if key is None:
-            return None
-        return ChaCha20Poly1305(key).decrypt(stored.nonce, stored.ciphertext, stored.group_id)
+        return ChaCha20Poly1305(key).decrypt(stored.nonce, stored.ciphertext, group_id)
 
     def dump_bytes(self) -> bytes:
         """Everything this enclave persists, for the isolation scan."""
@@ -181,8 +179,7 @@ class PayloadCourier:
         self.enclaves = enclaves
         self.retry_probability = retry_probability
         self._legs = IndexedDraws(partial(transfer_model.block, rng_hub.derived(STREAM_ENCLAVE, 1)))
-        coin_rng = rng_hub.derived(STREAM_ENCLAVE, 2)
-        self._coins = IndexedDraws(lambda n: coin_rng.random(n).tolist())
+        self._coins = IndexedDraws(partial(doubles, rng_hub.derived(STREAM_ENCLAVE, 2)))
 
     def distribute(
         self,

@@ -10,7 +10,10 @@ batched.  Each stage starts once every receipt from the previous stage
 has resolved at the submitting node.  A stage only names its
 operations: each is either a public call (`WorkloadDriver._submit`) or
 a private operation distributed to its group and anchored by a marker
-(`WorkloadDriver._submit_private`).
+(`WorkloadDriver._submit_private`).  The driver keeps each private
+operation it encodes in the run's `Cluster.sent_ops`, under its bytes,
+so a member whose payload opens to those bytes takes that operation
+instead of parsing them again.
 
 Submission instants inside a stage are jittered uniformly across one
 block interval, so arrivals hit the block cadence at random offsets.
@@ -39,7 +42,6 @@ from .contracts import (
     OpInit,
     PrivateOp,
     Role,
-    encode_private_op,
     public_call,
 )
 from .encoding import digest, enc_list, enc_u64
@@ -56,7 +58,8 @@ from .simulation import (
     Network,
     RngHub,
     Simulator,
-    uniform_draws,
+    block_draws,
+    doubles,
 )
 
 
@@ -233,7 +236,7 @@ class WorkloadDriver:
         self.sim = run.sim
         self.cluster = run.cluster
         self.metrics = run.metrics
-        self._uniforms = uniform_draws(run.rng_hub.stream(STREAM_WORKLOAD))
+        self._uniforms = block_draws(partial(doubles, run.rng_hub.stream(STREAM_WORKLOAD)))
         self.window = self.config.block_interval_ms
         self.payload_log: list[tuple[bytes, bytes]] = []
         self._payload_seq = 0
@@ -313,7 +316,8 @@ class WorkloadDriver:
             # Registered in the event that sends the payload, so delivery
             # time less `submit_ms` is the enclave transfer time.
             sample = self.metrics.new_private_sample(op.KIND, self.sim.now, group.group_id)
-            plaintext = encode_private_op(op)
+            plaintext = op.encode()
+            self.cluster.sent_ops[plaintext] = op
             self.payload_log.append((group.group_id, plaintext))
             self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, partial(anchor, sample))
 

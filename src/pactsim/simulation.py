@@ -29,6 +29,7 @@ import gc
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -125,17 +126,14 @@ Handler = Callable[[Any], None]
 Targets = tuple[tuple[str, Handler], ...]
 
 
-def _delays(model: LatencyModel, rng: np.random.Generator) -> Iterator[int]:
-    return itertools.chain.from_iterable(map(model.block, itertools.repeat(rng), itertools.repeat(DRAW_BLOCK)))
+def doubles(rng: np.random.Generator, n: int) -> list[float]:
+    """`rng`'s next `n` doubles in [0, 1)."""
+    return rng.random(n).tolist()
 
 
-def _random_block(rng: np.random.Generator) -> list[float]:
-    return rng.random(DRAW_BLOCK).tolist()
-
-
-def uniform_draws(rng: np.random.Generator) -> Iterator[float]:
-    """`rng`'s doubles in [0, 1), drawn `DRAW_BLOCK` at a time as each block is reached."""
-    return itertools.chain.from_iterable(map(_random_block, itertools.repeat(rng)))
+def block_draws(block: Callable[[int], list]) -> Iterator:
+    """The values of `block(DRAW_BLOCK)` calls in turn, reading `DRAW_BLOCK` as each block is reached."""
+    return itertools.chain.from_iterable(iter(lambda: block(DRAW_BLOCK), None))
 
 
 class IndexedDraws:
@@ -281,7 +279,7 @@ class Network:
         self.wire_log: list[tuple[str, str, Any]] | None = None
 
     def add_channel(self, name: str, model: LatencyModel, stream_tag: int) -> None:
-        self.channels[name] = _delays(model, self.rng_hub.stream(stream_tag))
+        self.channels[name] = block_draws(partial(model.block, self.rng_hub.stream(stream_tag)))
 
     def crash(self, node: str) -> None:
         self.crashed.add(node)

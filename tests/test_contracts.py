@@ -2,7 +2,6 @@
 
 import re
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -28,7 +27,6 @@ from pactsim.contracts import (
     decode_call_args,
     decode_private_op,
     enc_breaches,
-    encode_private_op,
     public_call,
 )
 from pactsim.encoding import ADDRESS_LEN, ARG_TYPES, DecodeError, digest, enc_bytes, enc_u32, enc_u64
@@ -314,14 +312,9 @@ PRIVATE_OPS = st.one_of(
 @example(OpBatch((BreachRecord(b"\x02" * ADDRESS_LEN, "Verf\u00fcgbarkeit < 99,9 % \u2014 \u2713", 2**64 - 1),)))
 @example(OpInit(AgreementRecord(b"\x03" * ADDRESS_LEN, b"\x04" * ADDRESS_LEN, 7, "\u53ef\u7528\u6027 \U0001f4c8")))
 def test_private_op_round_trip_property(op):
-    data = encode_private_op(op)
-    assert data == op.encode()
-    # A member holding the bytes the sender encoded takes the sender's op.
-    assert decode_private_op(data) is op
-    # Parsed with the memo bypassed, the same bytes give an equal op.  A
-    # named tuple equals a plain tuple, so equality alone would pass a
+    # A named tuple equals a plain tuple, so equality alone would pass a
     # decoder that returned tuples: the types are checked too.
-    parsed = contracts._parse_private_op(data)
+    parsed = decode_private_op(op.encode())
     assert parsed == op
     if isinstance(parsed, OpInit):
         assert type(parsed.agreement) is AgreementRecord
@@ -375,7 +368,7 @@ A, B = SHARED_REPORTERS
 def test_breach_encoder_writes_the_grammar(records):
     assert enc_breaches(records) == b"".join(map(breach_grammar, records))
     op = OpBatch(tuple(records))
-    assert contracts._parse_private_op(op.encode()) == op
+    assert decode_private_op(op.encode()) == op
 
 
 BAD_FIELDS = [
@@ -397,22 +390,12 @@ def test_breach_encoder_refuses_one_bad_field(records, data):
         OpBatch(tuple(records)).encode()
 
 
-def assert_decode_fails_uncached(data: bytes, reason: str, error: type[Exception] = DecodeError) -> None:
-    """The bytes reach the parser, fail, and stay out of the memo."""
-    size = len(contracts._private_ops)
-    with mock.patch.object(contracts, "_parse_private_op", wraps=contracts._parse_private_op) as parse:
-        with pytest.raises(error, match=reason):
-            decode_private_op(data)
-    assert parse.call_count == 1
-    assert data not in contracts._private_ops
-    assert len(contracts._private_ops) == size
-
-
 @given(PRIVATE_OPS)
 def test_every_proper_prefix_of_a_private_op_fails(op):
     data = op.encode()
     for cut in range(len(data)):
-        assert_decode_fails_uncached(data[:cut], "truncated input")
+        with pytest.raises(DecodeError, match="truncated input"):
+            decode_private_op(data[:cut])
 
 
 @given(st.lists(RECORDS, min_size=3, max_size=3), st.binary(max_size=8))
@@ -420,37 +403,27 @@ def test_invalid_utf8_in_the_last_batch_record_fails(records, tail):
     last = records[-1]
     planted = last.reporter + enc_bytes(b"\xff" + tail) + enc_u64(last.reported_at)
     data = bytes([contracts.OP_BATCH]) + enc_u32(3) + enc_breaches(records[:2]) + planted
-    assert_decode_fails_uncached(data, "invalid utf-8 string field")
+    with pytest.raises(DecodeError, match="invalid utf-8 string field"):
+        decode_private_op(data)
 
 
-def test_equal_private_op_bytes_decode_to_one_object():
-    op = OpBatch(tuple(breach(PROVIDER, i) for i in range(3)))
-    first = op.encode()
-    second = bytes(bytearray(first))
-    assert second is not first
-    assert decode_private_op(first) is decode_private_op(second)
-
-
-# A failed decode is not cached, so a malformed payload fails at each member.
 def test_private_op_rejects_trailing_bytes():
-    for _ in range(2):
-        assert_decode_fails_uncached(encode_private_op(OpInit(agreement())) + b"\x00", "1 trailing bytes")
+    with pytest.raises(DecodeError, match="1 trailing bytes"):
+        decode_private_op(OpInit(agreement()).encode() + b"\x00")
 
 
 def test_private_op_rejects_unknown_kind():
-    for _ in range(2):
-        assert_decode_fails_uncached(b"\x09", "unknown private op 9", ValueError)
+    with pytest.raises(ValueError, match="unknown private op 9"):
+        decode_private_op(b"\x09")
 
 
 @pytest.mark.parametrize("workload", [{}, {"batches_per_group": 2}], ids=["smoke", "smoke-batches"])
-def test_a_warm_memo_changes_no_output(workload, tmp_path, monkeypatch):
-    monkeypatch.setattr(contracts, "_private_ops", {})
+def test_two_runs_in_one_process_write_identical_bytes(workload, tmp_path):
     config = config_from_dict({"preset": "smoke", "workload": workload})
-    run_scenario(config, 7, tmp_path / "cold")
-    assert contracts._private_ops
-    run_scenario(config, 7, tmp_path / "warm")
+    run_scenario(config, 7, tmp_path / "first")
+    run_scenario(config, 7, tmp_path / "second")
     for name in ("latency.csv", "summary.json"):
-        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
 
 
 def fresh_ledger():

@@ -1,11 +1,13 @@
 """Node runtime: block intake, receipt waiters, gossip, private replay."""
 
 import dataclasses
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
-from pactsim import contracts
+from pactsim import node as node_module
+from pactsim.audit import member_state_consistency
 from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit
 from pactsim.encoding import digest, enc_bytes, enc_u8, enc_u64
 from pactsim.ledger import (
@@ -34,6 +36,7 @@ VALIDATORS = [cred(100 + i) for i in range(4)]
 QUORUM = 3
 ALICE = cred(1)
 BOB = cred(2)
+CAROL = cred(3)
 
 
 def make_cluster(names=("n0", "n1"), name_of=None):
@@ -329,8 +332,7 @@ def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
     group, nonce, _ = make_group_setup(cluster.nodes["n0"])
     ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
-    size = len(contracts._private_ops)
-    with mock.patch.object(contracts, "_parse_private_op", wraps=contracts._parse_private_op) as parse:
+    with mock.patch.object(node_module, "decode_private_op", wraps=node_module.decode_private_op) as parse:
         for node in cluster.nodes.values():
             node.join_group(group)
             node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
@@ -339,10 +341,40 @@ def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
         ((payload_hash, text),) = node.private_op_failures
         assert payload_hash == digest(ciphertext) and text.startswith(reason)
         assert node.group_ledgers.get(group.group_id).agreement is None
-    # Each member parsed the plaintext itself, and the memo kept none of it.
+    # Each member parsed the plaintext itself; no sender encoded it.
     assert parse.call_args_list == [mock.call(plaintext)] * 2
-    assert plaintext not in contracts._private_ops
-    assert len(contracts._private_ops) == size
+    assert cluster.sent_ops == {}
+
+
+def test_marker_opens_only_a_payload_of_its_own_group():
+    # Alice is in group A with Bob and in group B with Carol, both on n0.
+    _, cluster = make_cluster(("n0", "n1", "n2"))
+    directory = GroupDirectory(RngHub(7))
+    a, _ = directory.get_or_form(ALICE.address, BOB.address, [ALICE.public_key, BOB.public_key], ("n0", "n1"), 0)
+    b, _ = directory.get_or_form(ALICE.address, CAROL.address, [ALICE.public_key, CAROL.public_key], ("n0", "n2"), 1)
+    for group in (a, b):
+        for name in group.member_nodes:
+            cluster.nodes[name].join_group(group)
+    nonce = b.take_nonce()
+    plaintext = OpInit(AgreementRecord(ALICE.address, CAROL.address, 0, "terms of B")).encode()
+    ciphertext = encrypt_payload(b.key, nonce, plaintext, b.group_id)
+    for name in b.member_nodes:
+        cluster.nodes[name].enclave.receive(StoredPayload(b.group_id, nonce, ciphertext))
+    # A marker for group A naming group B's payload.
+    (b1,) = build_chain(1, {1: [marker_tx(a, ciphertext)]})
+    for node in cluster.nodes.values():
+        node.on_sealed_block(b1)
+    for name in a.member_nodes:
+        node = cluster.nodes[name]
+        ledger = node.group_ledgers[a.group_id]
+        assert ledger.halted and ledger.agreement is None
+        assert node.private_op_failures == [(digest(ciphertext), "payload missing; group halted")]
+    assert cluster.nodes["n2"].private_op_failures == []
+    for name in b.member_nodes:
+        ledger = cluster.nodes[name].group_ledgers[b.group_id]
+        assert not ledger.halted and ledger.agreement is None
+    run = SimpleNamespace(directory=directory, cluster=cluster)
+    assert member_state_consistency(run) == []
 
 
 def test_marker_for_unknown_group_ignored():

@@ -49,7 +49,7 @@ def test_encrypt_round_trip_and_tamper_rejection():
         enclave.store_key(gid, key)
         h = enclave.receive(StoredPayload(gid, nonce, data))
         try:
-            opened.append(enclave.open(h))
+            opened.append(enclave.open(gid, h))
         except InvalidTag:
             opened.append("refused")
     # Bound to the key, the group id and every ciphertext byte.
@@ -96,11 +96,15 @@ def test_enclave_opens_only_with_key():
     holder = Enclave()
     holder.store_key(GID, KEY)
     h = holder.receive(StoredPayload(GID, nonce, ct))
-    assert holder.open(h) == b"plain"
+    assert holder.open(GID, h) == b"plain"
     outsider = Enclave()
     outsider.receive(StoredPayload(GID, nonce, ct))
-    assert outsider.open(h) is None
-    assert holder.open(b"\x00" * 32) is None
+    assert outsider.open(GID, h) is None
+    assert holder.open(GID, b"\x00" * 32) is None
+    # Holding another group's key does not open this group's payload under it.
+    other = hashlib.sha256(b"other").digest()
+    holder.store_key(other, KEY)
+    assert holder.open(other, h) is None
 
 
 def test_enclave_put_is_idempotent():
@@ -160,9 +164,9 @@ def test_distribute_delivers_ciphertext_and_completes():
     assert stored is not None and b"private op" not in stored.ciphertext
     assert enclaves["m2"].payloads.get(h) is None
     # Receiver holds no key yet, so the payload stays opaque until joined.
-    assert enclaves["m1"].open(h) is None
+    assert enclaves["m1"].open(GID, h) is None
     enclaves["m1"].store_key(GID, KEY)
-    assert enclaves["m1"].open(h) == b"private op"
+    assert enclaves["m1"].open(GID, h) == b"private op"
 
 
 def reference_enclave_ms(indices, retry=0.15) -> dict[int, int]:

@@ -2,11 +2,13 @@
 
 import gc
 import json
+from unittest import mock
 
 import pytest
 
-from pactsim import scenario
+from pactsim import node, scenario
 from pactsim.config import ConfigError, config_from_dict
+from pactsim.contracts import BreachLedger
 from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
 from pactsim.scenario import run_scenario, run_sweep, wire_bytes
 
@@ -94,6 +96,37 @@ def test_member_crash_never_leaves_a_marker_without_its_payload(private_stress_s
         ledgers = [result.cluster.nodes[n].group_ledgers.get(group.group_id) for n in live]
         assert not any(ledger.halted for ledger in ledgers)
         assert len({ledger.state_digest() for ledger in ledgers}) == 1
+
+
+# The benchmark's `lifecycle-400` workload (`perfbench/workloads.py`) at
+# its seed, and `smoke-batches` of the golden cases.
+SENDER_OP_CASES = {
+    "lifecycle-400": ({"preset": "paper-default", "workload": {"providers": 200, "consumers": 200}}, 29),
+    "smoke-batches": ({"preset": "smoke", "workload": {"batches_per_group": 2}}, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SENDER_OP_CASES))
+def test_members_apply_the_op_its_sender_encoded(case, monkeypatch):
+    raw, seed = SENDER_OP_CASES[case]
+    applied = []
+    apply = BreachLedger.apply
+
+    def spy(ledger, sender, op, payload_hash):
+        applied.append(op)
+        apply(ledger, sender, op, payload_hash)
+
+    monkeypatch.setattr(BreachLedger, "apply", spy)
+    with mock.patch.object(node, "decode_private_op", wraps=node.decode_private_op) as parse:
+        result = run_scenario(config_from_dict(raw), seed)
+    assert result.completed
+    assert parse.call_count == 0
+    sent = result.cluster.sent_ops
+    assert len(sent) == len(result.driver.payload_log)
+    # Each op is applied at both members of its group, as the object its sender encoded.
+    assert len(applied) == 2 * len(sent)
+    assert {id(op) for op in applied} == {id(op) for op in sent.values()}
+    assert not any(n.private_op_failures for n in result.cluster.nodes.values())
 
 
 def test_summary_reports_every_kind_seen(smoke_run):
