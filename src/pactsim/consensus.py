@@ -43,7 +43,10 @@ A message carries the bytes its sender signed as a cached attribute
 (`signed`; a commit's `sealed` holds its seal preimage).  Every
 recipient of a broadcast gets the same object, so the bytes are built,
 and the signatures checked (`_authentic`), once per message, not once
-per recipient; a `replace` copy builds and checks its own.
+per recipient; a `replace` copy builds and checks its own.  Likewise a
+commit builds its `(sender, seal)` entry (`seal_entry`) when it is
+created, and every validator that counts it seals its copy of the block
+with that one object.
 """
 
 from __future__ import annotations
@@ -129,6 +132,11 @@ class Commit:
     seal: bytes
     sender: bytes
     signature: bytes
+    # `(sender, seal)`, the entry a sealed block holds for this commit.
+    seal_entry: tuple[bytes, bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seal_entry", (self.sender, self.seal))
 
     @staticmethod
     def preimage(height: int, round_: int, digest: bytes, seal: bytes) -> bytes:
@@ -572,8 +580,8 @@ class IbftValidator:
         commits = st.commits.get((round_, digest), {})
         if len(commits) < self.validators.quorum:
             return
-        # Senders are distinct, so the pairs sort by sender alone.
-        seals = tuple(sorted([(c.sender, c.seal) for c in commits.values()]))
+        # Senders are distinct, so the entries sort by sender alone.
+        seals = tuple(sorted([c.seal_entry for c in commits.values()]))
         sealed = proposal.block.replace_unhashed(seals=seals)
         if self.sim.trace_enabled:
             self.sim.trace("finalize", node=self.name, height=sealed.height, round=round_)

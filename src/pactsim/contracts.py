@@ -23,11 +23,12 @@ before touching state.  Records are named tuples, hence immutable, and
 one encoder writes them (`enc_breaches`): a run of records that share a
 reporter and a stamp, as a batch's do, has that reporter and stamp
 checked and encoded once, with the bytes each record would give alone.
-A run keeps each op a sender encoded under its bytes
-(`node.Cluster.sent_ops`): a member whose decrypted payload matches them
-byte for byte takes the sender's op, and a member holding any other
-bytes parses them with `decode_private_op`, with every check.  Sharing
-the op is sound: it is frozen, its records are named tuples and
+A run keeps each op a sender encoded, with its bytes, under the hash of
+the payload that carries them (`node.Cluster.sent_ops`): a member whose
+decrypted payload matches those bytes byte for byte takes the sender's
+op, and a member holding any other bytes parses them with
+`decode_private_op`, with every check.  Sharing the op is sound: it is
+frozen, its records are named tuples and
 `decode_private_op(op.encode()) == op`.
 """
 
@@ -223,7 +224,8 @@ class PublicState:
             raise ExecError(f"provider already has {MAX_SERVICES_PER_PROVIDER} services")
         if any(s.sla_hash == sla_hash for s in existing):
             raise ExecError("duplicate service metadata")
-        existing.append(ServiceRecord(sender, name, sla_hash))
+        # `tuple.__new__` builds the named tuple without a Python frame.
+        existing.append(tuple.__new__(ServiceRecord, (sender, name, sla_hash)))
 
     def _op_select(self, sender: bytes, call: PublicCall) -> None:
         if self.roles.get(sender) != Role.CONSUMER:
@@ -234,7 +236,8 @@ class PublicState:
         services = self.services.get(provider, [])
         if index >= len(services):
             raise ExecError(f"provider has no service {index}")
-        self.agreements.append(SelectionRecord(sender, provider, index))
+        # `tuple.__new__` builds the named tuple without a Python frame.
+        self.agreements.append(tuple.__new__(SelectionRecord, (sender, provider, index)))
 
     def _op_marker(self, sender: bytes, marker: PrivacyMarker) -> None:
         self.markers.append((marker.group_id, marker.payload_hash))
@@ -267,7 +270,8 @@ class PublicState:
             return Receipt(tx.tx_id, False, self.schedule.base, err.reason)
         except ValueError as err:
             return Receipt(tx.tx_id, False, self.schedule.base, f"malformed args: {err}")
-        return Receipt(tx.tx_id, True, cost)
+        # `tuple.__new__` builds the named tuple without a Python frame.
+        return tuple.__new__(Receipt, (tx.tx_id, True, cost, None))
 
     # -- snapshots ----------------------------------------------------
 

@@ -12,9 +12,11 @@ enclave has acknowledged its payload, so each operation is opened and
 applied in the block that executes its marker; a member that finds the
 payload missing, or finds it belongs to another group, halts the group
 instead of applying past the gap.  A member opens the payload in its
-enclave either way; when the plaintext is the bytes a sender encoded in
-this run, it takes the sender's op from `Cluster.sent_ops`, and any
-other plaintext is parsed by `decode_private_op` with every check.
+enclave either way.  `Cluster.sent_ops` holds each op a sender encoded
+in this run, with its bytes, under the hash of the payload carrying
+them, which is the hash the marker names; when the plaintext equals
+those bytes the member takes the sender's op, and any other plaintext
+is parsed by `decode_private_op` with every check.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it
@@ -211,15 +213,24 @@ class NodeRuntime:
             self.request_sync(peer)
 
     def _apply_block(self, block: Block) -> None:
+        """Execute each transaction and record its receipt, in one pass.
+
+        A receipt callback may start a wait or join a group, so the
+        waiter table and the group ledgers are read afresh for each
+        transaction.
+        """
+        execute, receipts = self.state.execute, self.receipts
+        waiters, ledgers = self._receipt_waiters, self.group_ledgers
         for tx in block.txs:
-            receipt = self.state.execute(tx)
-            entry = ReceiptEntry(receipt)
-            self.receipts[tx.tx_id] = entry
-            payload = tx.payload
-            if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in self.group_ledgers:
-                self._on_marker(block.height, tx.sender, payload)
-            for cb in self._receipt_waiters.pop(tx.tx_id, ()):
-                cb(entry)
+            receipt = execute(tx)
+            receipts[tx.tx_id] = entry = ReceiptEntry(receipt)
+            if ledgers:
+                payload = tx.payload
+                if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in ledgers:
+                    self._on_marker(block.height, tx.sender, payload)
+            if waiters:
+                for cb in waiters.pop(tx.tx_id, ()):
+                    cb(entry)
         self.pool.remove_included(block.txs)
 
     # -- inspection ---------------------------------------------------
@@ -272,8 +283,9 @@ class NodeRuntime:
             if self.sim.trace_enabled:
                 self.sim.trace("group_halted", node=self.name, group=group_id.hex()[:16])
             return
+        sent = self.cluster.sent_ops.get(marker.payload_hash)
         try:
-            op = self.cluster.sent_ops.get(plaintext) or decode_private_op(plaintext)
+            op = sent[1] if sent is not None and sent[0] == plaintext else decode_private_op(plaintext)
             ledger.apply(sender, op, marker.payload_hash)
             if self.sim.trace_enabled:
                 self.sim.trace(
@@ -296,8 +308,9 @@ class Cluster:
         self.name_of = name_of
         # Source node -> its (gossip, member push) targets, built on first use.
         self._targets: dict[str, tuple[Targets, Targets]] = {}
-        # Each private op a sender encoded in this run, under its bytes.
-        self.sent_ops: dict[bytes, PrivateOp] = {}
+        # Each private op a sender encoded in this run, with its bytes,
+        # under the hash of the payload that carries them.
+        self.sent_ops: dict[bytes, tuple[bytes, PrivateOp]] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node

@@ -89,7 +89,7 @@ class GroupDirectory:
             return existing, False
         gid = group_id_for(member_pubkeys, consumer, provider)
         # Sub-tag 3 keeps group keys clear of node and domain key seeds.
-        key = self.rng_hub.derived(STREAM_KEYS, 3, pair_index).bytes(GROUP_KEY_LEN)
+        key = self.rng_hub.key_bytes(STREAM_KEYS, 3, pair_index, n=GROUP_KEY_LEN)
         info = GroupInfo(
             group_id=gid,
             consumer=consumer,

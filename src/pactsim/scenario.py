@@ -11,9 +11,10 @@ has resolved at the submitting node.  A stage only names its
 operations: each is either a public call (`WorkloadDriver._submit`) or
 a private operation distributed to its group and anchored by a marker
 (`WorkloadDriver._submit_private`).  The driver keeps each private
-operation it encodes in the run's `Cluster.sent_ops`, under its bytes,
-so a member whose payload opens to those bytes takes that operation
-instead of parsing them again.
+operation it encodes, with its bytes, in the run's `Cluster.sent_ops`
+under the hash of the payload that carries it, so a member whose
+payload opens to those bytes takes that operation instead of parsing
+them again.
 
 Submission instants inside a stage are jittered uniformly across one
 block interval, so arrivals hit the block cadence at random offsets.
@@ -143,7 +144,7 @@ def assemble(
     network.add_channel("rpc", config.rpc_latency, STREAM_RPC)
 
     validator_creds = [
-        Credential.from_seed_bytes(rng_hub.derived(STREAM_KEYS, 1, i).bytes(32))
+        Credential.from_seed_bytes(rng_hub.key_bytes(STREAM_KEYS, 1, i, n=32))
         for i in range(config.validators)
     ]
     validator_set = ValidatorSet(tuple((c.address, c.public_key) for c in validator_creds))
@@ -174,7 +175,7 @@ def assemble(
         provider_hosts = members[:-1] if len(members) >= 2 else members
         consumer_host = members[-1]
         for i in range(config.workload.providers):
-            cred = Credential.from_seed_bytes(rng_hub.derived(STREAM_KEYS, 2, i).bytes(32))
+            cred = Credential.from_seed_bytes(rng_hub.key_bytes(STREAM_KEYS, 2, i, n=32))
             providers.append(
                 Domain(
                     name=f"p{i}",
@@ -185,7 +186,7 @@ def assemble(
             )
         for j in range(config.workload.consumers):
             cred = Credential.from_seed_bytes(
-                rng_hub.derived(STREAM_KEYS, 2, config.workload.providers + j).bytes(32)
+                rng_hub.key_bytes(STREAM_KEYS, 2, config.workload.providers + j, n=32)
             )
             consumers.append(
                 Domain(name=f"c{j}", credential=cred, node_name=consumer_host, role=Role.CONSUMER)
@@ -317,9 +318,11 @@ class WorkloadDriver:
             # time less `submit_ms` is the enclave transfer time.
             sample = self.metrics.new_private_sample(op.KIND, self.sim.now, group.group_id)
             plaintext = op.encode()
-            self.cluster.sent_ops[plaintext] = op
             self.payload_log.append((group.group_id, plaintext))
-            self.run.courier.distribute(group, sender.node_name, plaintext, payload_index, partial(anchor, sample))
+            payload_hash = self.run.courier.distribute(
+                group, sender.node_name, plaintext, payload_index, partial(anchor, sample)
+            )
+            self.cluster.sent_ops[payload_hash] = (plaintext, op)
 
         def anchor(sample: LatencySample, payload_hash: bytes) -> None:
             self.metrics.on_delivered(sample, self.sim.now)

@@ -58,7 +58,9 @@ class RngHub:
     `stream(tag)` returns the shared generator for a subsystem;
     `derived(tag, *key)` returns an independent generator bound to a
     stable integer key, so the sequence an entity sees does not depend
-    on how many draws other entities made before it.
+    on how many draws other entities made before it.  Both are kept, so
+    a later lookup continues the sequence.  `key_bytes` reads key
+    material once and keeps nothing.
     """
 
     def __init__(self, seed: int):
@@ -78,6 +80,16 @@ class RngHub:
 
     def derived(self, tag: int, *key: int) -> np.random.Generator:
         return self._get((tag, *key))
+
+    def key_bytes(self, tag: int, *key: int, n: int) -> bytes:
+        """What `derived(tag, *key).bytes(n)` gives for a key not read before.
+
+        `Generator.bytes` takes 32-bit draws, each half of one PCG64
+        output low half first, so the bytes are the little-endian raw
+        outputs cut to `n`.  No generator is built or cached.
+        """
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=(tag, *key)))
+        return bits.random_raw(-(-n // 8)).astype("<u8").tobytes()[:n]
 
 
 @dataclass(frozen=True)

@@ -489,6 +489,23 @@ def test_a_self_sealed_block_is_appended_without_checking_its_seals_again(monkey
     assert during == [(digest, 0, 0)]
 
 
+def test_validators_seal_a_height_with_the_entry_objects_of_the_commits_they_counted():
+    proposal, proposer, holder, peer, other = height_one_roles()
+    commits = {v.name: signed_commit(v, 1, 0, proposal.block.hash) for v in (proposer, holder, peer, other)}
+    counted = {holder: (proposer, peer, other), peer: (proposer, holder, other)}
+    for validator, senders in counted.items():
+        for msg in [proposal, *(commits[v.name] for v in senders)]:
+            validator.on_message(msg)
+    for validator, senders in counted.items():
+        seals = validator.store.blocks[1].seals
+        assert seals == tuple(sorted((commits[v.name].sender, commits[v.name].seal) for v in senders))
+        # Each entry is the object its commit holds, so the proposer's and
+        # the other's entries are shared by both sealed copies.
+        assert {id(entry) for entry in seals} == {id(commits[v.name].seal_entry) for v in senders}
+    shared = {id(e) for e in holder.store.blocks[1].seals} & {id(e) for e in peer.store.blocks[1].seals}
+    assert shared == {id(commits[v.name].seal_entry) for v in (proposer, other)}
+
+
 @pytest.mark.parametrize("case", ["smoke-proposer-crash", "validators-31-faults"])
 def test_each_store_checks_each_block_once_per_round(monkeypatch, case):
     checks = Counter()

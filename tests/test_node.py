@@ -346,6 +346,40 @@ def test_malformed_private_op_fails_at_each_member_and_is_not_cached(case):
     assert cluster.sent_ops == {}
 
 
+def test_a_plaintext_other_than_the_senders_bytes_is_parsed_and_applied_as_parsed():
+    _, cluster = make_cluster(("n0", "n1"))
+    group, nonce, ciphertext = make_group_setup(cluster.nodes["n0"])
+    # The table holds another op's bytes under this payload's hash.
+    other = OpInit(AgreementRecord(ALICE.address, BOB.address, 1, "other terms"))
+    cluster.sent_ops[digest(ciphertext)] = (other.encode(), other)
+    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
+    with mock.patch.object(node_module, "decode_private_op", wraps=node_module.decode_private_op) as parse:
+        for node in cluster.nodes.values():
+            node.join_group(group)
+            node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
+            node.on_sealed_block(b1)
+    plaintext = cluster.nodes["n0"].enclave.open(group.group_id, digest(ciphertext))
+    assert parse.call_args_list == [mock.call(plaintext)] * 2
+    for node in cluster.nodes.values():
+        assert node.private_op_failures == []
+        agreement = node.group_ledgers[group.group_id].agreement
+        assert agreement.terms == "availability >= 99.9%" and agreement != other.agreement
+
+
+def test_a_node_hosting_no_group_never_reaches_on_marker():
+    _, cluster = make_cluster(("n0", "n1", "n2"))
+    group, nonce, ciphertext = make_group_setup(cluster.nodes["n0"])
+    for name in group.member_nodes:
+        cluster.nodes[name].join_group(group)
+        cluster.nodes[name].enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
+    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
+    with mock.patch.object(NodeRuntime, "_on_marker", autospec=True) as on_marker:
+        for node in cluster.nodes.values():
+            node.on_sealed_block(b1)
+    assert [call.args[0].name for call in on_marker.call_args_list] == ["n0", "n1"]
+    assert cluster.nodes["n2"].store.height == 1 and cluster.nodes["n2"].group_ledgers == {}
+
+
 def test_marker_opens_only_a_payload_of_its_own_group():
     # Alice is in group A with Bob and in group B with Carol, both on n0.
     _, cluster = make_cluster(("n0", "n1", "n2"))

@@ -125,8 +125,15 @@ def test_members_apply_the_op_its_sender_encoded(case, monkeypatch):
     assert len(sent) == len(result.driver.payload_log)
     # Each op is applied at both members of its group, as the object its sender encoded.
     assert len(applied) == 2 * len(sent)
-    assert {id(op) for op in applied} == {id(op) for op in sent.values()}
+    assert {id(op) for op in applied} == {id(op) for _, op in sent.values()}
     assert not any(n.private_op_failures for n in result.cluster.nodes.values())
+
+
+def test_a_run_keeps_only_the_streams_it_continues():
+    raw, seed = SENDER_OP_CASES["lifecycle-400"]
+    result = run_scenario(config_from_dict(raw), seed)
+    # Key material is read once and kept nowhere.
+    assert sorted(result.rng_hub._streams) == [(1,), (2,), (3, 1), (3, 2), (4,)]
 
 
 def test_summary_reports_every_kind_seen(smoke_run):

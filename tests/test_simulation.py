@@ -216,6 +216,14 @@ def test_stream_instances_are_cached():
     assert hub.stream(1) is not hub.derived(1, 2)
 
 
+@pytest.mark.parametrize("key", [(1,), (2,), (3, 1), (3, 2), (4,), (5, 1, 0), (5, 2, 7), (5, 3, 12)])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 64])
+def test_key_bytes_equal_a_fresh_derived_generators_bytes(key, n):
+    hub = RngHub(29)
+    assert hub.key_bytes(*key, n=n) == RngHub(29).derived(*key).bytes(n)
+    assert hub._streams == {}
+
+
 def test_block_random_draws_equal_scalar_draws():
     block = RngHub(17).derived(STREAM_ENCLAVE, 2)
     scalar = RngHub(17).derived(STREAM_ENCLAVE, 2)
