@@ -36,16 +36,17 @@ def isolation_scan(result: RunResult) -> list[Finding]:
     member must show no trace of the plaintext bytes or the group key
     anywhere in its byte image.  When the run captured wire traffic,
     every message is scanned as well: keys and plaintexts must never
-    cross the network at all, only ciphertext does.
+    cross the network at all, only ciphertext does.  The plaintexts are
+    the run's sent payloads (`Cluster.sent_ops`), in the order sent.
     """
     findings: list[Finding] = []
-    if result.driver is None:
+    if not result.directory.by_id:
         return findings
     images = {name: node_byte_image(result, name) for name in result.config.node_names}
     wire_log = result.cluster.network.wire_log
     wire_image = b"\x00".join(wire_bytes(item) for _, _, item in wire_log) if wire_log else b""
     plaintexts_of: dict[bytes, list[bytes]] = {}
-    for gid, plaintext in result.driver.payload_log:
+    for gid, plaintext, _ in result.cluster.sent_ops.values():
         plaintexts_of.setdefault(gid, []).append(plaintext)
     for group in result.directory.by_id.values():
         outsiders = [n for n in result.config.node_names if n not in group.member_nodes]
@@ -141,13 +142,15 @@ def authorization_replay(result: RunResult) -> list[Finding]:
 
     Every anchored marker for a known group must have been sent by a
     group member, and every breach record in a member ledger must name
-    a member as its reporter.
+    a member as its reporter.  Markers are read from the longest chain
+    any node holds, as `convergence` takes its `top`: a crashed node's
+    chain may stop short of it.
     """
     findings: list[Finding] = []
     directory = result.directory
-    ref_name = result.config.node_names[0]
-    ref_node = result.cluster.nodes[ref_name]
-    for block in ref_node.store.blocks:
+    nodes = result.cluster.nodes
+    ref_name = max(nodes, key=lambda name: nodes[name].store.height)
+    for block in nodes[ref_name].store.blocks:
         for tx in block.txs:
             if isinstance(tx.payload, PrivacyMarker):
                 group = directory.by_id.get(tx.payload.group_id)
@@ -159,7 +162,7 @@ def authorization_replay(result: RunResult) -> list[Finding]:
                             f"marker at height {block.height} sent by non-member {tx.sender.hex()[:12]}",
                         )
                     )
-    for name, node in result.cluster.nodes.items():
+    for name, node in nodes.items():
         for gid, ledger in node.group_ledgers.items():
             for i, record in enumerate(ledger.records):
                 if record.reporter not in ledger.members:

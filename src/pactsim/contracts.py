@@ -23,13 +23,13 @@ before touching state.  Records are named tuples, hence immutable, and
 one encoder writes them (`enc_breaches`): a run of records that share a
 reporter and a stamp, as a batch's do, has that reporter and stamp
 checked and encoded once, with the bytes each record would give alone.
-A run keeps each op a sender encoded, with its bytes, under the hash of
-the payload that carries them (`node.Cluster.sent_ops`): a member whose
-decrypted payload matches those bytes byte for byte takes the sender's
-op, and a member holding any other bytes parses them with
-`decode_private_op`, with every check.  Sharing the op is sound: it is
-frozen, its records are named tuples and
-`decode_private_op(op.encode()) == op`.
+A run keeps each op a sender encoded, with its group and bytes, under
+the hash of the payload that carries them (`node.Cluster.sent_ops`),
+its one record of the private ops it sent: a member whose decrypted
+payload matches those bytes byte for byte takes the sender's op, and a
+member holding any other bytes parses them with `decode_private_op`,
+with every check.  Sharing the op is sound: it is frozen, its records
+are named tuples and `decode_private_op(op.encode()) == op`.
 """
 
 from __future__ import annotations

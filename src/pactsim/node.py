@@ -13,10 +13,10 @@ applied in the block that executes its marker; a member that finds the
 payload missing, or finds it belongs to another group, halts the group
 instead of applying past the gap.  A member opens the payload in its
 enclave either way.  `Cluster.sent_ops` holds each op a sender encoded
-in this run, with its bytes, under the hash of the payload carrying
-them, which is the hash the marker names; when the plaintext equals
-those bytes the member takes the sender's op, and any other plaintext
-is parsed by `decode_private_op` with every check.
+in this run, with its group and bytes, under the hash of the payload
+carrying them, which is the hash the marker names; when the plaintext
+equals those bytes the member takes the sender's op, and any other
+plaintext is parsed by `decode_private_op` with every check.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it
@@ -285,7 +285,7 @@ class NodeRuntime:
             return
         sent = self.cluster.sent_ops.get(marker.payload_hash)
         try:
-            op = sent[1] if sent is not None and sent[0] == plaintext else decode_private_op(plaintext)
+            op = sent[2] if sent is not None and sent[1] == plaintext else decode_private_op(plaintext)
             ledger.apply(sender, op, marker.payload_hash)
             if self.sim.trace_enabled:
                 self.sim.trace(
@@ -308,9 +308,9 @@ class Cluster:
         self.name_of = name_of
         # Source node -> its (gossip, member push) targets, built on first use.
         self._targets: dict[str, tuple[Targets, Targets]] = {}
-        # Each private op a sender encoded in this run, with its bytes,
-        # under the hash of the payload that carries them.
-        self.sent_ops: dict[bytes, tuple[bytes, PrivateOp]] = {}
+        # Each private op a sender encoded in this run, with its group and
+        # bytes, under the hash of the payload that carries them.
+        self.sent_ops: dict[bytes, tuple[bytes, bytes, PrivateOp]] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node

@@ -8,17 +8,19 @@ chain, inside a privacy marker.  Non-member nodes never receive the key
 or the payload, so their entire byte image contains nothing derived
 from the plaintext.
 
-Payload `k`'s transfer legs and retry coin are read by index from two
-streams that serve the whole run: legs `4k ... 4k+3` (push, ack, second
-push, second ack) and coin `k`.  So the same delays recur for payload
-`k` when unrelated parameters (such as the block interval) change, and
-in whatever order payloads are distributed (docs/rng.md).
+A payload's transfer is drawn when it is submitted, in submission
+order, from two streams that serve the whole run: four legs (push, ack,
+second push, second ack) and one retry coin each.  Payload `k` thus
+takes legs `4k ... 4k+3` and coin `k`, so the same delays recur for it
+when unrelated parameters (such as the block interval) change, and in
+whatever order payloads are distributed (docs/rng.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -33,7 +35,7 @@ from .encoding import (
     enc_list,
     tagged_digest,
 )
-from .simulation import STREAM_ENCLAVE, STREAM_KEYS, IndexedDraws, Network, RngHub, Uniform, doubles
+from .simulation import STREAM_ENCLAVE, STREAM_KEYS, Network, RngHub, Uniform, block_draws, doubles
 
 NONCE_LEN = 12
 GROUP_KEY_LEN = 32
@@ -164,7 +166,7 @@ class PayloadCourier:
     """Runs the push/ack protocol for every node's outgoing payloads.
 
     Transfer legs come from enclave sub-stream 1 and retry coins from
-    sub-stream 2, each read by index through `IndexedDraws`.
+    sub-stream 2, each read in turn by `draw_transfer`.
     """
 
     def __init__(
@@ -178,43 +180,49 @@ class PayloadCourier:
         self.network = network
         self.enclaves = enclaves
         self.retry_probability = retry_probability
-        self._legs = IndexedDraws(partial(transfer_model.block, rng_hub.derived(STREAM_ENCLAVE, 1)))
-        self._coins = IndexedDraws(partial(doubles, rng_hub.derived(STREAM_ENCLAVE, 2)))
+        self._legs = block_draws(partial(transfer_model.block, rng_hub.derived(STREAM_ENCLAVE, 1)))
+        self._coins = block_draws(partial(doubles, rng_hub.derived(STREAM_ENCLAVE, 2)))
+
+    def draw_transfer(self) -> tuple[int, int]:
+        """The next payload's transfer, as (arrival, acknowledgement) delays.
+
+        Each payload takes four legs and one coin, so the `k`-th call
+        reads legs `4k ... 4k+3` and coin `k`.  Legs `4k` (push) and
+        `4k+1` (acknowledgement) carry the transfer; if coin `k` falls
+        below the retry probability the first attempt is lost, and legs
+        `4k+2` and `4k+3` carry a second push/ack pair after the first
+        pair's worth of waiting.
+        """
+        push1, ack1, push2, ack2 = islice(self._legs, 4)
+        if next(self._coins) < self.retry_probability:
+            arrive_at = push1 + ack1 + push2
+            return arrive_at, arrive_at + ack2
+        return push1, push1 + ack1
 
     def distribute(
         self,
         group: GroupInfo,
         src_node: str,
         plaintext: bytes,
-        payload_index: int,
+        transfer: tuple[int, int],
         on_complete: Callable[[bytes], None],
     ) -> bytes:
         """Encrypt at the source enclave and push to the group's other member.
 
         The group is a pair on two distinct nodes, so there is exactly
-        one recipient.  Payload `k` takes transfer legs `4k` (push) and
-        `4k+1` (acknowledgement); if coin `k` falls below the retry
-        probability the first attempt is lost, and legs `4k+2` and
-        `4k+3` carry a second push/ack pair after the first pair's worth
-        of waiting.  The acknowledgement, the payload hash, reaches
-        `on_complete` when the transfer is complete, so the caller reads
-        that time from the clock.  The hash is also returned at once.
+        one recipient.  `transfer` is the payload's pair from
+        `draw_transfer`, drawn when it was submitted: the payload
+        reaches the peer's enclave after the first delay, and the
+        acknowledgement, the payload hash, reaches `on_complete` after
+        the second, so the caller reads that time from the clock.  The
+        hash is also returned at once.
         """
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
         payload = StoredPayload(group_id=group.group_id, nonce=nonce, ciphertext=ciphertext)
         payload_hash = self.enclaves[src_node].receive(payload)
         (peer,) = (n for n in group.member_nodes if n != src_node)
-
-        legs, row = self._legs, 4 * payload_index
-        push1 = legs[row]
-        ack1 = legs[row + 1]
-        if self._coins[payload_index] < self.retry_probability:
-            arrive_at = push1 + ack1 + legs[row + 2]
-            done_at = arrive_at + legs[row + 3]
-        else:
-            arrive_at = push1
-            done_at = push1 + ack1
+        arrive_at, done_at = transfer
         self.network.send_after(src_node, peer, arrive_at, self.enclaves[peer].receive, payload)
         self.network.send_after(peer, src_node, done_at, on_complete, payload_hash)
         return payload_hash

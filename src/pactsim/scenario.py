@@ -10,11 +10,13 @@ batched.  Each stage starts once every receipt from the previous stage
 has resolved at the submitting node.  A stage only names its
 operations: each is either a public call (`WorkloadDriver._submit`) or
 a private operation distributed to its group and anchored by a marker
-(`WorkloadDriver._submit_private`).  The driver keeps each private
-operation it encodes, with its bytes, in the run's `Cluster.sent_ops`
-under the hash of the payload that carries it, so a member whose
-payload opens to those bytes takes that operation instead of parsing
-them again.
+(`WorkloadDriver._submit_private`).  A private operation's enclave
+transfer is drawn when it is submitted, so the stage loops' fixed order
+fixes each payload's delays.  The driver keeps each private operation
+it encodes, with its group and bytes, in the run's `Cluster.sent_ops`
+under the hash of the payload that carries it: that table is the run's
+one record of what was sent, and a member whose payload opens to those
+bytes takes that operation instead of parsing them again.
 
 Submission instants inside a stage are jittered uniformly across one
 block interval, so arrivals hit the block cadence at random offsets.
@@ -239,8 +241,6 @@ class WorkloadDriver:
         self.metrics = run.metrics
         self._uniforms = block_draws(partial(doubles, run.rng_hub.stream(STREAM_WORKLOAD)))
         self.window = self.config.block_interval_ms
-        self.payload_log: list[tuple[bytes, bytes]] = []
-        self._payload_seq = 0
         self._outstanding = 0
         self._stage_queue: list = []
         self.completed = False
@@ -307,9 +307,8 @@ class WorkloadDriver:
         self.sim.schedule(self._jitter(), fire)
 
     def _submit_private(self, group: GroupInfo, sender: Domain, make_op: Callable[[], PrivateOp]) -> None:
-        """One private operation, sampled as its `KIND`: built at a jittered instant, distributed, then anchored."""
-        payload_index = self._payload_seq
-        self._payload_seq += 1
+        """One private operation, sampled as its `KIND`: transfer drawn now, sent at a jittered instant, anchored."""
+        transfer = self.run.courier.draw_transfer()
         self._outstanding += 1
 
         def fire() -> None:
@@ -318,11 +317,10 @@ class WorkloadDriver:
             # time less `submit_ms` is the enclave transfer time.
             sample = self.metrics.new_private_sample(op.KIND, self.sim.now, group.group_id)
             plaintext = op.encode()
-            self.payload_log.append((group.group_id, plaintext))
             payload_hash = self.run.courier.distribute(
-                group, sender.node_name, plaintext, payload_index, partial(anchor, sample)
+                group, sender.node_name, plaintext, transfer, partial(anchor, sample)
             )
-            self.cluster.sent_ops[payload_hash] = (plaintext, op)
+            self.cluster.sent_ops[payload_hash] = (group.group_id, plaintext, op)
 
         def anchor(sample: LatencySample, payload_hash: bytes) -> None:
             self.metrics.on_delivered(sample, self.sim.now)

@@ -50,7 +50,7 @@ def test_clean_run_has_no_findings(clean_run):
 def test_clean_run_carried_private_traffic(clean_run):
     # The negative control is only meaningful if payloads actually flowed.
     assert len(clean_run.directory.by_id) == 2
-    assert len(clean_run.driver.payload_log) >= 4
+    assert len(clean_run.cluster.sent_ops) >= 4
     assert len(clean_run.cluster.network.wire_log) > 100
 
 
@@ -79,7 +79,7 @@ def test_planted_key_on_outsider_node_is_found():
 def test_planted_plaintext_on_outsider_node_is_found():
     result = fresh()
     group = any_group(result)
-    gid, plaintext = next(p for p in result.driver.payload_log if p[0] == group.group_id)
+    gid, plaintext, _ = next(p for p in result.cluster.sent_ops.values() if p[0] == group.group_id)
     name = outsider_of(result, group)
     result.cluster.nodes[name].enclave.receive(StoredPayload(gid, b"\x00" * 12, plaintext))
     found = isolation_scan(result)
@@ -96,7 +96,7 @@ def test_key_on_the_wire_is_found():
 
 def test_plaintext_on_the_wire_is_found():
     result = fresh()
-    gid, plaintext = result.driver.payload_log[0]
+    gid, plaintext, _ = next(iter(result.cluster.sent_ops.values()))
     result.cluster.network.wire_log.append(("m0", "m1", b"prefix" + plaintext))
     found = isolation_scan(result)
     assert any(f.node == "wire" and "plaintext" in f.detail for f in found)
@@ -170,28 +170,44 @@ def test_tampered_world_state_is_found():
 # -- planted authorization violations ---------------------------------
 
 
-def test_marker_from_non_member_is_found():
-    result = fresh()
+def plant_foreign_marker(result, name):
+    """Append to `name`'s chain a block holding a marker for a group, sent by a non-member."""
     group = any_group(result)
-    ref = result.cluster.nodes[result.config.node_names[0]]
+    store = result.cluster.nodes[name].store
     intruder = cred(99)
     tx = make_transaction(
         intruder, nonce=0, gas_limit=50_000,
         payload=PrivacyMarker(group_id=group.group_id, payload_hash=b"\x01" * 32),
     )
-    head = ref.store.head
-    ref.store.blocks.append(
+    head = store.head
+    store.blocks.append(
         Block(
             height=head.height + 1,
             timestamp=head.timestamp + 1,
-            parent_hash=ref.store.head.hash,
+            parent_hash=head.hash,
             proposer=b"\x00" * 20,
             round=0,
             txs=(tx,),
         )
     )
+
+
+def test_marker_from_non_member_is_found():
+    result = fresh()
+    plant_foreign_marker(result, result.config.node_names[0])
     found = authorization_replay(result)
     assert any("sent by non-member" in f.detail for f in found)
+
+
+def test_marker_above_a_crashed_nodes_head_is_found():
+    # The first node crashes before any block, so every other node's chain is longer than its own.
+    crash = {"node": "v0", "at_ms": 1000}
+    result = run_scenario(config_from_dict({"preset": "smoke", "faults": {"crashes": [crash]}}), seed=3)
+    nodes = result.cluster.nodes
+    assert result.config.node_names[0] == "v0" and nodes["v0"].store.height < nodes["m2"].store.height
+    plant_foreign_marker(result, "m2")
+    found = authorization_replay(result)
+    assert any(f.node == "m2" and "sent by non-member" in f.detail for f in found)
 
 
 def test_breach_record_from_non_member_is_found():

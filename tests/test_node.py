@@ -351,7 +351,7 @@ def test_a_plaintext_other_than_the_senders_bytes_is_parsed_and_applied_as_parse
     group, nonce, ciphertext = make_group_setup(cluster.nodes["n0"])
     # The table holds another op's bytes under this payload's hash.
     other = OpInit(AgreementRecord(ALICE.address, BOB.address, 1, "other terms"))
-    cluster.sent_ops[digest(ciphertext)] = (other.encode(), other)
+    cluster.sent_ops[digest(ciphertext)] = (group.group_id, other.encode(), other)
     (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
     with mock.patch.object(node_module, "decode_private_op", wraps=node_module.decode_private_op) as parse:
         for node in cluster.nodes.values():

@@ -154,7 +154,8 @@ def test_distribute_delivers_ciphertext_and_completes():
     sim, enclaves, courier = courier_env()
     group = group_for(("m0", "m1"))
     acks = []
-    h = courier.distribute(group, "m0", b"private op", 0, lambda ack: acks.append((ack, sim.now)))
+    transfer = courier.draw_transfer()
+    h = courier.distribute(group, "m0", b"private op", transfer, lambda ack: acks.append((ack, sim.now)))
     assert enclaves["m0"].payloads.get(h) is not None
     sim.run()
     # Sent at time 0, so the acknowledgement's arrival time is the transfer time.
@@ -169,24 +170,32 @@ def test_distribute_delivers_ciphertext_and_completes():
     assert enclaves["m1"].open(GID, h) == b"private op"
 
 
-def reference_enclave_ms(indices, retry=0.15) -> dict[int, int]:
-    """Each payload's duration from scalar draws: legs 4k..4k+3 of sub-stream 1, coin k of sub-stream 2."""
-    hub = RngHub(21)
+def reference_transfers(n, seed=21, model=Uniform(400, 2600), retry=0.15) -> list[tuple[int, int]]:
+    """The first `n` payloads' (arrival, acknowledgement) delays from scalar draws:
+    payload k takes legs 4k..4k+3 of sub-stream 1 and coin k of sub-stream 2."""
+    hub = RngHub(seed)
     legs_rng, coins_rng = hub.derived(STREAM_ENCLAVE, 1), hub.derived(STREAM_ENCLAVE, 2)
-    last = max(indices)
-    legs = [Uniform(400, 2600).sample(legs_rng) for _ in range(4 * last + 4)]
-    coins = [coins_rng.random() for _ in range(last + 1)]
-    return {
-        k: sum(legs[4 * k : 4 * k + 4]) if coins[k] < retry else legs[4 * k] + legs[4 * k + 1] for k in indices
-    }
+    legs = [model.sample(legs_rng) for _ in range(4 * n)]
+    out = []
+    for k in range(n):
+        push1, ack1, push2, ack2 = legs[4 * k : 4 * k + 4]
+        if coins_rng.random() < retry:
+            out.append((push1 + ack1 + push2, push1 + ack1 + push2 + ack2))
+        else:
+            out.append((push1, push1 + ack1))
+    return out
 
 
-def distribution_delays(indices, hub=None):
-    """Each payload's transfer time: every payload is sent at time 0, so it is the acknowledgement's arrival."""
-    sim, _, courier = courier_env(hub=hub)
+def distribution_delays(indices):
+    """Each payload's transfer time, its transfer drawn in index order and the payload distributed in
+    the order of `indices`: every payload is sent at time 0, so it is the acknowledgement's arrival."""
+    sim, _, courier = courier_env()
+    transfers = [courier.draw_transfer() for _ in range(max(indices) + 1)]
     out = {}
     for i in indices:
-        courier.distribute(group_for(("m0", "m1")), "m0", b"p%d" % i, i, lambda _h, i=i: out.__setitem__(i, sim.now))
+        courier.distribute(
+            group_for(("m0", "m1")), "m0", b"p%d" % i, transfers[i], lambda _h, i=i: out.__setitem__(i, sim.now)
+        )
     sim.run()
     return out
 
@@ -198,15 +207,25 @@ def test_distribution_delays_are_keyed_by_payload_index():
 
 
 # Legs are drawn 1024 at a time, 256 payloads' worth; coins 1024 payloads' worth.
+def test_kth_drawn_transfer_is_row_k_of_the_scalar_draws():
+    hub = RngHub(21)
+    _, _, courier = courier_env(hub=hub)
+    drawn = [courier.draw_transfer() for _ in range(1501)]
+    reference = reference_transfers(1501)
+    assert drawn == reference
+    # Without a retry a transfer takes at most 5200 ms, so the retry branch was compared too.
+    assert max(done for _, done in drawn) > 5200
+    # Two generators serve every payload of the run.
+    assert sorted(hub._streams) == [(STREAM_ENCLAVE, 1), (STREAM_ENCLAVE, 2)]
+
+
 @pytest.mark.parametrize(
     "indices",
     [[0, 255, 256, 1024, 1500], [1500, 1024, 256, 255, 0], list(range(40, 300)) + [3, 1030], [1030, 3]],
 )
 def test_each_payload_reads_its_own_legs_and_coin_in_any_order(indices):
-    hub = RngHub(21)
-    assert distribution_delays(indices, hub) == reference_enclave_ms(indices)
-    # Two generators serve every payload of the run.
-    assert sorted(hub._streams) == [(STREAM_ENCLAVE, 1), (STREAM_ENCLAVE, 2)]
+    reference = reference_transfers(max(indices) + 1)
+    assert distribution_delays(indices) == {k: reference[k][1] for k in indices}
 
 
 def test_distribution_delay_envelope():
@@ -216,7 +235,8 @@ def test_distribution_delay_envelope():
     sim, _, courier = courier_env()
     samples = []
     for i in range(600):
-        courier.distribute(group_for(("m0", "m1")), "m0", b"x%d" % i, i, lambda _h: samples.append(sim.now))
+        transfer = courier.draw_transfer()
+        courier.distribute(group_for(("m0", "m1")), "m0", b"x%d" % i, transfer, lambda _h: samples.append(sim.now))
     sim.run()
     assert min(samples) >= 800
     assert max(samples) <= 10400
@@ -228,7 +248,8 @@ def test_retry_probability_zero_tightens_envelope():
     sim, _, courier = courier_env(retry=0.0)
     samples = []
     for i in range(200):
-        courier.distribute(group_for(("m0", "m1")), "m0", b"y%d" % i, i, lambda _h: samples.append(sim.now))
+        transfer = courier.draw_transfer()
+        courier.distribute(group_for(("m0", "m1")), "m0", b"y%d" % i, transfer, lambda _h: samples.append(sim.now))
     sim.run()
     assert max(samples) <= 5200
 

@@ -1,6 +1,7 @@
 """End-to-end scenario runs: completion, determinism, outputs, sweeps."""
 
 import gc
+import itertools
 import json
 from unittest import mock
 
@@ -11,6 +12,8 @@ from pactsim.config import ConfigError, config_from_dict
 from pactsim.contracts import BreachLedger
 from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
 from pactsim.scenario import run_scenario, run_sweep, wire_bytes
+
+from .test_privacy import reference_transfers
 
 SMOKE = config_from_dict({"preset": "smoke"})
 
@@ -122,11 +125,39 @@ def test_members_apply_the_op_its_sender_encoded(case, monkeypatch):
     assert result.completed
     assert parse.call_count == 0
     sent = result.cluster.sent_ops
-    assert len(sent) == len(result.driver.payload_log)
+    assert len(sent) == sum(s.kind in PRIVATE_KINDS for s in result.metrics.samples)
     # Each op is applied at both members of its group, as the object its sender encoded.
     assert len(applied) == 2 * len(sent)
-    assert {id(op) for op in applied} == {id(op) for _, op in sent.values()}
+    assert {id(op) for op in applied} == {id(op) for _, _, op in sent.values()}
     assert not any(n.private_op_failures for n in result.cluster.nodes.values())
+
+
+def test_each_private_sample_takes_the_transfer_drawn_at_its_submission(monkeypatch):
+    raw, seed = SENDER_OP_CASES["smoke-batches"]
+    config = config_from_dict(raw)
+    submitted, fired = itertools.count(), []
+    submit = scenario.WorkloadDriver._submit_private
+
+    def spy(driver, group, sender, make_op):
+        k = next(submitted)
+
+        def traced_op():
+            fired.append(k)
+            return make_op()
+
+        submit(driver, group, sender, traced_op)
+
+    monkeypatch.setattr(scenario.WorkloadDriver, "_submit_private", spy)
+    result = run_scenario(config, seed)
+    assert result.completed
+    # A payload's sample is registered in the event that builds its op, so samples follow `fired`.
+    private = [s for s in result.metrics.samples if s.kind in PRIVATE_KINDS]
+    assert sorted(fired) == list(range(len(private)))
+    assert fired.index(5) < fired.index(4)
+    reference = reference_transfers(
+        len(fired), seed, config.enclave_transfer, config.enclave_retry_probability
+    )
+    assert [s.enclave_ms for s in private] == [reference[k][1] for k in fired]
 
 
 def test_a_run_keeps_only_the_streams_it_continues():

@@ -2,7 +2,6 @@
 
 import gc
 import statistics
-from functools import partial
 
 import pytest
 
@@ -16,7 +15,6 @@ from pactsim.simulation import (
     STREAM_RPC,
     STREAM_WORKLOAD,
     Fixed,
-    IndexedDraws,
     LivelockError,
     LogNormal,
     Network,
@@ -231,17 +229,6 @@ def test_block_random_draws_equal_scalar_draws():
     assert drawn == [scalar.random() for _ in range(2 * DRAW_BLOCK + 3)]
     # Both generators are left in the same state.
     assert block.random() == scalar.random()
-
-
-@pytest.mark.parametrize("block", [1, 7, DRAW_BLOCK])
-def test_indexed_draws_depend_only_on_the_index(monkeypatch, block):
-    monkeypatch.setattr(simulation, "DRAW_BLOCK", block)
-    model = Uniform(400, 2600)
-    reference = RngHub(17).derived(STREAM_ENCLAVE, 1)
-    expected = [model.sample(reference) for _ in range(2 * DRAW_BLOCK + 2)]
-    draws = IndexedDraws(partial(model.block, RngHub(17).derived(STREAM_ENCLAVE, 1)))
-    order = [2 * DRAW_BLOCK + 1, 0, DRAW_BLOCK - 1, DRAW_BLOCK, 5, 2 * DRAW_BLOCK + 1, 1]
-    assert [draws[i] for i in order] == [expected[i] for i in order]
 
 
 def test_draw_block_size_never_changes_an_output(monkeypatch, tmp_path):
