@@ -10,7 +10,9 @@ can assert emptiness and tools can report details.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
+from .contracts import BreachLedger
 from .ledger import PrivacyMarker, block_wire
 from .scenario import RunResult, wire_bytes
 
@@ -40,7 +42,7 @@ def isolation_scan(result: RunResult) -> list[Finding]:
     the run's sent payloads (`Cluster.sent_ops`), in the order sent.
     """
     findings: list[Finding] = []
-    if not result.directory.by_id:
+    if not result.groups:
         return findings
     images = {name: node_byte_image(result, name) for name in result.config.node_names}
     wire_log = result.cluster.network.wire_log
@@ -48,48 +50,55 @@ def isolation_scan(result: RunResult) -> list[Finding]:
     plaintexts_of: dict[bytes, list[bytes]] = {}
     for gid, plaintext, _ in result.cluster.sent_ops.values():
         plaintexts_of.setdefault(gid, []).append(plaintext)
-    for group in result.directory.by_id.values():
-        outsiders = [n for n in result.config.node_names if n not in group.member_nodes]
-        plaintexts = plaintexts_of.get(group.group_id, [])
-        for name in outsiders:
-            image = images[name]
+    for group in result.groups.values():
+        gid = group.group_id.hex()[:16]
+        places = [(n, images[n], "present") for n in result.config.node_names if n not in group.member_nodes]
+        places.append(("wire", wire_image, "on the wire"))
+        for where, image, verb in places:
             if group.key in image:
-                findings.append(Finding("isolation", name, f"group key of {group.group_id.hex()[:16]} present"))
-            for i, plaintext in enumerate(plaintexts):
+                findings.append(Finding("isolation", where, f"group key of {gid} {verb}"))
+            for i, plaintext in enumerate(plaintexts_of.get(group.group_id, [])):
                 if plaintext in image:
-                    findings.append(
-                        Finding("isolation", name, f"plaintext {i} of group {group.group_id.hex()[:16]} present")
-                    )
-        if group.key in wire_image:
-            findings.append(Finding("isolation", "wire", f"group key of {group.group_id.hex()[:16]} on the wire"))
-        for i, plaintext in enumerate(plaintexts):
-            if plaintext in wire_image:
-                findings.append(
-                    Finding("isolation", "wire", f"plaintext {i} of group {group.group_id.hex()[:16]} on the wire")
-                )
+                    findings.append(Finding("isolation", where, f"plaintext {i} of group {gid} {verb}"))
     return findings
 
 
+def _grows_into(short: BreachLedger, long: BreachLedger) -> bool:
+    """Whether applying further operations to `short` can give `long`."""
+    return (
+        short.members == long.members
+        and short.agreement in (None, long.agreement)
+        and short.records == long.records[: len(short.records)]
+        and short.batches == long.batches[: len(short.batches)]
+        and (long.halted or not short.halted)
+    )
+
+
 def member_state_consistency(result: RunResult) -> list[Finding]:
-    """Each group's private ledger must be byte-identical at both members."""
+    """Each group's private ledger must be byte-identical at its alive members.
+
+    A crashed member applies nothing after its crash, so its ledger need
+    only be a prefix of a peer's (`_grows_into`): a member that stopped
+    early is told from one that diverged, as `convergence` tells a
+    lagging chain from a forked one.
+    """
     findings: list[Finding] = []
-    for group in result.directory.by_id.values():
-        encodings = {}
+    crashed = result.cluster.network.crashed
+    for group in result.groups.values():
+        gid = group.group_id.hex()[:16]
+        ledgers = {}
         for name in group.member_nodes:
             ledger = result.cluster.nodes[name].group_ledgers.get(group.group_id)
             if ledger is None:
-                findings.append(Finding("member-state", name, f"no ledger for group {group.group_id.hex()[:16]}"))
+                findings.append(Finding("member-state", name, f"no ledger for group {gid}"))
                 continue
-            encodings[name] = ledger.encode()
-        values = set(encodings.values())
-        if len(values) > 1:
-            findings.append(
-                Finding(
-                    "member-state",
-                    ",".join(sorted(encodings)),
-                    f"divergent private state for group {group.group_id.hex()[:16]}",
-                )
-            )
+            ledgers[name] = ledger
+        if not all(
+            a.encode() == b.encode() or (m in crashed and _grows_into(a, b)) or (n in crashed and _grows_into(b, a))
+            for (m, a), (n, b) in combinations(ledgers.items(), 2)
+        ):
+            detail = f"divergent private state for group {gid}"
+            findings.append(Finding("member-state", ",".join(sorted(ledgers)), detail))
     return findings
 
 
@@ -147,21 +156,15 @@ def authorization_replay(result: RunResult) -> list[Finding]:
     chain may stop short of it.
     """
     findings: list[Finding] = []
-    directory = result.directory
     nodes = result.cluster.nodes
     ref_name = max(nodes, key=lambda name: nodes[name].store.height)
     for block in nodes[ref_name].store.blocks:
         for tx in block.txs:
             if isinstance(tx.payload, PrivacyMarker):
-                group = directory.by_id.get(tx.payload.group_id)
+                group = result.groups.get(tx.payload.group_id)
                 if group is not None and tx.sender not in group.members:
-                    findings.append(
-                        Finding(
-                            "authorization",
-                            ref_name,
-                            f"marker at height {block.height} sent by non-member {tx.sender.hex()[:12]}",
-                        )
-                    )
+                    detail = f"marker at height {block.height} sent by non-member {tx.sender.hex()[:12]}"
+                    findings.append(Finding("authorization", ref_name, detail))
     for name, node in nodes.items():
         for gid, ledger in node.group_ledgers.items():
             for i, record in enumerate(ledger.records):

@@ -69,41 +69,20 @@ class GroupInfo:
         return n.to_bytes(NONCE_LEN, "big")
 
 
-class GroupDirectory:
-    """All formed groups, keyed by id and by (consumer, provider) pair."""
+def form_group(
+    rng_hub: RngHub, consumer: bytes, provider: bytes,
+    member_pubkeys: list[bytes], member_nodes: tuple[str, ...], pair_index: int,
+) -> GroupInfo:
+    """The privacy group of one (consumer, provider) pair.
 
-    def __init__(self, rng_hub: RngHub):
-        self.rng_hub = rng_hub
-        self.by_id: dict[bytes, GroupInfo] = {}
-        self.by_pair: dict[tuple[bytes, bytes], GroupInfo] = {}
-
-    def get_or_form(
-        self,
-        consumer: bytes,
-        provider: bytes,
-        member_pubkeys: list[bytes],
-        member_nodes: tuple[str, ...],
-        pair_index: int,
-    ) -> tuple[GroupInfo, bool]:
-        pair = (consumer, provider)
-        existing = self.by_pair.get(pair)
-        if existing is not None:
-            return existing, False
-        gid = group_id_for(member_pubkeys, consumer, provider)
-        # Sub-tag 3 keeps group keys clear of node and domain key seeds.
-        key = self.rng_hub.key_bytes(STREAM_KEYS, 3, pair_index, n=GROUP_KEY_LEN)
-        info = GroupInfo(
-            group_id=gid,
-            consumer=consumer,
-            provider=provider,
-            members=frozenset((consumer, provider)),
-            member_nodes=member_nodes,
-            key=key,
-            pair_index=pair_index,
-        )
-        self.by_id[gid] = info
-        self.by_pair[pair] = info
-        return info, True
+    Its id is a function of the pair alone, and its key of `pair_index`
+    alone (`RngHub.key_bytes` reads no stream), so forming a group never
+    moves another group's key.
+    """
+    gid = group_id_for(member_pubkeys, consumer, provider)
+    # Sub-tag 3 keeps group keys clear of node and domain key seeds.
+    key = rng_hub.key_bytes(STREAM_KEYS, 3, pair_index, n=GROUP_KEY_LEN)
+    return GroupInfo(gid, consumer, provider, frozenset((consumer, provider)), member_nodes, key, pair_index)
 
 
 def encrypt_payload(key: bytes, nonce: bytes, plaintext: bytes, group_id: bytes) -> bytes:

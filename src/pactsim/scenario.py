@@ -23,7 +23,8 @@ block interval, so arrivals hit the block cadence at random offsets.
 
 A run is one `RunResult`: `assemble` builds its parts, and
 `run_scenario` drives it and records the outcome on the same object.
-The driver reads the formed groups from the run's `GroupDirectory`.
+The driver forms each pair's group in one step (`privacy.form_group`)
+and keeps it in `RunResult.groups`, the run's one table of groups.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .identity import Credential, ValidatorSet
 from .ledger import Block, PrivacyMarker, PublicCall, Transaction, block_wire, make_transaction
 from .metrics import LatencySample, MetricsCollector
 from .node import Cluster, NodeRuntime
-from .privacy import GroupDirectory, GroupInfo, PayloadCourier, StoredPayload, encode_wire
+from .privacy import GroupInfo, PayloadCourier, StoredPayload, encode_wire, form_group
 from .simulation import (
     STREAM_CONSENSUS,
     STREAM_KEYS,
@@ -88,9 +89,10 @@ class Domain:
 
 @dataclass
 class RunResult:
-    """One run: its parts, built by `assemble` before any event fires,
-    then its outcome (`driver`, `completed`, `summary`, `out_dir`),
-    filled in by `run_scenario`."""
+    """One run: its parts, built by `assemble` before any event fires;
+    `groups`, every privacy group by id in formation order, filled in
+    by the driver; then its outcome (`driver`, `completed`, `summary`,
+    `out_dir`), filled in by `run_scenario`."""
 
     config: ScenarioConfig
     seed: int
@@ -99,10 +101,10 @@ class RunResult:
     metrics: MetricsCollector
     cluster: Cluster
     validator_set: ValidatorSet
-    directory: GroupDirectory
     courier: PayloadCourier
     providers: list[Domain]
     consumers: list[Domain]
+    groups: dict[bytes, GroupInfo] = field(default_factory=dict)
     driver: WorkloadDriver | None = None
     completed: bool = False
     summary: dict = field(default_factory=dict)
@@ -161,7 +163,6 @@ def assemble(
         node = cluster.nodes[name]
         node.validator = IbftValidator(node, credential, config, byz_by_node.get(name))
 
-    directory = GroupDirectory(rng_hub)
     courier = PayloadCourier(
         network=network,
         rng_hub=rng_hub,
@@ -204,7 +205,6 @@ def assemble(
         metrics=metrics,
         cluster=cluster,
         validator_set=validator_set,
-        directory=directory,
         courier=courier,
         providers=providers,
         consumers=consumers,
@@ -336,7 +336,7 @@ class WorkloadDriver:
         self.sim.schedule(self._jitter(), fire)
 
     def _ordered_groups(self) -> list[GroupInfo]:
-        return sorted(self.run.directory.by_id.values(), key=lambda g: g.pair_index)
+        return sorted(self.run.groups.values(), key=lambda g: g.pair_index)
 
     def _stamped(self, reporter: Domain, details: Sequence[str]) -> tuple[BreachRecord, ...]:
         """Breach records stamped when their operation fires.
@@ -371,18 +371,17 @@ class WorkloadDriver:
                 self._submit(consumer, call, partial(self._form_group, consumer, provider, pair_index))
 
     def _form_group(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
-        info, formed = self.run.directory.get_or_form(
-            consumer=consumer.address,
-            provider=provider.address,
-            member_pubkeys=[consumer.credential.public_key, provider.credential.public_key],
-            member_nodes=(consumer.node_name, provider.node_name),
-            pair_index=pair_index,
-        )
-        if formed:
-            for node_name in info.member_nodes:
-                self.cluster.nodes[node_name].join_group(info)
-            if self.sim.trace_enabled:
-                self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
+        """Form the pair's group, unless an earlier select of the same pair did."""
+        pubkeys = [consumer.credential.public_key, provider.credential.public_key]
+        nodes = (consumer.node_name, provider.node_name)
+        info = form_group(self.run.rng_hub, consumer.address, provider.address, pubkeys, nodes, pair_index)
+        if info.group_id in self.run.groups:
+            return
+        self.run.groups[info.group_id] = info
+        for node_name in info.member_nodes:
+            self.cluster.nodes[node_name].join_group(info)
+        if self.sim.trace_enabled:
+            self.sim.trace("group_formed", group=info.group_id.hex()[:16], pair=pair_index)
 
     def _stage_deploy(self) -> None:
         for group in self._ordered_groups():

@@ -293,7 +293,7 @@ def test_breach_batching(capsys):
                      "batches_per_group": 1, "batch_size": 10},
     })
     r = run_scenario(cfg, seed=7)
-    group = next(iter(r.directory.by_id.values()))
+    group = next(iter(r.groups.values()))
     member = r.cluster.nodes[group.member_nodes[0]]
     ledger = member.group_ledgers.get(group.group_id)
     summary = ledger.batches[0]

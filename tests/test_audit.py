@@ -30,7 +30,7 @@ def clean_run():
 
 
 def any_group(result):
-    return next(iter(result.directory.by_id.values()))
+    return next(iter(result.groups.values()))
 
 
 def outsider_of(result, group):
@@ -49,7 +49,7 @@ def test_clean_run_has_no_findings(clean_run):
 
 def test_clean_run_carried_private_traffic(clean_run):
     # The negative control is only meaningful if payloads actually flowed.
-    assert len(clean_run.directory.by_id) == 2
+    assert len(clean_run.groups) == 2
     assert len(clean_run.cluster.sent_ops) >= 4
     assert len(clean_run.cluster.network.wire_log) > 100
 
@@ -113,6 +113,43 @@ def test_divergent_member_ledger_is_found():
     ledger.records.append(BreachRecord(reporter=group.consumer, details="forged", reported_at=1))
     found = member_state_consistency(result)
     assert any(f.check == "member-state" and "divergent" in f.detail for f in found)
+
+
+def member_crash_run():
+    """`m0` crashes at 20 s and stops at height 7 while the rest go on."""
+    crash = {"node": "m0", "at_ms": 20_000}
+    config = {"preset": "smoke", "workload": {"batches_per_group": 2}, "faults": {"crashes": [crash]}}
+    result = run_scenario(config_from_dict(config), seed=7)
+    (lagging,) = (g for g in result.groups.values() if "m0" in g.member_nodes)
+    (alive,) = (g for g in result.groups.values() if "m0" not in g.member_nodes)
+    return result, lagging, alive
+
+
+def test_a_crashed_members_shorter_ledger_is_not_divergent():
+    result, lagging, _ = member_crash_run()
+    ledgers = [result.cluster.nodes[n].group_ledgers[lagging.group_id] for n in lagging.member_nodes]
+    assert len({ledger.encode() for ledger in ledgers}) == 2
+    assert member_state_consistency(result) == []
+
+
+def test_a_record_planted_at_an_alive_member_is_found_beside_a_crashed_one():
+    result, _, alive = member_crash_run()
+    ledger = result.cluster.nodes[alive.member_nodes[1]].group_ledgers[alive.group_id]
+    ledger.records.append(BreachRecord(reporter=alive.consumer, details="forged", reported_at=1))
+    found = member_state_consistency(result)
+    assert [(f.node, f.detail) for f in found] == [
+        (",".join(sorted(alive.member_nodes)), f"divergent private state for group {alive.group_id.hex()[:16]}")
+    ]
+
+
+def test_a_record_only_the_crashed_member_holds_is_found():
+    result, lagging, _ = member_crash_run()
+    ledger = result.cluster.nodes["m0"].group_ledgers[lagging.group_id]
+    ledger.records.append(BreachRecord(reporter=lagging.provider, details="forged", reported_at=1))
+    found = member_state_consistency(result)
+    assert [(f.node, f.detail) for f in found] == [
+        ("m0,m2", f"divergent private state for group {lagging.group_id.hex()[:16]}")
+    ]
 
 
 def test_missing_member_ledger_is_found():

@@ -17,12 +17,13 @@ from pactsim.consensus import (
     RoundChange,
     ValidatorSet,
     fault_tolerance,
+    message_wire,
 )
 from pactsim import identity, ledger
 from pactsim.config import config_from_dict
 from pactsim.identity import quorum_size, verify
 from pactsim.ledger import Block, ChainStore, InvalidBlock, genesis_block, hash_block, seal_preimage
-from pactsim.scenario import assemble, run_scenario
+from pactsim.scenario import assemble, run_scenario, wire_bytes
 
 from .conftest import call_tx, cred, validator_set
 from .test_golden import CASES
@@ -698,3 +699,166 @@ def test_replaced_message_signs_its_own_bytes():
     assert moved.sealed == seal_preimage(other)
     assert not verify(signer.public_key, moved.signed, commit.signature)
     assert not verify(signer.public_key, moved.sealed, commit.seal)
+
+
+def test_round_change_with_a_prepared_certificate_has_the_documented_wire_form():
+    # docs/encoding.md, "Consensus messages", built field by field.
+    def u32(n):
+        return n.to_bytes(4, "big")
+
+    def u64(n):
+        return n.to_bytes(8, "big")
+
+    def byte_string(v):
+        return u32(len(v)) + v
+
+    cert = make_cert(round_=1)
+    digest = hash_block(cert.block)
+    signer = VALIDATORS[3]
+    signed = b"PMS1" + b"\x04" + u64(1) + u32(3) + b"\x01" + u32(1) + digest
+    rc = RoundChange(1, 3, cert, signer.address, signer.sign(signed))
+    block = cert.block
+    header_and_body = u64(1) + u64(block.timestamp) + block.parent_hash + block.proposer + u32(0)
+    block_wire = header_and_body + u64(1) + u32(0)
+    prepares = b"".join(
+        b"PMS1" + b"\x02" + u64(1) + u32(1) + digest + byte_string(p.signature) for p in cert.prepares
+    )
+    expected = signed + byte_string(rc.signature) + block_wire + byte_string(cert.proposer_sig) + prepares
+    assert len(cert.prepares) == 2
+    assert message_wire(rc) == wire_bytes(rc) == expected
+
+
+# -- refusals ---------------------------------------------------------
+
+
+def round_roles():
+    """Started validators of a 4-validator cluster at height 1, by role.
+
+    Returns (first, second, holder, other): `first` and `second` lead
+    rounds 0 and 1; `holder`, the validator under test, leads neither.
+    """
+    cluster = assemble(heights_config({"member_nodes": 0}), 5).cluster
+    validators = [node.validator for node in cluster.nodes.values()]
+    for v in validators:
+        v.start()
+    by_address = {v.address: v for v in validators}
+    first, second = (by_address[validators[0].validators.proposer_for(1, r)] for r in (0, 1))
+    holder, other = [v for v in validators if v not in (first, second)]
+    return first, second, holder, other
+
+
+def fresh_block(roles, proposer, round_, offset=1000):
+    head = roles[2].store.head
+    return Block(1, head.timestamp + offset, head.hash, proposer.address, round_, ())
+
+
+def prepared_block(roles):
+    """A round-0 block of `first`, unlike any block `second` proposes below."""
+    return fresh_block(roles, roles[0], 0, offset=500)
+
+
+def signed_proposal(signer, round_, block, rc_cert=()):
+    signature = signer.credential.sign(PrePrepare.preimage(1, round_, block.hash))
+    return PrePrepare(1, round_, block, rc_cert, signer.address, signature)
+
+
+def signed_round_change(signer, target, cert=None, height=1):
+    signature = signer.credential.sign(RoundChange.preimage(height, target, cert))
+    return RoundChange(height, target, cert, signer.address, signature)
+
+
+def round_zero_cert(roles, block, prepares=None):
+    """`block`'s round-0 certificate: `first`'s proposal and the prepares of `holder` and `other`, or `prepares`."""
+    first, _, holder, other = roles
+    if prepares is None:
+        prepares = tuple(signed_prepare(v, 1, 0, block.hash) for v in (holder, other))
+    return PreparedCert(block, 0, first.credential.sign(PrePrepare.preimage(1, 0, block.hash)), prepares)
+
+
+def mismatched_cert(roles, height=1, round_=0, digest=None):
+    """A round-0 certificate whose second prepare is for (height, round_, digest) instead."""
+    _, _, holder, other = roles
+    block = prepared_block(roles)
+    prepares = (signed_prepare(holder, 1, 0, block.hash), signed_prepare(other, height, round_, digest or block.hash))
+    return round_zero_cert(roles, block, prepares)
+
+
+def rc_quorum(roles, cert=None, target=1, height=1):
+    """Round changes for (height, target) from `first`, `second` and `other`; `first`'s carries `cert`."""
+    first, second, _, other = roles
+    return tuple(signed_round_change(v, target, cert if v is first else None, height) for v in (first, second, other))
+
+
+def watch_prepares(monkeypatch):
+    sent = []
+    real = IbftValidator.send_prepare
+    monkeypatch.setattr(IbftValidator, "send_prepare", lambda self, *a: sent.append((self.name, *a)) or real(self, *a))
+    return sent
+
+
+def assert_refused(monkeypatch, holder, msg):
+    sent = watch_prepares(monkeypatch)
+    holder.on_message(msg)
+    assert holder.dropped_invalid == 1
+    assert sent == []
+    assert (holder.state.round, holder.state.proposals) == (0, {})
+
+
+def test_a_proposal_from_a_validator_not_leading_its_round_is_refused(monkeypatch):
+    roles = _, second, holder, _ = round_roles()
+    assert_refused(monkeypatch, holder, signed_proposal(second, 0, fresh_block(roles, second, 0)))
+
+
+def test_a_reproposal_of_another_proposers_block_without_a_prepared_certificate_is_refused(monkeypatch):
+    roles = first, second, holder, _ = round_roles()
+    # The block names the round-0 leader, but no round change binds it.
+    assert_refused(monkeypatch, holder, signed_proposal(second, 1, fresh_block(roles, first, 1), rc_quorum(roles)))
+
+
+# Each gives the round-change certificate of `second`'s round-1 proposal
+# of a fresh block of its own, and each must be refused.
+BAD_RC_CERTS = {
+    "for another round": lambda roles: rc_quorum(roles, target=2),
+    "for another height": lambda roles: rc_quorum(roles)[:2] + rc_quorum(roles, height=2)[2:],
+    "with a repeated sender": lambda roles: rc_quorum(roles)[:2] + rc_quorum(roles)[1:2],
+    "with a forged signature": lambda roles: rc_quorum(roles)[:2]
+    + (replace(rc_quorum(roles)[2], signature=b"\x00" * 64),),
+    "one sender short of a quorum": lambda roles: rc_quorum(roles)[:2],
+    "carrying a prepare for another height": lambda roles: rc_quorum(roles, mismatched_cert(roles, height=2)),
+    "carrying a prepare for another round": lambda roles: rc_quorum(roles, mismatched_cert(roles, round_=1)),
+    "carrying a prepare for another digest": lambda roles: rc_quorum(roles, mismatched_cert(roles, digest=bytes(32))),
+    # A valid certificate, which binds the proposer to its own block.
+    "binding another block": lambda roles: rc_quorum(roles, round_zero_cert(roles, prepared_block(roles))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RC_CERTS)
+def test_a_later_round_proposal_with_a_bad_round_change_certificate_is_refused(monkeypatch, case):
+    roles = _, second, holder, _ = round_roles()
+    block = fresh_block(roles, second, 1)
+    assert_refused(monkeypatch, holder, signed_proposal(second, 1, block, BAD_RC_CERTS[case](roles)))
+
+
+def test_a_round_change_whose_prepared_certificate_fails_is_refused(monkeypatch):
+    roles = _, _, holder, other = round_roles()
+    # The proposal and one prepare: short of a quorum.
+    block = prepared_block(roles)
+    cert = round_zero_cert(roles, block, (signed_prepare(other, 1, 0, block.hash),))
+    assert not cert.verify(1, holder.validators)
+    assert_refused(monkeypatch, holder, signed_round_change(other, 1, cert))
+    assert holder.state.round_changes == {}
+
+
+@pytest.mark.parametrize("reproposed", [False, True], ids=["fresh-block", "prepared-block"])
+def test_a_valid_proposal_for_a_later_round_moves_to_it_and_prepares(monkeypatch, reproposed):
+    roles = _, second, holder, _ = round_roles()
+    if reproposed:
+        cert = round_zero_cert(roles, prepared_block(roles))
+        block = cert.block.replace_unhashed(round=1)
+    else:
+        cert, block = None, fresh_block(roles, second, 1)
+    sent = watch_prepares(monkeypatch)
+    holder.on_message(signed_proposal(second, 1, block, rc_quorum(roles, cert)))
+    assert holder.dropped_invalid == 0
+    assert holder.state.round == 1 and holder.state.proposals[1].block is block
+    assert sent == [(holder.name, 1, 1, block.hash)]

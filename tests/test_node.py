@@ -20,7 +20,7 @@ from pactsim.ledger import (
 )
 from pactsim.metrics import MetricsCollector
 from pactsim.node import SYNC_BATCH, Cluster, NodeRuntime
-from pactsim.privacy import GroupDirectory, StoredPayload, encrypt_payload
+from pactsim.privacy import StoredPayload, encrypt_payload, form_group
 from pactsim.simulation import (
     STREAM_CONSENSUS,
     STREAM_RPC,
@@ -254,8 +254,8 @@ def test_forged_submission_goes_nowhere():
 
 
 def make_group_setup(node):
-    directory = GroupDirectory(RngHub(7))
-    group, _ = directory.get_or_form(
+    group = form_group(
+        RngHub(7),
         ALICE.address,
         BOB.address,
         [ALICE.public_key, BOB.public_key],
@@ -383,9 +383,9 @@ def test_a_node_hosting_no_group_never_reaches_on_marker():
 def test_marker_opens_only_a_payload_of_its_own_group():
     # Alice is in group A with Bob and in group B with Carol, both on n0.
     _, cluster = make_cluster(("n0", "n1", "n2"))
-    directory = GroupDirectory(RngHub(7))
-    a, _ = directory.get_or_form(ALICE.address, BOB.address, [ALICE.public_key, BOB.public_key], ("n0", "n1"), 0)
-    b, _ = directory.get_or_form(ALICE.address, CAROL.address, [ALICE.public_key, CAROL.public_key], ("n0", "n2"), 1)
+    hub = RngHub(7)
+    a = form_group(hub, ALICE.address, BOB.address, [ALICE.public_key, BOB.public_key], ("n0", "n1"), 0)
+    b = form_group(hub, ALICE.address, CAROL.address, [ALICE.public_key, CAROL.public_key], ("n0", "n2"), 1)
     for group in (a, b):
         for name in group.member_nodes:
             cluster.nodes[name].join_group(group)
@@ -407,7 +407,7 @@ def test_marker_opens_only_a_payload_of_its_own_group():
     for name in b.member_nodes:
         ledger = cluster.nodes[name].group_ledgers[b.group_id]
         assert not ledger.halted and ledger.agreement is None
-    run = SimpleNamespace(directory=directory, cluster=cluster)
+    run = SimpleNamespace(groups={g.group_id: g for g in (a, b)}, cluster=cluster)
     assert member_state_consistency(run) == []
 
 

@@ -11,11 +11,11 @@ from pactsim.privacy import (
     GROUP_KEY_LEN,
     NONCE_LEN,
     Enclave,
-    GroupDirectory,
     GroupInfo,
     PayloadCourier,
     StoredPayload,
     encrypt_payload,
+    form_group,
     group_id_for,
 )
 from pactsim.simulation import STREAM_ENCLAVE, Network, RngHub, Simulator, Uniform
@@ -70,24 +70,16 @@ def test_nonce_counter_increments():
     assert info.take_nonce() == (1).to_bytes(NONCE_LEN, "big")
 
 
-def test_directory_forms_once_per_pair():
-    directory = GroupDirectory(RngHub(3))
+def test_form_group_depends_only_on_the_pair_and_its_index():
     pubs = [CONSUMER.public_key, PROVIDER.public_key]
-    info, formed = directory.get_or_form(
-        CONSUMER.address, PROVIDER.address, pubs, ("m0", "m1"), pair_index=0
-    )
-    assert formed and len(info.key) == GROUP_KEY_LEN
-    again, formed2 = directory.get_or_form(
-        CONSUMER.address, PROVIDER.address, pubs, ("m0", "m1"), pair_index=0
-    )
-    assert not formed2 and again is info
+    info = form_group(RngHub(3), CONSUMER.address, PROVIDER.address, pubs, ("m0", "m1"), pair_index=0)
+    assert len(info.key) == GROUP_KEY_LEN
+    assert info.group_id == group_id_for(pubs, CONSUMER.address, PROVIDER.address)
+    assert info.members == {CONSUMER.address, PROVIDER.address} and info.next_nonce == 0
     # Keys are bound to the pair index, not to formation order.
-    other_dir = GroupDirectory(RngHub(3))
-    other_dir.get_or_form(CONSUMER.address, cred(60).address, pubs, ("m0", "m1"), pair_index=5)
-    redo, _ = other_dir.get_or_form(
-        CONSUMER.address, PROVIDER.address, pubs, ("m0", "m1"), pair_index=0
-    )
-    assert redo.key == info.key
+    hub = RngHub(3)
+    form_group(hub, CONSUMER.address, cred(60).address, pubs, ("m0", "m1"), pair_index=5)
+    assert form_group(hub, CONSUMER.address, PROVIDER.address, pubs, ("m0", "m1"), pair_index=0) == info
 
 
 def test_enclave_opens_only_with_key():

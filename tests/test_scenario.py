@@ -1,17 +1,19 @@
 """End-to-end scenario runs: completion, determinism, outputs, sweeps."""
 
 import gc
+import hashlib
 import itertools
 import json
 from unittest import mock
 
 import pytest
 
-from pactsim import node, scenario
+from pactsim import audit, node, scenario
 from pactsim.config import ConfigError, config_from_dict
 from pactsim.contracts import BreachLedger
 from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
 from pactsim.scenario import run_scenario, run_sweep, wire_bytes
+from pactsim.simulation import STREAM_KEYS, RngHub
 
 from .test_privacy import reference_transfers
 
@@ -50,8 +52,8 @@ def test_all_nodes_reach_same_height(smoke_run):
 
 
 def test_group_ledgers_match_the_driven_workload(smoke_run):
-    assert len(smoke_run.directory.by_id) == 2
-    for group in smoke_run.directory.by_id.values():
+    assert len(smoke_run.groups) == 2
+    for group in smoke_run.groups.values():
         for name in group.member_nodes:
             ledger = smoke_run.cluster.nodes[name].group_ledgers.get(group.group_id)
             assert ledger.agreement is not None
@@ -60,12 +62,31 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
 
 
 def test_group_members_hold_their_own_ledgers_of_shared_records(smoke_run):
-    for group in smoke_run.directory.by_id.values():
+    for group in smoke_run.groups.values():
         a, b = (smoke_run.cluster.nodes[n].group_ledgers.get(group.group_id) for n in group.member_nodes)
         assert a is not b and a.records is not b.records
         assert a.encode() == b.encode()
         # Both members applied the one decoded operation.
         assert all(x is y for x, y in zip(a.records, b.records, strict=True))
+
+
+def test_a_pair_selected_twice_forms_one_group(tmp_path):
+    # The one consumer selects the one provider twice; the second select's
+    # receipt finds the pair's group already in the run's table.
+    workload = {"providers": 1, "consumers": 1, "publishes_per_provider": 2, "selects_per_consumer": 2}
+    result = run_scenario(config_from_dict({"preset": "smoke", "workload": workload}), 7, tmp_path, capture_wire=True)
+    (group,) = result.groups.values()
+    assert group.pair_index == 0
+    assert group.key == RngHub(7).key_bytes(STREAM_KEYS, 3, 0, n=32)
+    checks = (audit.isolation_scan, audit.member_state_consistency, audit.convergence, audit.authorization_replay)
+    assert [check(result) for check in checks] == [[], [], [], []]
+    # Pinned bytes: skipping the repeated pair moves no output.
+    files = ("latency.csv", "summary.json")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    assert digests == {
+        "latency.csv": "2fd9672a5ce07b3a075de0c82010a56c56117dd0aca1e4a072c37e6f47be0313",
+        "summary.json": "f64e3bcf1889c9e4fc5aad02d8dac760ea4588e9990fb5465f93cb2967cca9ed",
+    }
 
 
 # Lost pushes are retried most of the time and a leg takes up to 5 s, so
@@ -94,7 +115,7 @@ def test_member_crash_never_leaves_a_marker_without_its_payload(private_stress_s
     result = run_scenario(config, seed=3)
     for runtime in result.cluster.nodes.values():
         assert runtime.private_op_failures == []
-    for group in result.directory.by_id.values():
+    for group in result.groups.values():
         live = [n for n in group.member_nodes if n not in result.cluster.network.crashed]
         ledgers = [result.cluster.nodes[n].group_ledgers.get(group.group_id) for n in live]
         assert not any(ledger.halted for ledger in ledgers)
