@@ -14,9 +14,28 @@ message fires as `handler(item)` at node `dst`.  It is checked twice:
 at send time `Network` drops it if either endpoint is crashed or a
 partition separates them, and at arrival the loop drops it if `dst` has
 crashed since.  `seq` rises with every push, so entries due in the same
-ms fire in insertion order and handlers are never compared.  The loop
-keeps the fired-event and delivered-message counts in locals and writes
-them back to `_fired` and `Network.delivered` however it ends.
+ms fire in insertion order and handlers are never compared.
+
+A fan-out on a fixed-delay channel reaches all its targets in the same
+ms, and per-target entries would take consecutive `seq` values, so no
+other entry could fall between them.  Two or more such targets therefore
+share one entry, `(fire_at, seq, item, targets, None)`, whose targets
+are `(dst, handler)` pairs; a timer's `item` slot is always None, so the
+targets tuple marks it.  The loop delivers it target by target, in
+order, exactly as it would the separate entries: each target is one
+fired event, checked against `crashed` and the event budget, and a
+`stop()` takes effect between targets.  What a handler schedules for the
+same ms gets a larger `seq` and fires after the whole fan-out.  If a
+stop or an exception ends the delivery early, the targets not yet taken
+go back onto the heap under the entry's own `(fire_at, seq)`.
+
+The loop keeps the fired-event and delivered-message counts in locals
+and writes them back to `_fired` and `Network.delivered` however it
+ends.  It is written `while True:` because `run` is entered once per
+run: CPython 3.11 specializes a code object's bytecode (PEP 659) once a
+counter, advanced on entry and on each unconditional `JUMP_BACKWARD`,
+runs out, and a `while cond:` loop ends in a conditional backward jump
+that never advances it, so every event would run on generic bytecode.
 
 The cyclic garbage collector is paused while the loop runs: events
 create no reference cycles (a test pins this), so a pass would only walk
@@ -186,7 +205,7 @@ class Simulator:
         back however the loop ends, so they are exact only between runs.
         """
         queue = self._queue
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
         max_events = self.max_events
         net = self.network
         crashed = net.crashed if net is not None else ()
@@ -195,25 +214,49 @@ class Simulator:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while queue and not self._stopped:
+            # `while True` with breaks: CPython 3.11 specializes a frame's
+            # code only through an unconditional backward jump, and a `while
+            # cond:` loop, entered once per run, would never have one.
+            while True:
+                if not queue or self._stopped:
+                    break
                 if until is not None and queue[0][0] > until:
                     self.now = until
                     return
-                fire_at, _, handler, item, dst = pop(queue)
+                fire_at, seq, handler, item, dst = pop(queue)
                 fired += 1
                 if fired > max_events:
-                    raise LivelockError(
-                        f"exceeded {self.max_events} events at t={self.now}ms; "
-                        "the scenario is not making progress"
-                    )
+                    raise self._livelock()
                 self.now = fire_at
-                if dst is None:
+                if dst is not None:
+                    if dst in crashed:
+                        net.dropped_crash += 1
+                    else:
+                        delivered += 1
+                        handler(item)
+                elif item is None:
                     handler()
-                elif dst in crashed:
-                    net.dropped_crash += 1
                 else:
-                    delivered += 1
-                    handler(item)
+                    # A fan-out entry: `handler` holds the shared item and
+                    # `item` the targets.  `done` counts the targets taken.
+                    shared, targets, done = handler, item, 0
+                    try:
+                        for dst, handler in targets:
+                            if done:
+                                if self._stopped:
+                                    break
+                                fired += 1
+                                if fired > max_events:
+                                    raise self._livelock()
+                            done += 1
+                            if dst in crashed:
+                                net.dropped_crash += 1
+                            else:
+                                delivered += 1
+                                handler(shared)
+                    finally:
+                        if done < len(targets):
+                            push(queue, (fire_at, seq, shared, targets[done:], None))
             if until is not None and not self._stopped:
                 self.now = max(self.now, until)
         finally:
@@ -222,6 +265,11 @@ class Simulator:
                 net.delivered = delivered
             if collecting:
                 gc.enable()
+
+    def _livelock(self) -> LivelockError:
+        return LivelockError(
+            f"exceeded {self.max_events} events at t={self.now}ms; the scenario is not making progress"
+        )
 
     def trace(self, kind: str, **fields) -> None:
         if self.trace_enabled:
@@ -234,11 +282,14 @@ class Network:
     `send` fans one item out to `(dst, handler)` targets.  Each target
     takes the channel's next delay, in target order, so a fan-out to k
     peers takes k consecutive delays in the sender's peer order; the
-    channel draws them from its latency model `DRAW_BLOCK` at a time.
+    channel draws them from its latency model `DRAW_BLOCK` at a time,
+    except that a fixed channel keeps its one delay and draws nothing.
     At send time a message is dropped, its delay still taken, if either
     endpoint is crashed or the two sit in different partition groups;
     otherwise it goes onto the kernel's heap as
-    `(now + delay, seq, handler, item, dst)`.  At arrival the kernel
+    `(now + delay, seq, handler, item, dst)`, or, with two or more
+    targets left on a fixed channel, all of them as one fan-out entry
+    (see the module docstring).  At arrival the kernel
     drops it if `dst` has crashed meanwhile and calls `handler(item)` if
     not.  Every target of a fan-out gets the same item object.  With
     `wire_log` set, every target's `(src, dst, item)` is logged as
@@ -257,7 +308,7 @@ class Network:
         sim.network = self
         self.sim = sim
         self.rng_hub = rng_hub
-        self.channels: dict[str, Iterator[int]] = {}
+        self.channels: dict[str, int | Iterator[int]] = {}
         self.crashed: set[str] = set()
         # The active splits by index, and their meet (None with none active).
         self.splits: dict[int, list[set[str]]] = {}
@@ -270,7 +321,11 @@ class Network:
         self.wire_log: list[tuple[str, str, Any]] | None = None
 
     def add_channel(self, name: str, model: LatencyModel, stream_tag: int) -> None:
-        self.channels[name] = block_draws(partial(model.block, self.rng_hub.stream(stream_tag)))
+        # A fixed channel reads no stream; it is kept as its delay.
+        if isinstance(model, Fixed):
+            self.channels[name] = int(model.value)
+        else:
+            self.channels[name] = block_draws(partial(model.block, self.rng_hub.stream(stream_tag)))
 
     def crash(self, node: str) -> None:
         self.crashed.add(node)
@@ -296,9 +351,10 @@ class Network:
     def send_after(self, src: str, dst: str, delay: int, handler: Handler, item: object) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        self._fan_out(src, ((dst, handler),), (delay,), item)
+        self._fan_out(src, ((dst, handler),), delay, item)
 
-    def _fan_out(self, src: str, targets: Targets, delays: Iterable[int], item: object) -> None:
+    def _fan_out(self, src: str, targets: Targets, delays: int | Iterator[int], item: object) -> None:
+        """Put `item` in flight to `targets`; `delays` is a fixed delay or a channel's draws."""
         # The delay is taken even for dropped messages so that crashing a
         # node does not shift every later delay on the shared stream.
         sim = self.sim
@@ -310,10 +366,31 @@ class Network:
         if src_down or self.partition is not None:
             reachable = () if src_down else set().union(*(g for g in self.partition if src in g))
             blocked = {dst for dst, _ in targets if dst in crashed or dst not in reachable}
-        for (dst, handler), delay in zip(targets, delays):
-            if dst not in blocked:
-                push(queue, (now + delay, next(seq), handler, item, dst))
-            elif src_down or dst in crashed:
-                self.dropped_crash += 1
-            else:
-                self.dropped_partition += 1
+        if delays.__class__ is not int:
+            for (dst, handler), delay in zip(targets, delays):
+                if dst not in blocked:
+                    push(queue, (now + delay, next(seq), handler, item, dst))
+                else:
+                    self._count_drop(src_down, dst)
+            return
+        # Every target arrives in the same ms: two or more that are reached
+        # go onto the heap as one fan-out entry (see the module docstring).
+        if blocked:
+            reached = []
+            for target in targets:
+                if target[0] not in blocked:
+                    reached.append(target)
+                else:
+                    self._count_drop(src_down, target[0])
+            targets = tuple(reached)
+        if len(targets) > 1:
+            push(queue, (now + delays, next(seq), item, targets, None))
+        elif targets:
+            ((dst, handler),) = targets
+            push(queue, (now + delays, next(seq), handler, item, dst))
+
+    def _count_drop(self, src_down: bool, dst: str) -> None:
+        if src_down or dst in self.crashed:
+            self.dropped_crash += 1
+        else:
+            self.dropped_partition += 1

@@ -184,8 +184,9 @@ def test_each_private_sample_takes_the_transfer_drawn_at_its_submission(monkeypa
 def test_a_run_keeps_only_the_streams_it_continues():
     raw, seed = SENDER_OP_CASES["lifecycle-400"]
     result = run_scenario(config_from_dict(raw), seed)
-    # Key material is read once and kept nowhere.
-    assert sorted(result.rng_hub._streams) == [(1,), (2,), (3, 1), (3, 2), (4,)]
+    # Key material is read once and kept nowhere, and the fixed rpc
+    # channel reads no stream.
+    assert sorted(result.rng_hub._streams) == [(1,), (3, 1), (3, 2), (4,)]
 
 
 def test_summary_reports_every_kind_seen(smoke_run):

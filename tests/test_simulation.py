@@ -1,7 +1,9 @@
 """Event loop, RNG streams, latency models, and the network fabric."""
 
+import dis
 import gc
 import statistics
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from pactsim.config import config_from_dict
 from pactsim.scenario import WorkloadDriver, assemble, run_scenario
 from pactsim.simulation import (
     DRAW_BLOCK,
+    MAX_EVENTS,
     STREAM_CONSENSUS,
     STREAM_ENCLAVE,
     STREAM_RPC,
@@ -23,7 +26,7 @@ from pactsim.simulation import (
     Uniform,
 )
 
-from .test_golden import CASES
+from .test_golden import CASES, WIRE_CASE
 
 
 def test_events_fire_in_time_then_insertion_order():
@@ -80,6 +83,19 @@ def test_livelock_guard_trips():
     sim.schedule(0, again)
     with pytest.raises(LivelockError):
         sim.run()
+
+
+
+# `run` is entered once per run, and CPython 3.11 specializes its bytecode
+# only once a counter advanced by unconditional backward jumps runs out; a
+# `while cond:` loop ends in a conditional one.  Such a shape change fails
+# no functional test but costs about 9% of `run_s` on the benchmark's
+# bft-31-faults workload.  3.10 has no specializing interpreter.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="no specializing interpreter before 3.11")
+def test_the_event_loop_repeats_through_an_unconditional_backward_jump():
+    ops = [ins.opname for ins in dis.get_instructions(Simulator.run)]
+    assert "JUMP_BACKWARD" in ops
+    assert not [op for op in ops if op.startswith("POP_JUMP_BACKWARD")]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -505,3 +521,159 @@ def test_fan_out_takes_one_delay_per_target_in_order_and_shares_the_item():
     assert all(got is item for _, got, _ in received)
     assert net.dropped_crash == 1 and net.dropped_partition == 2
     assert net.wire_log == [("a", dst, item) for dst in dsts]
+
+
+# -- fixed-delay fan-outs ---------------------------------------------
+#
+# A fan-out on a fixed channel reaching two or more targets is one heap
+# entry; each behaviour below must be that of one entry per target, which
+# a degenerate uniform channel of the same delay still gives.
+
+SAME_DELAY = {"fixed": Fixed(25), "per-target": Uniform(25, 25)}
+
+
+def delay_network(path: str, max_events: int = MAX_EVENTS) -> tuple[Simulator, Network]:
+    sim = Simulator(max_events=max_events)
+    net = Network(sim, RngHub(9))
+    net.add_channel("link", SAME_DELAY[path], STREAM_CONSENSUS)
+    return sim, net
+
+
+def test_a_fixed_fan_out_is_one_heap_entry_and_a_random_one_is_one_per_target():
+    for path, entries in (("fixed", 1), ("per-target", 3)):
+        sim, net = delay_network(path)
+        net.send("a", tuple((dst, lambda _item: None) for dst in "bcd"), "link", None)
+        assert len(sim._queue) == entries, path
+
+
+@pytest.mark.parametrize("path", sorted(SAME_DELAY))
+def test_a_timer_a_target_schedules_for_the_same_ms_fires_after_the_last_target(path):
+    sim, net = delay_network(path)
+    log = []
+
+    def first(_item):
+        log.append("b")
+        sim.schedule(0, lambda: log.append("timer"))
+
+    targets = (("b", first), ("c", lambda _item: log.append("c")), ("d", lambda _item: log.append("d")))
+    net.send("a", targets, "link", None)
+    sim.run()
+    assert log == ["b", "c", "d", "timer"]
+    assert (sim._fired, net.delivered, sim.now) == (4, 3, 25)
+
+
+@pytest.mark.parametrize("path", sorted(SAME_DELAY))
+def test_a_stop_by_the_first_target_leaves_the_others_unfired_and_uncounted(path):
+    sim, net = delay_network(path)
+    log = []
+
+    def first(_item):
+        log.append("b")
+        sim.stop()
+
+    net.send("a", (("b", first), ("c", lambda _item: log.append("c")), ("d", lambda _item: log.append("d"))), "link", None)
+    sim.run()
+    sim.run()
+    assert log == ["b"]
+    assert (sim._fired, net.delivered, net.dropped_crash) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("budget", [100, 101, 102])
+def test_the_livelock_guard_trips_at_the_same_counts_as_per_target_delivery(budget):
+    counts = {}
+    for path in SAME_DELAY:
+        sim, net = delay_network(path, max_events=budget)
+        targets = tuple((dst, lambda _item: None) for dst in "bc") + (("d", lambda _item: net.send("a", targets, "link", None)),)
+        net.send("a", targets, "link", None)
+        with pytest.raises(LivelockError):
+            sim.run()
+        counts[path] = (sim._fired, net.delivered)
+    assert counts["fixed"] == counts["per-target"] == (budget + 1, budget)
+
+
+def test_run_until_leaves_a_fan_out_due_after_it_whole():
+    sim, net = delay_network("fixed")
+    log = []
+    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    sim.run(until=24)
+    assert (log, sim._fired, net.delivered, len(sim._queue), sim.now) == ([], 0, 0, 1, 24)
+    sim.run(until=25)
+    assert (log, sim._fired, net.delivered, sim._queue) == (["b", "c", "d"], 3, 3, [])
+
+
+@pytest.mark.parametrize("path", sorted(SAME_DELAY))
+def test_a_target_crashed_in_flight_counts_one_drop_at_arrival(path):
+    sim, net = delay_network(path)
+    log = []
+    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    sim.schedule(10, lambda: net.crash("c"))
+    sim.run()
+    assert log == ["b", "d"]
+    assert (sim._fired, net.delivered, net.dropped_crash, net.dropped_partition) == (4, 2, 1, 0)
+
+
+@pytest.mark.parametrize("path", sorted(SAME_DELAY))
+def test_a_fan_out_of_none_is_delivered(path):
+    sim, net = delay_network(path)
+    got = []
+    net.send("a", tuple((dst, lambda item, dst=dst: got.append((dst, item))) for dst in "bc"), "link", None)
+    sim.run()
+    assert got == [("b", None), ("c", None)] and net.delivered == 2
+
+
+@pytest.mark.parametrize("path", sorted(SAME_DELAY))
+def test_a_failing_target_leaves_the_rest_of_its_fan_out_due(path):
+    sim, net = delay_network(path)
+    log = []
+
+    def fail(_item):
+        raise RuntimeError("handler failed")
+
+    net.send("a", (("b", fail),) + tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "cd"), "link", None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert (log, sim._fired, net.delivered) == ([], 1, 1)
+    sim.run()
+    assert (log, sim._fired, net.delivered, sim.now) == (["c", "d"], 3, 3, 25)
+
+
+def test_send_time_drops_leave_one_reached_target_as_a_message():
+    sim, net = delay_network("fixed")
+    net.crash("c")
+    net.set_partition([{"a", "b", "c"}, {"d"}])
+    log = []
+    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    assert [entry[4] for entry in sim._queue] == ["b"]
+    sim.run()
+    assert log == ["b"]
+    assert (net.delivered, net.dropped_crash, net.dropped_partition) == (1, 1, 1)
+
+
+# Fixed delays against degenerate uniform models of the same delays: the
+# second pushes one heap entry per target, so the two runs must agree.
+FAN_OUT_CASES = {
+    "smoke": ({"preset": "smoke"}, 7),
+    "wire-faults": WIRE_CASE,
+    "validators-31-faults": CASES["validators-31-faults"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAN_OUT_CASES))
+def test_fixed_channels_give_the_runs_per_target_delivery_gives(case, tmp_path):
+    raw, seed = FAN_OUT_CASES[case]
+    latency = {
+        "fixed": {"consensus": {"kind": "fixed", "value": 700}, "rpc": {"kind": "fixed", "value": 50}},
+        "per-target": {"consensus": {"kind": "uniform", "low": 700, "high": 700}, "rpc": {"kind": "uniform", "low": 50, "high": 50}},
+    }
+    seen = {}
+    for path, models in latency.items():
+        out = tmp_path / path
+        result = run_scenario(config_from_dict({**raw, "latency": models}), seed, out_dir=out, trace=True)
+        net = result.cluster.network
+        seen[path] = (
+            [(out / name).read_bytes() for name in ("latency.csv", "summary.json", "trace.jsonl")],
+            (result.sim._fired, net.delivered, net.dropped_crash, net.dropped_partition),
+        )
+    assert seen["fixed"] == seen["per-target"]
+    # The two fault mixes drop messages to a crashed node.
+    assert (seen["fixed"][1][2] > 0) == (case != "smoke")
