@@ -367,8 +367,13 @@ class WorkloadDriver:
             for j in range(wl.selects_per_consumer):
                 pair_index = wl.selects_per_consumer * i + j
                 provider = self.run.providers[pair_index % len(self.run.providers)]
-                call = public_call("selection", "select", provider.address, j % wl.publishes_per_provider)
+                call = public_call("selection", "select", provider.address, self._service_index(pair_index))
                 self._submit(consumer, call, partial(self._form_group, consumer, provider, pair_index))
+
+    def _service_index(self, pair_index: int) -> int:
+        """The service pair `pair_index` selects: a consumer's `j`-th select names service `j`, wrapped."""
+        wl = self.config.workload
+        return pair_index % wl.selects_per_consumer % wl.publishes_per_provider
 
     def _form_group(self, consumer: Domain, provider: Domain, pair_index: int) -> None:
         """Form the pair's group, unless an earlier select of the same pair did."""
@@ -388,7 +393,7 @@ class WorkloadDriver:
             agreement = AgreementRecord(
                 consumer=group.consumer,
                 provider=group.provider,
-                service_index=0,
+                service_index=self._service_index(group.pair_index),
                 terms=(
                     f"pair {group.pair_index}: availability >= 99.9%, "
                     f"latency <= {150 + 10 * group.pair_index}ms, penalty tier B"

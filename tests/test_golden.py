@@ -108,24 +108,24 @@ WIRE_GOLDEN = (525, 'b772beda89c689712dd2033ef2c486a051ae41bbc7c9858679a958b999a
 
 GOLDEN: dict[str, dict[str, str | int]] = {
     'paper-default': {
-        'latency.csv': '15213ed7b1b30adf94339f8117afc60ade4ad17ebecff5c4483b62ca92b8e33c',
+        'latency.csv': '04647e5637a02a34df67aae83ff175e2b5e85488358b2d7295b66a6f05c3aebf',
         'summary.json': 'dfd6af00dc07954f7ace591a170627c283303af8b327399ceb98c2c25c78d019',
-        'trace.jsonl': 'ec8d1abe12b44dc86adffa40775c848e373715a0eee2cadbeaa6144ad77c6e18',
+        'trace.jsonl': '381a2b4573c30a1bc876048b342095ec18b07afb1d927999de45865ce6808d8c',
         'events': 5642,
         'latency-shape': '83cd587c70290a964f5ff815e8275ece46a74133edba58e04233a6448507fb72',
-        'chain:m0': '6c054855cbb1d2b20c0b0b781c846377945f7c514350fa023d418c5f4952420c',
+        'chain:m0': '04391cd7ef21e945be1c6880bb1eb78e83c7f5c81d9b141bb859a66adb142609',
         'shape:m0': 'ecc8847a0adc2d7538f243369e6afe104cdfb46fc52cbf37641ef6622a5b495a',
-        'chain:m1': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:m1': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:m1': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
-        'chain:m2': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:m2': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:m2': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
-        'chain:v0': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:v0': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:v0': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
-        'chain:v1': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:v1': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:v1': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
-        'chain:v2': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:v2': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:v2': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
-        'chain:v3': '403ae1603f5104d123b935dd6c6a4272805bee4ed72cc70217f8b8e571e7430c',
+        'chain:v3': '34280482f69eb25fc9d7483b2155bb1239edaa79fb9ac7da81d8c7b7f3cec3c9',
         'shape:v3': '0ff73f3573f525d646ed6335706c9a5c91bfd9a46b7ba8737ec132aa0e3faea1',
     },
     'smoke-batches': {
@@ -171,24 +171,24 @@ GOLDEN: dict[str, dict[str, str | int]] = {
         'shape:v3': '34347738f74cf90f3d4dd8925c0b572c07ec2292fbe8d8261258a9175c461fee',
     },
     'smoke-multigroup': {
-        'latency.csv': '5d2ad213d59658af0c8e3f1abbbb5c8f963dde9fa01aeabd467bc25072c30220',
+        'latency.csv': 'ad893ee6f44b3b81936f1b16d84feb93064dcfde64904ae5ff68d5b1d16a2bce',
         'summary.json': '2df28a859667551639d5d733d3fe0eae19d5eb4e12af58b9284c440fd7da4222',
-        'trace.jsonl': '7511c96e16775f856c65e8c1c94341c21acfcf76d7073467e5c1bff1c0d1cd14',
+        'trace.jsonl': '7fa2ef227842df7811017312e748649a329097c26a15261044ffb7349cc655bf',
         'events': 1218,
         'latency-shape': '55796690f2e02e4d5551d0fed4c864dc484adfac41dd2d4cec39894a432f7618',
-        'chain:m0': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:m0': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:m0': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
-        'chain:m1': '4d544455d162f0f10867a836e4313d7035498f742f2fc1df60c0966a06350579',
+        'chain:m1': '749894e5cd5139f73b3bda07f5f9b17b4a6a0cffdcd4bc285fa713387f692a09',
         'shape:m1': '7503ca7fd13b26bf979d5fca7563091d44ff49afdbc65839f5a0c0bccfb9e1c6',
-        'chain:m2': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:m2': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:m2': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
-        'chain:v0': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:v0': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:v0': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
-        'chain:v1': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:v1': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:v1': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
-        'chain:v2': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:v2': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:v2': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
-        'chain:v3': '70c5a53afb5a85e95995386b6686e02c3f2d1f6335e26d3db3112987f43a39ce',
+        'chain:v3': '4a7c1db94ec4f24c9cff1d3ba0c484d50862a312c3bd570318cb4cb64fb7c3b5',
         'shape:v3': 'b2186d23a095fd20d047977c55ae8ab9ea640765e991390ac8342b7b64af403f',
     },
     'smoke-proposer-crash': {

@@ -15,6 +15,7 @@ from pactsim.metrics import PRIVATE_KINDS, PUBLIC_KINDS
 from pactsim.scenario import run_scenario, run_sweep, wire_bytes
 from pactsim.simulation import STREAM_KEYS, RngHub
 
+from .test_golden import CASES
 from .test_privacy import reference_transfers
 
 SMOKE = config_from_dict({"preset": "smoke"})
@@ -60,6 +61,20 @@ def test_group_ledgers_match_the_driven_workload(smoke_run):
             assert len(ledger.records) == 1
             assert not ledger.halted
 
+
+
+def test_each_private_agreement_names_the_service_its_pair_selected():
+    raw, seed = CASES["smoke-multigroup"]
+    result = run_scenario(config_from_dict(raw), seed)
+    assert result.completed
+    for node_ in result.cluster.nodes.values():
+        selected = {(s.consumer, s.provider): s.service_index for s in node_.state.agreements}
+        assert len(selected) == len(result.groups) == 6
+        for group_id, ledger in node_.group_ledgers.items():
+            agreement = ledger.agreement
+            assert agreement.service_index == selected[agreement.consumer, agreement.provider], group_id.hex()
+    # Pairs 1, 3 and 5 select their provider's second service.
+    assert sorted(selected.values()) == [0, 0, 0, 1, 1, 1]
 
 def test_group_members_hold_their_own_ledgers_of_shared_records(smoke_run):
     for group in smoke_run.groups.values():
