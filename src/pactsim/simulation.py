@@ -26,8 +26,8 @@ order, exactly as it would the separate entries: each target is one
 fired event, checked against `crashed` and the event budget, and a
 `stop()` takes effect between targets.  What a handler schedules for the
 same ms gets a larger `seq` and fires after the whole fan-out.  If a
-stop or an exception ends the delivery early, the targets not yet taken
-go back onto the heap under the entry's own `(fire_at, seq)`.
+stop or a handler's exception ends the delivery early, the targets not
+yet taken go back onto the heap under the entry's own `(fire_at, seq)`.
 
 The loop keeps the fired-event and delivered-message counts in locals
 and writes them back to `_fired` and `Network.delivered` however it
@@ -205,7 +205,7 @@ class Simulator:
         back however the loop ends, so they are exact only between runs.
         """
         queue = self._queue
-        pop, push = heapq.heappop, heapq.heappush
+        pop = heapq.heappop
         max_events = self.max_events
         net = self.network
         crashed = net.crashed if net is not None else ()
@@ -256,7 +256,7 @@ class Simulator:
                                 handler(shared)
                     finally:
                         if done < len(targets):
-                            push(queue, (fire_at, seq, shared, targets[done:], None))
+                            heapq.heappush(queue, (fire_at, seq, shared, targets[done:], None))
             if until is not None and not self._stopped:
                 self.now = max(self.now, until)
         finally:
@@ -366,7 +366,7 @@ class Network:
         if src_down or self.partition is not None:
             reachable = () if src_down else set().union(*(g for g in self.partition if src in g))
             blocked = {dst for dst, _ in targets if dst in crashed or dst not in reachable}
-        if delays.__class__ is not int:
+        if type(delays) is not int:
             for (dst, handler), delay in zip(targets, delays):
                 if dst not in blocked:
                     push(queue, (now + delay, next(seq), handler, item, dst))

@@ -85,7 +85,6 @@ def test_livelock_guard_trips():
         sim.run()
 
 
-
 # `run` is entered once per run, and CPython 3.11 specializes its bytecode
 # only once a counter advanced by unconditional backward jumps runs out; a
 # `while cond:` loop ends in a conditional one.  Such a shape change fails
@@ -539,10 +538,15 @@ def delay_network(path: str, max_events: int = MAX_EVENTS) -> tuple[Simulator, N
     return sim, net
 
 
+def logging_targets(log: list, dsts: str) -> tuple:
+    """One target per node in `dsts`, each appending its name to `log`."""
+    return tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in dsts)
+
+
 def test_a_fixed_fan_out_is_one_heap_entry_and_a_random_one_is_one_per_target():
     for path, entries in (("fixed", 1), ("per-target", 3)):
         sim, net = delay_network(path)
-        net.send("a", tuple((dst, lambda _item: None) for dst in "bcd"), "link", None)
+        net.send("a", logging_targets([], "bcd"), "link", None)
         assert len(sim._queue) == entries, path
 
 
@@ -555,8 +559,7 @@ def test_a_timer_a_target_schedules_for_the_same_ms_fires_after_the_last_target(
         log.append("b")
         sim.schedule(0, lambda: log.append("timer"))
 
-    targets = (("b", first), ("c", lambda _item: log.append("c")), ("d", lambda _item: log.append("d")))
-    net.send("a", targets, "link", None)
+    net.send("a", (("b", first),) + logging_targets(log, "cd"), "link", None)
     sim.run()
     assert log == ["b", "c", "d", "timer"]
     assert (sim._fired, net.delivered, sim.now) == (4, 3, 25)
@@ -571,7 +574,7 @@ def test_a_stop_by_the_first_target_leaves_the_others_unfired_and_uncounted(path
         log.append("b")
         sim.stop()
 
-    net.send("a", (("b", first), ("c", lambda _item: log.append("c")), ("d", lambda _item: log.append("d"))), "link", None)
+    net.send("a", (("b", first),) + logging_targets(log, "cd"), "link", None)
     sim.run()
     sim.run()
     assert log == ["b"]
@@ -583,7 +586,8 @@ def test_the_livelock_guard_trips_at_the_same_counts_as_per_target_delivery(budg
     counts = {}
     for path in SAME_DELAY:
         sim, net = delay_network(path, max_events=budget)
-        targets = tuple((dst, lambda _item: None) for dst in "bc") + (("d", lambda _item: net.send("a", targets, "link", None)),)
+        # The last target sends the fan-out again.
+        targets = logging_targets([], "bc") + (("d", lambda _item: net.send("a", targets, "link", None)),)
         net.send("a", targets, "link", None)
         with pytest.raises(LivelockError):
             sim.run()
@@ -594,7 +598,7 @@ def test_the_livelock_guard_trips_at_the_same_counts_as_per_target_delivery(budg
 def test_run_until_leaves_a_fan_out_due_after_it_whole():
     sim, net = delay_network("fixed")
     log = []
-    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    net.send("a", logging_targets(log, "bcd"), "link", None)
     sim.run(until=24)
     assert (log, sim._fired, net.delivered, len(sim._queue), sim.now) == ([], 0, 0, 1, 24)
     sim.run(until=25)
@@ -605,7 +609,7 @@ def test_run_until_leaves_a_fan_out_due_after_it_whole():
 def test_a_target_crashed_in_flight_counts_one_drop_at_arrival(path):
     sim, net = delay_network(path)
     log = []
-    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    net.send("a", logging_targets(log, "bcd"), "link", None)
     sim.schedule(10, lambda: net.crash("c"))
     sim.run()
     assert log == ["b", "d"]
@@ -629,7 +633,7 @@ def test_a_failing_target_leaves_the_rest_of_its_fan_out_due(path):
     def fail(_item):
         raise RuntimeError("handler failed")
 
-    net.send("a", (("b", fail),) + tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "cd"), "link", None)
+    net.send("a", (("b", fail),) + logging_targets(log, "cd"), "link", None)
     with pytest.raises(RuntimeError):
         sim.run()
     assert (log, sim._fired, net.delivered) == ([], 1, 1)
@@ -642,7 +646,7 @@ def test_send_time_drops_leave_one_reached_target_as_a_message():
     net.crash("c")
     net.set_partition([{"a", "b", "c"}, {"d"}])
     log = []
-    net.send("a", tuple((dst, lambda _item, dst=dst: log.append(dst)) for dst in "bcd"), "link", None)
+    net.send("a", logging_targets(log, "bcd"), "link", None)
     assert [entry[4] for entry in sim._queue] == ["b"]
     sim.run()
     assert log == ["b"]
@@ -662,8 +666,14 @@ FAN_OUT_CASES = {
 def test_fixed_channels_give_the_runs_per_target_delivery_gives(case, tmp_path):
     raw, seed = FAN_OUT_CASES[case]
     latency = {
-        "fixed": {"consensus": {"kind": "fixed", "value": 700}, "rpc": {"kind": "fixed", "value": 50}},
-        "per-target": {"consensus": {"kind": "uniform", "low": 700, "high": 700}, "rpc": {"kind": "uniform", "low": 50, "high": 50}},
+        "fixed": {
+            "consensus": {"kind": "fixed", "value": 700},
+            "rpc": {"kind": "fixed", "value": 50},
+        },
+        "per-target": {
+            "consensus": {"kind": "uniform", "low": 700, "high": 700},
+            "rpc": {"kind": "uniform", "low": 50, "high": 50},
+        },
     }
     seen = {}
     for path, models in latency.items():
