@@ -7,12 +7,11 @@ Gas is metered against a fixed schedule with price zero, so gas caps
 block capacity without moving balances.  `OPS` declares each metered
 operation once: its parameters, and the state I/O its gas is priced by.
 
-Every node executes every public call, so a call's arguments are
-decoded once for all of them (`decode_call_args`, keyed by value), and
-each `PublicState` looks a call's handler and gas up in a table built
-when it is created.  Sharing a decode between nodes is sound: decoding
-is pure, the result holds only immutable values, and a failed decode is
-not cached, so malformed arguments fail at every node.  A privacy
+A block is executed once per run (`PublicState.run_block`, from
+`node.Cluster.execute_block`): the first node to append it runs its
+transactions, and every other node applies the block's writes to its
+own state (`PublicState.adopt`).  Each `PublicState` looks a call's
+handler and gas up in a table built when it is created.  A privacy
 marker is not a public call: a call naming `marker.anchor` is unknown
 like any other.
 
@@ -36,8 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import ClassVar, Iterable, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .encoding import (
     ADDRESS_LEN,
@@ -58,10 +56,6 @@ from .encoding import (
 from .ledger import PrivacyMarker, PublicCall, Transaction
 
 MAX_SERVICES_PER_PROVIDER = 5
-
-# Decoded public call arguments (`decode_call_args`), kept for the other
-# nodes that execute them.
-DECODE_CACHE_SIZE = 1024
 
 
 class Role(enum.IntEnum):
@@ -109,9 +103,8 @@ def public_call(contract: str, function: str, *values) -> PublicCall:
     return PublicCall(contract, function, enc_args(abi_arg_schema(contract, function), values))
 
 
-@lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_call_args(contract: str, function: str, args: bytes) -> tuple:
-    """Decode a public call's arguments; equal calls give the same tuple."""
+    """Decode a public call's arguments by the operation's schema."""
     return dec_args(abi_arg_schema(contract, function), args)
 
 
@@ -188,8 +181,23 @@ class AgreementRecord:
         )
 
 
+class BlockWrites(NamedTuple):
+    """What one block changed in the world state (`PublicState.run_block`).
+
+    Each sender's final nonce, the roles registered, each provider's
+    appended services, and the agreements and markers added.  Keys come
+    in the order the executing state first wrote them.
+    """
+
+    nonces: dict[bytes, int]
+    roles: dict[bytes, Role]
+    services: dict[bytes, list[ServiceRecord]]
+    agreements: list[SelectionRecord]
+    markers: list[tuple[bytes, bytes]]
+
+
 class PublicState:
-    """World state replicated by every node through block execution."""
+    """World state replicated at every node: one executes each block, the rest adopt its writes."""
 
     def __init__(self, schedule: GasSchedule):
         self.schedule = schedule
@@ -224,8 +232,7 @@ class PublicState:
             raise ExecError(f"provider already has {MAX_SERVICES_PER_PROVIDER} services")
         if any(s.sla_hash == sla_hash for s in existing):
             raise ExecError("duplicate service metadata")
-        # `tuple.__new__` builds the named tuple without a Python frame.
-        existing.append(tuple.__new__(ServiceRecord, (sender, name, sla_hash)))
+        existing.append(ServiceRecord(sender, name, sla_hash))
 
     def _op_select(self, sender: bytes, call: PublicCall) -> None:
         if self.roles.get(sender) != Role.CONSUMER:
@@ -236,8 +243,7 @@ class PublicState:
         services = self.services.get(provider, [])
         if index >= len(services):
             raise ExecError(f"provider has no service {index}")
-        # `tuple.__new__` builds the named tuple without a Python frame.
-        self.agreements.append(tuple.__new__(SelectionRecord, (sender, provider, index)))
+        self.agreements.append(SelectionRecord(sender, provider, index))
 
     def _op_marker(self, sender: bytes, marker: PrivacyMarker) -> None:
         self.markers.append((marker.group_id, marker.payload_hash))
@@ -270,8 +276,46 @@ class PublicState:
             return Receipt(tx.tx_id, False, self.schedule.base, err.reason)
         except ValueError as err:
             return Receipt(tx.tx_id, False, self.schedule.base, f"malformed args: {err}")
-        # `tuple.__new__` builds the named tuple without a Python frame.
-        return tuple.__new__(Receipt, (tx.tx_id, True, cost, None))
+        return Receipt(tx.tx_id, True, cost)
+
+    def run_block(self, txs: Sequence[Transaction]) -> tuple[list[Receipt], BlockWrites]:
+        """Execute `txs` in order; return their receipts and the block's writes.
+
+        The writes are gathered in block order, never from a set, so a
+        state that adopts them gains dict keys in this state's order.
+        """
+        execute, nonces, roles, services = self.execute, self.nonces, self.roles, self.services
+        agreements, markers = len(self.agreements), len(self.markers)
+        receipts = []
+        final_nonces: dict[bytes, int] = {}
+        new_roles: dict[bytes, Role] = {}
+        published: dict[bytes, int] = {}
+        for tx in txs:
+            receipt = execute(tx)
+            receipts.append(receipt)
+            sender = tx.sender
+            # A new sender enters `nonces` at its first sequenced
+            # transaction, so this records it at the same point.
+            if sender in nonces:
+                final_nonces[sender] = nonces[sender]
+            if receipt.ok and not isinstance(tx.payload, PrivacyMarker):
+                function = tx.payload.function
+                if function == "register":
+                    new_roles[sender] = roles[sender]
+                elif function == "publish":
+                    published[sender] = published.get(sender, 0) + 1
+        appended = {provider: services[provider][-count:] for provider, count in published.items()}
+        writes = BlockWrites(final_nonces, new_roles, appended, self.agreements[agreements:], self.markers[markers:])
+        return receipts, writes
+
+    def adopt(self, writes: BlockWrites) -> None:
+        """Apply a block's writes, from `run_block` at a state equal to this one."""
+        self.nonces.update(writes.nonces)
+        self.roles.update(writes.roles)
+        for provider, records in writes.services.items():
+            self.services.setdefault(provider, []).extend(records)
+        self.agreements.extend(writes.agreements)
+        self.markers.extend(writes.markers)
 
     # -- snapshots ----------------------------------------------------
 

@@ -1,15 +1,19 @@
 """Per-node runtime and the cluster wiring between nodes.
 
 Every node, validator or not, keeps the full public picture: finalized
-chain, executed world state, transaction pool, and receipts for
-transactions it saw land in blocks.  Every node executes every
-transaction, so that path is kept lean: a receipt is a named tuple, and
-a marker reaches the private replay only at a node hosting its group.
+chain, world state, transaction pool, and receipts for transactions it
+saw land in blocks.  Execution is deterministic, so each non-empty block
+is executed once per run, by the first node that appends it
+(`Cluster.execute_block`): every later node that appends the block takes
+its receipt entries and applies its writes to its own world state.  A
+node appends a block only onto its parent, and the same parent hash
+means the same chain, so every node holds the same state before it.  A
+marker reaches the private replay only at a node hosting its group.
 Nodes hosting a privacy-group member additionally keep that group's key
 and replay its encrypted operations in block order as the anchoring
 markers finalize.  A marker is submitted only after every member
 enclave has acknowledged its payload, so each operation is opened and
-applied in the block that executes its marker; a member that finds the
+applied in the block that anchors its marker; a member that finds the
 payload missing, or finds it belongs to another group, halts the group
 instead of applying past the gap.  A member opens the payload in its
 enclave either way.  `Cluster.sent_ops` holds each op a sender encoded
@@ -44,6 +48,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .contracts import (
+    BlockWrites,
     BreachLedger,
     ExecError,
     GasSchedule,
@@ -213,25 +218,30 @@ class NodeRuntime:
             self.request_sync(peer)
 
     def _apply_block(self, block: Block) -> None:
-        """Execute each transaction and record its receipt, in one pass.
+        """Apply the block's public execution, then record each receipt in block order.
 
-        A receipt callback may start a wait or join a group, so the
-        waiter table and the group ledgers are read afresh for each
-        transaction.
+        The whole block's public execution comes first
+        (`Cluster.execute_block`).  Then, one transaction at a time in
+        block order, its receipt is recorded, its marker is replayed if
+        this node hosts the group, and its waiters fire.  A receipt
+        callback therefore sees the public state after the whole block.
+        It may start a wait, also for a later transaction of the same
+        block, or join a group, so the waiter table and the group
+        ledgers are read afresh for each transaction.
         """
-        execute, receipts = self.state.execute, self.receipts
-        waiters, ledgers = self._receipt_waiters, self.group_ledgers
-        for tx in block.txs:
-            receipt = execute(tx)
-            receipts[tx.tx_id] = entry = ReceiptEntry(receipt)
-            if ledgers:
-                payload = tx.payload
-                if receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in ledgers:
-                    self._on_marker(block.height, tx.sender, payload)
-            if waiters:
-                for cb in waiters.pop(tx.tx_id, ()):
-                    cb(entry)
-        self.pool.remove_included(block.txs)
+        txs = block.txs
+        if txs:
+            receipts, waiters, ledgers = self.receipts, self._receipt_waiters, self.group_ledgers
+            for tx, entry in zip(txs, self.cluster.execute_block(self.state, block)):
+                receipts[tx.tx_id] = entry
+                if ledgers:
+                    payload = tx.payload
+                    if entry.receipt.ok and isinstance(payload, PrivacyMarker) and payload.group_id in ledgers:
+                        self._on_marker(block.height, tx.sender, payload)
+                if waiters:
+                    for cb in waiters.pop(tx.tx_id, ()):
+                        cb(entry)
+        self.pool.remove_included(txs)
 
     # -- inspection ---------------------------------------------------
 
@@ -269,10 +279,10 @@ class NodeRuntime:
 
         The workload puts a marker on the chain only after every live
         member's enclave has acknowledged its payload, so a member that
-        executes the marker already holds the payload.  If it does not,
-        or the payload is another group's, the group halts at once:
-        nothing is applied past a missing operation, so members never
-        diverge.
+        applies the marker's block already holds the payload.  If it
+        does not, or the payload is another group's, the group halts at
+        once: nothing is applied past a missing operation, so members
+        never diverge.
         """
         group_id = marker.group_id
         ledger = self.group_ledgers[group_id]
@@ -311,11 +321,30 @@ class Cluster:
         # Each private op a sender encoded in this run, with its group and
         # bytes, under the hash of the payload that carries them.
         self.sent_ops: dict[bytes, tuple[bytes, bytes, PrivateOp]] = {}
+        # Block hash -> the receipt entries and writes of each non-empty
+        # block executed in this run.
+        self.executed: dict[bytes, tuple[tuple[ReceiptEntry, ...], BlockWrites]] = {}
 
     def add_node(self, node: NodeRuntime) -> None:
         self.nodes[node.name] = node
         node.cluster = self
         self._targets.clear()
+
+    def execute_block(self, state: PublicState, block: Block) -> tuple[ReceiptEntry, ...]:
+        """The receipt entries of `block`'s transactions, with its writes applied to `state`.
+
+        The first node to append the block executes it and fills the
+        table; every later one adopts its writes.  `state` belongs to a
+        node whose head is the block's parent, so it equals the state
+        the block was executed at.
+        """
+        done = self.executed.get(block.hash)
+        if done is None:
+            receipts, writes = state.run_block(block.txs)
+            done = self.executed[block.hash] = (tuple(map(ReceiptEntry, receipts)), writes)
+        else:
+            state.adopt(done[1])
+        return done[0]
 
     def targets(self, src: str) -> tuple[Targets, Targets]:
         """Every node but `src`, in node order, bound to `receive_gossip`;

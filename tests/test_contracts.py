@@ -24,7 +24,6 @@ from pactsim.contracts import (
     SelectionRecord,
     ServiceRecord,
     abi_description,
-    decode_call_args,
     decode_private_op,
     enc_breaches,
     public_call,
@@ -210,23 +209,6 @@ def counting_dec_args(monkeypatch) -> list:
     return calls
 
 
-def test_equal_calls_share_one_decoded_tuple(monkeypatch):
-    calls = counting_dec_args(monkeypatch)
-    call = public_call("catalog", "publish", "shared-decode", SLA)
-    twin = public_call("catalog", "publish", "shared-decode", SLA)
-    assert twin == call and twin.args is not call.args
-    first = decode_call_args(call.contract, call.function, call.args)
-    assert decode_call_args(twin.contract, twin.function, twin.args) is first
-    assert first == ("shared-decode", SLA)
-    # Every node executing the call reuses that decode.
-    tx = make_transaction(PROVIDER, 1, 100_000, twin)
-    for _ in range(3):
-        node_state = PublicState(GasSchedule())
-        register(node_state, PROVIDER, Role.PROVIDER)
-        assert node_state.execute(tx).ok
-    assert len(calls) == 1
-
-
 def test_malformed_args_fail_at_every_node(monkeypatch):
     calls = counting_dec_args(monkeypatch)
     tx = make_transaction(PROVIDER, 0, 100_000, PublicCall("registry", "register", b"\x01\x02"))
@@ -235,6 +217,98 @@ def test_malformed_args_fail_at_every_node(monkeypatch):
     assert len(set(receipts)) == 1
     assert not receipts[0].ok and receipts[0].reason.startswith("malformed args: ")
     assert receipts[0].gas_used == GasSchedule().base
+
+
+# -- one execution per block, adopted elsewhere -----------------------
+
+NEWCOMER = cred(33)
+LATE = cred(34)
+MARKER_TX = PrivacyMarker(group_id=b"\x07" * 32, payload_hash=b"\x08" * 32)
+
+
+def prefix_txs() -> list:
+    """A provider with one service and a consumer, both registered."""
+    return [
+        call_tx(PROVIDER, 0, "registry", "register", int(Role.PROVIDER)),
+        call_tx(PROVIDER, 1, "catalog", "publish", "svc", SLA),
+        call_tx(CONSUMER, 0, "registry", "register", int(Role.CONSUMER)),
+    ]
+
+
+def mixed_block() -> list:
+    """Every op kind and every way a transaction fails, in one block."""
+    return [
+        # A new sender's first transaction carries a bad nonce; another
+        # new sender enters `nonces` before its nonce-0 register does.
+        call_tx(LATE, 3, "registry", "register", int(Role.CONSUMER)),
+        # Register and publish from one new sender: two of its txs.
+        call_tx(NEWCOMER, 0, "registry", "register", int(Role.PROVIDER)),
+        call_tx(NEWCOMER, 1, "catalog", "publish", "fresh", bytes([5]) * 32),
+        call_tx(LATE, 0, "registry", "register", int(Role.CONSUMER)),
+        call_tx(PROVIDER, 2, "catalog", "publish", "second", bytes([6]) * 32),
+        call_tx(CONSUMER, 1, "selection", "select", PROVIDER.address, 1),
+        make_transaction(OTHER, 0, GAS_MARKER, MARKER_TX),
+        make_transaction(OTHER, 1, 100_000, PublicCall("registry", "destroy", b"")),
+        call_tx(CONSUMER, 2, "selection", "select", NEWCOMER.address, 0, gas_limit=30_000),
+        call_tx(PROVIDER, 3, "registry", "register", int(Role.CONSUMER)),
+        make_transaction(CONSUMER, 3, 100_000, PublicCall("registry", "register", b"\x01\x02")),
+        call_tx(NEWCOMER, 2, "catalog", "publish", "fresh", bytes([5]) * 32),
+    ]
+
+
+def all_failing_block() -> list:
+    return [
+        call_tx(LATE, 3, "registry", "register", int(Role.CONSUMER)),
+        call_tx(PROVIDER, 9, "catalog", "publish", "gap", SLA),
+        make_transaction(OTHER, 0, 100_000, PublicCall("catalog", "destroy", b"")),
+        call_tx(CONSUMER, 1, "catalog", "publish", "not-a-provider", SLA),
+        call_tx(PROVIDER, 2, "registry", "register", 1, gas_limit=1),
+        make_transaction(CONSUMER, 2, 100_000, PublicCall("selection", "select", b"\x00")),
+    ]
+
+
+@pytest.mark.parametrize("block", [mixed_block, all_failing_block])
+def test_adopting_a_blocks_writes_matches_executing_it(block):
+    txs = block()
+    executor, adopter, reference = (PublicState(GasSchedule()) for _ in range(3))
+    for s in (executor, adopter, reference):
+        s.run_block(prefix_txs())
+    receipts, writes = executor.run_block(txs)
+    adopter.adopt(writes)
+
+    assert receipts == [reference.execute(tx) for tx in txs]
+    assert adopter.encode() == executor.encode() == reference.encode()
+    for name in ("nonces", "roles", "services"):
+        assert list(getattr(adopter, name).items()) == list(getattr(executor, name).items()), name
+    # Each state keeps its own lists.
+    for provider, records in executor.services.items():
+        assert adopter.services[provider] is not records
+
+
+def test_the_mixed_block_covers_every_op_and_failure():
+    state = PublicState(GasSchedule())
+    state.run_block(prefix_txs())
+    receipts, writes = state.run_block(mixed_block())
+    ok = [r.ok for r in receipts]
+    assert ok == [False, True, True, True, True, True, True, False, False, False, False, False]
+    reasons = [r.reason for r in receipts if not r.ok]
+    assert reasons[0] == "nonce 3, expected 0"
+    assert reasons[1:4] == ["unknown call registry.destroy", "out of gas", "already registered"]
+    assert reasons[4].startswith("malformed args: ") and reasons[5] == "duplicate service metadata"
+    assert list(writes.nonces) == [NEWCOMER.address, LATE.address, PROVIDER.address, CONSUMER.address, OTHER.address]
+    assert writes.roles == {NEWCOMER.address: Role.PROVIDER, LATE.address: Role.CONSUMER}
+    assert [len(v) for v in writes.services.values()] == [1, 1]
+    assert writes.agreements == [(CONSUMER.address, PROVIDER.address, 1)]
+    assert writes.markers == [(MARKER_TX.group_id, MARKER_TX.payload_hash)]
+
+
+def test_an_all_failing_block_writes_only_nonces():
+    state = PublicState(GasSchedule())
+    state.run_block(prefix_txs())
+    receipts, writes = state.run_block(all_failing_block())
+    assert not any(r.ok for r in receipts)
+    # LATE's only transaction has a bad nonce, so it is no sender yet.
+    assert writes == ({PROVIDER.address: 3, OTHER.address: 1, CONSUMER.address: 3}, {}, {}, [], [])
 
 
 def test_marker_anchors_for_any_sender(state):

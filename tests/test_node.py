@@ -8,7 +8,7 @@ import pytest
 
 from pactsim import node as node_module
 from pactsim.audit import member_state_consistency
-from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit
+from pactsim.contracts import AgreementRecord, BreachRecord, GasSchedule, OpBatch, OpInit, PublicState, Role
 from pactsim.encoding import digest, enc_bytes, enc_u8, enc_u64
 from pactsim.ledger import (
     Block,
@@ -215,6 +215,52 @@ def test_receipt_waiter_fires_immediately_when_already_known():
     seen = []
     node.wait_for_receipt(tx.tx_id, seen.append)
     assert len(seen) == 1
+
+
+def test_a_waiter_started_by_a_callback_fires_at_its_own_transaction():
+    # Block [i, j, k]: i's first callback waits for j; k is a marker of
+    # a group n0 hosts.
+    _, cluster = make_cluster(("n0",))
+    node = cluster.nodes["n0"]
+    group, nonce, ciphertext = make_group_setup(node)
+    node.enclave.receive(StoredPayload(group.group_id, nonce, ciphertext))
+    ledger = node.group_ledgers[group.group_id]
+    i = call_tx(BOB, 0, "registry", "register", 1)
+    j = call_tx(CAROL, 0, "registry", "register", 2)
+    k = marker_tx(group, ciphertext)
+    (b1,) = build_chain(1, {1: [i, j, k]})
+    order = []
+
+    def on_i(entry):
+        order.append("i")
+        node.wait_for_receipt(j.tx_id, lambda e: order.append(("j", ledger.agreement, len(node.state.markers))))
+
+    node.wait_for_receipt(i.tx_id, on_i)
+    node.wait_for_receipt(i.tx_id, lambda e: order.append("i, later"))
+    node.wait_for_receipt(k.tx_id, lambda e: order.append(("k", ledger.agreement is not None)))
+    node.on_sealed_block(b1)
+    # j's waiter fires after all of i's callbacks and before k's marker
+    # is replayed, and sees the public state after the whole block.
+    assert order == ["i", "i, later", ("j", None, 1), ("k", True)]
+
+
+def test_a_block_executes_once_and_every_other_node_adopts_it():
+    _, cluster = make_cluster(("n0", "n1", "n2"))
+    tx = call_tx(ALICE, 0, "registry", "register", 1)
+    b1, b2 = build_chain(2, {1: [tx]})
+    with mock.patch.object(PublicState, "run_block", autospec=True, side_effect=PublicState.run_block) as run:
+        for node in cluster.nodes.values():
+            node.on_sealed_block(b1)
+            node.on_sealed_block(b2)
+    assert [call.args[0] for call in run.call_args_list] == [cluster.nodes["n0"].state]
+    # The empty block never enters the table.
+    assert list(cluster.executed) == [b1.hash]
+    n0, n1, n2 = cluster.nodes.values()
+    assert n1.receipts[tx.tx_id] is n0.receipts[tx.tx_id] is n2.receipts[tx.tx_id]
+    assert n0.state.encode() == n1.state.encode() == n2.state.encode()
+    # Adopting copies the writes: each state holds its own dicts.
+    n1.state.roles.clear()
+    assert n0.state.roles == n2.state.roles == {ALICE.address: Role.PROVIDER}
 
 
 def test_inclusion_prunes_pool():
