@@ -52,8 +52,12 @@ class EveryNodeExecutes(Cluster):
         self.executed = NeverHeld()
 
 
-def outputs(raw: dict, seed: int, out_dir, monkeypatch) -> tuple[dict, dict, int]:
-    """Per node: state bytes, receipts in order and chain dump; the two output files; `run_block` calls."""
+def outputs(raw: dict, seed: int, out_dir, monkeypatch) -> tuple[dict, dict, tuple[int, int, int]]:
+    """Per node: state bytes, receipts in order and chain dump; the two output files.
+
+    Last, the counts of `run_block` calls, of distinct non-empty blocks,
+    and of non-empty blocks appended summed over nodes.
+    """
     calls = []
     monkeypatch.setattr(PublicState, "run_block", lambda state, txs: calls.append(txs) or RUN_BLOCK(state, txs))
     result = scenario.run_scenario(config_from_dict(raw), seed, out_dir=out_dir)
@@ -66,7 +70,8 @@ def outputs(raw: dict, seed: int, out_dir, monkeypatch) -> tuple[dict, dict, int
         for name, node in result.cluster.nodes.items()
     }
     files = {name: (out_dir / name).read_bytes() for name in ("latency.csv", "summary.json")}
-    return nodes, files, len(calls)
+    appended = [block.hash for node in result.cluster.nodes.values() for block in node.store.blocks if block.txs]
+    return nodes, files, (len(calls), len(set(appended)), len(appended))
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
@@ -77,7 +82,5 @@ def test_adopting_blocks_gives_the_outputs_of_executing_them_everywhere(case, tm
     everywhere = outputs(raw, seed, tmp_path / "everywhere", monkeypatch)
     assert once[:2] == everywhere[:2]
     # Once per distinct non-empty block against once per node that appended it.
-    nodes = once[0].values()
-    blocks = {line.split()[1] for _, _, dump in nodes for line in dump.splitlines() if line.split()[5] != "0"}
-    appended = sum(1 for _, _, dump in nodes for line in dump.splitlines() if line.split()[5] != "0")
-    assert (once[2], everywhere[2]) == (len(blocks), appended)
+    calls, distinct, appended = once[2]
+    assert (calls, everywhere[2][0]) == (distinct, appended)
