@@ -26,9 +26,9 @@ A run keeps each op a sender encoded, with its group and bytes, under
 the hash of the payload that carries them (`node.Cluster.sent_ops`),
 its one record of the private ops it sent: a member whose decrypted
 payload matches those bytes byte for byte takes the sender's op, and a
-member holding any other bytes parses them with `decode_private_op`,
-with every check.  Sharing the op is sound: it is frozen, its records
-are named tuples and `decode_private_op(op.encode()) == op`.
+member holding any other bytes parses them through `encoding.Cursor`
+(`decode_private_op`).  Sharing the op is sound: it is frozen, its
+records are named tuples and `decode_private_op(op.encode()) == op`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .encoding import (
     ADDRESS_LEN,
     HASH_LEN,
     TAG_STATE,
-    DecodeError,
+    Cursor,
     digest,
     enc_bytes,
     enc_fixed,
@@ -403,61 +403,26 @@ class OpBatch:
 PrivateOp = OpInit | OpBreach | OpBatch
 
 
-def _text_record(data: bytes, pos: int, before: int, after: int) -> tuple[str, int, int]:
-    """Check a record of `before` fixed bytes, a u32-prefixed UTF-8 text and `after` fixed bytes.
-
-    Returns the text, the offset past it and the offset past the record.
-    """
-    head = pos + before + 4
-    size = len(data)
-    if head <= size:
-        stop = head + int.from_bytes(data[head - 4 : head], "big")
-        end = stop + after
-        if end <= size:
-            try:
-                return data[head:stop].decode("utf-8"), stop, end
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"invalid utf-8 string field: {exc}") from None
-    raise DecodeError(f"truncated input: record at offset {pos} runs past {size} bytes")
-
-
-def _breach_at(data: bytes, pos: int) -> tuple[BreachRecord, int]:
-    details, stop, end = _text_record(data, pos, ADDRESS_LEN, 8)
-    return BreachRecord(data[pos : pos + ADDRESS_LEN], details, int.from_bytes(data[stop:end], "big")), end
+def _breach(cur: Cursor) -> BreachRecord:
+    return BreachRecord(cur.fixed(ADDRESS_LEN), cur.str_(), cur.u64())
 
 
 def decode_private_op(data: bytes) -> PrivateOp:
-    """Parse a private operation's bytes.
+    """Parse a private operation's bytes through `Cursor`, as every decoder does.
 
-    One pass over the bytes: each record's bounds are checked once, then
-    its fields are sliced out.  Truncated input, trailing bytes and text
-    that is not UTF-8 raise `DecodeError`; an unknown kind `ValueError`.
+    Truncated input, trailing bytes and bad UTF-8 raise `DecodeError`; an unknown kind `ValueError`.
     """
-    if not data:
-        raise DecodeError("truncated input: no operation kind")
-    kind = data[0]
+    cur = Cursor(data)
+    kind = cur.u8()
     if kind == OP_INIT:
-        terms, end, _ = _text_record(data, 1, 2 * ADDRESS_LEN + 8, 0)
-        mid = 1 + ADDRESS_LEN
-        top = mid + ADDRESS_LEN
-        index = int.from_bytes(data[top : top + 8], "big")
-        op: PrivateOp = OpInit(AgreementRecord(data[1:mid], data[mid:top], index, terms))
+        op: PrivateOp = OpInit(AgreementRecord(cur.fixed(ADDRESS_LEN), cur.fixed(ADDRESS_LEN), cur.u64(), cur.str_()))
     elif kind == OP_BREACH:
-        record, end = _breach_at(data, 1)
-        op = OpBreach(record)
+        op = OpBreach(_breach(cur))
     elif kind == OP_BATCH:
-        if len(data) < 5:
-            raise DecodeError("truncated input: batch without a record count")
-        end = 5
-        records = []
-        for _ in range(int.from_bytes(data[1:5], "big")):
-            record, end = _breach_at(data, end)
-            records.append(record)
-        op = OpBatch(tuple(records))
+        op = OpBatch(tuple([_breach(cur) for _ in range(cur.u32())]))
     else:
         raise ValueError(f"unknown private op {kind}")
-    if end != len(data):
-        raise DecodeError(f"{len(data) - end} trailing bytes")
+    cur.finish()
     return op
 
 

@@ -2,10 +2,12 @@
 
 Public operations and private deploys are timed from client submission
 to the first finalization anywhere of the block containing them (or
-their anchoring marker).  Breach reports are timed to the moment the
-encrypted payload has reached every counterparty enclave, because that
-is when the report is actually delivered; the marker that anchors it
-lands in a block asynchronously and only fills in the block height.
+their anchoring marker), so a deploy's latency includes anchoring.
+Breach reports and batches (`OFF_CHAIN_FINAL_KINDS`) are final when the
+encrypted payload has reached every counterparty enclave; the marker
+that anchors one only fills in the block height.  Their transfer comes
+from `PayloadCourier.draw_transfer`'s own stream, drawn at submission,
+so their latency is independent of the block interval by construction.
 Sample kinds come from `contracts`: a public call's function name in
 `OPS`, or a private operation's `KIND`.
 

@@ -11,16 +11,15 @@ means the same chain, so every node holds the same state before it.  A
 marker reaches the private replay only at a node hosting its group.
 Nodes hosting a privacy-group member additionally keep that group's key
 and replay its encrypted operations in block order as the anchoring
-markers finalize.  A marker is submitted only after every member
-enclave has acknowledged its payload, so each operation is opened and
-applied in the block that anchors its marker; a member that finds the
-payload missing, or finds it belongs to another group, halts the group
-instead of applying past the gap.  A member opens the payload in its
-enclave either way.  `Cluster.sent_ops` holds each op a sender encoded
-in this run, with its group and bytes, under the hash of the payload
-carrying them, which is the hash the marker names; when the plaintext
-equals those bytes the member takes the sender's op, and any other
-plaintext is parsed by `decode_private_op` with every check.
+markers finalize.  A marker is submitted only after every member enclave
+has acknowledged its payload, so each operation is opened and applied in
+the block that anchors its marker; a member that finds the payload
+missing, failing its AEAD tag, or another group's, halts the group
+instead of applying past the gap.  `Cluster.sent_ops` holds each op a
+sender encoded in this run, with its group and bytes, under its
+payload's hash, which the marker names.  A member always opens the
+payload in its enclave, takes the sender's op when the plaintext equals
+those bytes, and parses any other plaintext with `decode_private_op`.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it
@@ -46,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
+
+from cryptography.exceptions import InvalidTag
 
 from .contracts import (
     BlockWrites,
@@ -280,13 +281,16 @@ class NodeRuntime:
         The workload puts a marker on the chain only after every live
         member's enclave has acknowledged its payload, so a member that
         applies the marker's block already holds the payload.  If it
-        does not, or the payload is another group's, the group halts at
-        once: nothing is applied past a missing operation, so members
-        never diverge.
+        does not, or the payload is another group's or fails its AEAD
+        tag, the group halts at once: nothing is applied past a missing
+        operation, so members never diverge.
         """
         group_id = marker.group_id
         ledger = self.group_ledgers[group_id]
-        plaintext = self.enclave.open(group_id, marker.payload_hash)
+        try:
+            plaintext = self.enclave.open(group_id, marker.payload_hash)
+        except InvalidTag:
+            plaintext = None
         if plaintext is None:
             ledger.halted = True
             self.private_op_failures.append((marker.payload_hash, "payload missing; group halted"))

@@ -124,7 +124,7 @@ class Enclave:
         return h
 
     def open(self, group_id: bytes, payload_hash: bytes) -> bytes | None:
-        """Decrypt a stored payload of group `group_id` if this enclave holds that group's key."""
+        """Decrypt a stored payload of `group_id` if its key is held; a copy failing the AEAD tag raises `InvalidTag`."""
         stored = self.payloads.get(payload_hash)
         key = self.keys.get(group_id)
         if stored is None or key is None or stored.group_id != group_id:

@@ -862,3 +862,29 @@ def test_a_valid_proposal_for_a_later_round_moves_to_it_and_prepares(monkeypatch
     assert holder.dropped_invalid == 0
     assert holder.state.round == 1 and holder.state.proposals[1].block is block
     assert sent == [(holder.name, 1, 1, block.hash)]
+
+
+# -- the lock ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("round_", [0, 1])
+def test_a_validator_prepared_at_a_round_carries_its_lock_into_the_round_change(monkeypatch, round_):
+    roles = first, second, holder, other = round_roles()
+    proposer, voters = (first, (second, other)) if round_ == 0 else (second, (first, other))
+    block = fresh_block(roles, proposer, round_)
+    holder.on_message(signed_proposal(proposer, round_, block, rc_quorum(roles) if round_ else ()))
+    # The proposal, which is its proposer's prepare, and quorum - 1
+    # prepares from others make a quorum even before the holder's own.
+    assert len(voters) == holder.validators.quorum - 1
+    for voter in voters:
+        holder.on_message(signed_prepare(voter, 1, round_, block.hash))
+    assert holder.state.prepared.round == round_
+    sent = []
+    real = IbftValidator._broadcast
+    monkeypatch.setattr(IbftValidator, "_broadcast", lambda self, msg: sent.append((self.name, msg)) or real(self, msg))
+    holder._on_timeout()
+    ((name, change),) = [(name, msg) for name, msg in sent if isinstance(msg, RoundChange)]
+    assert name == holder.name and (change.height, change.target_round) == (1, round_ + 1)
+    assert change.prepared is not None
+    assert (change.prepared.block.hash, change.prepared.round) == (block.hash, round_)
+    assert change.prepared.verify(1, holder.validators)

@@ -1,6 +1,7 @@
 """Public contract rules, gas accounting, and the private breach ledger."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -489,6 +490,62 @@ def test_private_op_rejects_trailing_bytes():
 def test_private_op_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown private op 9"):
         decode_private_op(b"\x09")
+
+
+# One op of each kind, batches of 0, 1 and 3 records, multi-byte UTF-8
+# text and the largest stamp.
+READER_CASES = {
+    "init": OpInit(AgreementRecord(b"\x03" * ADDRESS_LEN, b"\x04" * ADDRESS_LEN, 7, "\u53ef\u7528\u6027 \U0001f4c8")),
+    "breach": OpBreach(BreachRecord(b"\x01" * ADDRESS_LEN, "Verf\u00fcgbarkeit \u2713", 2**64 - 1)),
+    "batch of 0": OpBatch(()),
+    "batch of 1": OpBatch((BreachRecord(b"\x02" * ADDRESS_LEN, "late", 40),)),
+    "batch of 3": OpBatch(
+        (
+            BreachRecord(b"\x02" * ADDRESS_LEN, "\u2014", 2**64 - 1),
+            BreachRecord(b"\x02" * ADDRESS_LEN, "", 2**64 - 1),
+            BreachRecord(b"\x05" * ADDRESS_LEN, "\U0001f4c8 down", 0),
+        )
+    ),
+}
+
+
+def reader_outcome(data: bytes) -> str:
+    """Decode `data`: an op that encodes back to `data`, or a refusal of the two documented classes."""
+    try:
+        op = decode_private_op(data)
+    except Exception as exc:
+        # `UnicodeDecodeError` is a `ValueError` too, so the class must match exactly.
+        assert type(exc) in (DecodeError, ValueError), repr(exc)
+        assert type(exc) is DecodeError or str(exc) == f"unknown private op {data[0]}"
+        return type(exc).__name__
+    assert op.encode() == data
+    return "decoded"
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_every_prefix_and_single_byte_change_decodes_exactly_or_is_refused(case):
+    data = READER_CASES[case].encode()
+    assert reader_outcome(data) == "decoded"
+    for cut in range(len(data)):
+        assert reader_outcome(data[:cut]) == "DecodeError"
+    for i in range(len(data)):
+        for value in range(256):
+            if value != data[i]:
+                reader_outcome(data[:i] + bytes([value]) + data[i + 1 :])
+
+
+def test_a_batch_count_with_no_records_behind_it_fails_without_allocating():
+    header = bytes([contracts.OP_BATCH]) + enc_u32(2**32 - 1)
+    record = enc_breaches((BreachRecord(b"\x02" * ADDRESS_LEN, "late", 40),))
+    tracemalloc.start()
+    try:
+        for data in (header, header + record):
+            with pytest.raises(DecodeError, match="truncated input"):
+                decode_private_op(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("workload", [{}, {"batches_per_group": 2}], ids=["smoke", "smoke-batches"])

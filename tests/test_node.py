@@ -359,6 +359,24 @@ def test_marker_without_its_payload_halts_the_group_at_once():
     assert ledger.halted
 
 
+def test_a_stored_copy_failing_its_tag_halts_the_group_like_a_missing_payload():
+    sim, cluster = make_cluster(("n0", "n1"))
+    group, nonce, ciphertext = make_group_setup(cluster.nodes["n0"])
+    other_nonce = (int.from_bytes(nonce, "big") + 1).to_bytes(len(nonce), "big")
+    (b1,) = build_chain(1, {1: [marker_tx(group, ciphertext)]})
+    for node in cluster.nodes.values():
+        node.join_group(group)
+        # Stored under the marker's hash, but the nonce is not the sender's.
+        node.enclave.receive(StoredPayload(group.group_id, other_nonce, ciphertext))
+        node.on_sealed_block(b1)
+    sim.run()
+    for node in cluster.nodes.values():
+        ledger = node.group_ledgers[group.group_id]
+        assert ledger.halted and ledger.agreement is None
+        assert node.private_op_failures == [(digest(ciphertext), "payload missing; group halted")]
+        assert node.store.height == 1
+
+
 BATCH = OpBatch(tuple(BreachRecord(BOB.address, f"late {i}", 1000 + i) for i in range(3))).encode()
 INIT = OpInit(AgreementRecord(ALICE.address, BOB.address, 0, "terms")).encode()
 MALFORMED = {

@@ -56,6 +56,20 @@ def test_encrypt_round_trip_and_tamper_rejection():
     assert opened == [b"secret terms", "refused", "refused", "refused"]
 
 
+def test_a_copy_under_another_nonce_shares_the_hash_and_fails_the_tag():
+    ct = encrypt_payload(KEY, (0).to_bytes(NONCE_LEN, "big"), b"secret terms", GID)
+    wrong = StoredPayload(GID, (1).to_bytes(NONCE_LEN, "big"), ct)
+    right = StoredPayload(GID, (0).to_bytes(NONCE_LEN, "big"), ct)
+    # The hash binds only the ciphertext, so the first copy stored wins.
+    assert wrong.payload_hash == right.payload_hash == hashlib.sha256(ct).digest()
+    enclave = Enclave()
+    enclave.store_key(GID, KEY)
+    h = enclave.receive(wrong)
+    assert enclave.receive(right) == h and enclave.payloads == {h: wrong}
+    with pytest.raises(InvalidTag):
+        enclave.open(GID, h)
+
+
 def test_nonce_counter_increments():
     info = GroupInfo(
         group_id=GID,
