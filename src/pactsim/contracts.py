@@ -24,7 +24,7 @@ reporter and a stamp, as a batch's do, has that reporter and stamp
 checked and encoded once, with the bytes each record would give alone.
 A run keeps each op a sender encoded, with its group and bytes, under
 the hash of the payload that carries them (`node.Cluster.sent_ops`),
-its one record of the private ops it sent: a member whose decrypted
+its one record of the private ops it sent: a member whose opened
 payload matches those bytes byte for byte takes the sender's op, and a
 member holding any other bytes parses them through `encoding.Cursor`
 (`decode_private_op`).  Sharing the op is sound: it is frozen, its

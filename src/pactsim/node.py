@@ -13,13 +13,15 @@ Nodes hosting a privacy-group member additionally keep that group's key
 and replay its encrypted operations in block order as the anchoring
 markers finalize.  A marker is submitted only after every member enclave
 has acknowledged its payload, so each operation is opened and applied in
-the block that anchors its marker; a member that finds the payload
-missing, failing its AEAD tag, or another group's, halts the group
-instead of applying past the gap.  `Cluster.sent_ops` holds each op a
-sender encoded in this run, with its group and bytes, under its
+the block that anchors its marker; a member whose enclave holds no copy
+of the payload of the marker's group that passes its AEAD tag halts the
+group instead of applying past the gap.  `Cluster.sent_ops` holds each
+op a sender encoded in this run, with its group and bytes, under its
 payload's hash, which the marker names.  A member always opens the
-payload in its enclave, takes the sender's op when the plaintext equals
-those bytes, and parses any other plaintext with `decode_private_op`.
+payload through its enclave, which reads the plaintext the payload
+object was sealed with rather than decrypting it again (`privacy`),
+takes the sender's op when the plaintext equals those bytes, and parses
+any other plaintext with `decode_private_op`.
 
 A sealed block enters a node down one path, `_take_block`, and is
 checked once: on append when a peer pushed or synced it
@@ -281,8 +283,8 @@ class NodeRuntime:
         The workload puts a marker on the chain only after every live
         member's enclave has acknowledged its payload, so a member that
         applies the marker's block already holds the payload.  If it
-        does not, or the payload is another group's or fails its AEAD
-        tag, the group halts at once: nothing is applied past a missing
+        holds no copy of the marker's group, or every such copy fails
+        its AEAD tag, the group halts at once: nothing is applied past a missing
         operation, so members never diverge.
         """
         group_id = marker.group_id

@@ -14,15 +14,22 @@ second push, second ack) and one retry coin each.  Payload `k` thus
 takes legs `4k ... 4k+3` and coin `k`, so the same delays recur for it
 when unrelated parameters (such as the block interval) change, and in
 whatever order payloads are distributed (docs/rng.md).
+
+The courier seals each payload once, and the object it builds keeps
+the key and plaintext it was sealed from (`StoredPayload.sealed`).  Both
+members' enclaves store that one object, so `Enclave.open` reads the
+plaintext from it under the same key and decrypts any other copy.  The
+memo is never encoded: not on the wire, not in an enclave's image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable
 
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .encoding import (
@@ -89,15 +96,23 @@ def encrypt_payload(key: bytes, nonce: bytes, plaintext: bytes, group_id: bytes)
     return ChaCha20Poly1305(key).encrypt(nonce, plaintext, group_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredPayload:
+    """One encrypted payload as it is stored and sent.
+
+    `sealed` is the `(key, plaintext)` the courier sealed this very
+    object from; a copy built by the constructor or `dataclasses.replace`
+    carries `None`.  Neither derived field takes part in equality.
+    """
+
     group_id: bytes
     nonce: bytes
     ciphertext: bytes
+    payload_hash: bytes = field(init=False, compare=False, repr=False)
+    sealed: tuple[bytes, bytes] | None = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
-    def payload_hash(self) -> bytes:
-        return digest(self.ciphertext)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "payload_hash", digest(self.ciphertext))
 
 
 def encode_wire(p: StoredPayload) -> bytes:
@@ -107,29 +122,63 @@ def encode_wire(p: StoredPayload) -> bytes:
 class Enclave:
     """Per-node store of group keys and encrypted payloads.
 
-    Like `encrypt_payload`, `open` builds its cipher from the key on
-    each call; no cipher object is kept per key.
+    `payloads` holds the first copy received under each payload hash.
+    The hash binds only the ciphertext, so a copy under another nonce or
+    group id shares it; such a copy, if it differs from every copy held,
+    is kept in `other_copies`, in arrival order, rather than dropped.  No
+    run makes one, so every hash has one copy.
+
+    `open` builds a cipher from the key only for a copy it decrypts; no
+    cipher object is kept per key.
     """
 
     def __init__(self):
         self.keys: dict[bytes, bytes] = {}
         self.payloads: dict[bytes, StoredPayload] = {}
+        self.other_copies: dict[bytes, list[StoredPayload]] = {}
 
     def store_key(self, group_id: bytes, key: bytes) -> None:
         self.keys[group_id] = key
 
     def receive(self, payload: StoredPayload) -> bytes:
         h = payload.payload_hash
-        self.payloads.setdefault(h, payload)
+        first = self.payloads.setdefault(h, payload)
+        if first is not payload and first != payload:
+            copies = self.other_copies.setdefault(h, [])
+            if payload not in copies:
+                copies.append(payload)
         return h
 
+    def copies(self, payload_hash: bytes) -> list[StoredPayload]:
+        """Every copy stored under `payload_hash`, in arrival order."""
+        first = self.payloads.get(payload_hash)
+        return [] if first is None else [first, *self.other_copies.get(payload_hash, ())]
+
     def open(self, group_id: bytes, payload_hash: bytes) -> bytes | None:
-        """Decrypt a stored payload of `group_id` if its key is held; a copy failing the AEAD tag raises `InvalidTag`."""
-        stored = self.payloads.get(payload_hash)
+        """The plaintext of the first stored copy of `group_id` that passes its AEAD tag.
+
+        `None` if no copy of that group is stored under the hash or its
+        key is not held; `InvalidTag` if every such copy fails the tag.
+        A copy the courier sealed under the held key gives its memo,
+        which is what decrypting it gives; any other copy is decrypted.
+        """
         key = self.keys.get(group_id)
-        if stored is None or key is None or stored.group_id != group_id:
+        if key is None:
             return None
-        return ChaCha20Poly1305(key).decrypt(stored.nonce, stored.ciphertext, group_id)
+        refused = None
+        for stored in self.copies(payload_hash):
+            if stored.group_id != group_id:
+                continue
+            sealed = stored.sealed
+            if sealed is not None and sealed[0] == key:
+                return sealed[1]
+            try:
+                return ChaCha20Poly1305(key).decrypt(stored.nonce, stored.ciphertext, group_id)
+            except InvalidTag as err:
+                refused = err
+        if refused is not None:
+            raise refused
+        return None
 
     def dump_bytes(self) -> bytes:
         """Everything this enclave persists, for the isolation scan."""
@@ -137,7 +186,7 @@ class Enclave:
         for gid in sorted(self.keys):
             chunks.append(enc_fixed(gid, HASH_LEN) + enc_bytes(self.keys[gid]))
         for h in sorted(self.payloads):
-            chunks.append(encode_wire(self.payloads[h]))
+            chunks.extend(encode_wire(p) for p in self.copies(h))
         return b"".join(chunks)
 
 
@@ -199,6 +248,8 @@ class PayloadCourier:
         nonce = group.take_nonce()
         ciphertext = encrypt_payload(group.key, nonce, plaintext, group.group_id)
         payload = StoredPayload(group_id=group.group_id, nonce=nonce, ciphertext=ciphertext)
+        # The one place a memo is set: this object's ciphertext was just sealed from it.
+        object.__setattr__(payload, "sealed", (group.key, plaintext))
         payload_hash = self.enclaves[src_node].receive(payload)
         (peer,) = (n for n in group.member_nodes if n != src_node)
         arrive_at, done_at = transfer

@@ -2,11 +2,13 @@
 
 import hashlib
 import statistics
+from dataclasses import replace
 
 import pytest
 from cryptography.exceptions import InvalidTag
 
 from pactsim.identity import Credential
+from pactsim.scenario import wire_bytes
 from pactsim.privacy import (
     GROUP_KEY_LEN,
     NONCE_LEN,
@@ -14,6 +16,7 @@ from pactsim.privacy import (
     GroupInfo,
     PayloadCourier,
     StoredPayload,
+    encode_wire,
     encrypt_payload,
     form_group,
     group_id_for,
@@ -60,12 +63,19 @@ def test_a_copy_under_another_nonce_shares_the_hash_and_fails_the_tag():
     ct = encrypt_payload(KEY, (0).to_bytes(NONCE_LEN, "big"), b"secret terms", GID)
     wrong = StoredPayload(GID, (1).to_bytes(NONCE_LEN, "big"), ct)
     right = StoredPayload(GID, (0).to_bytes(NONCE_LEN, "big"), ct)
-    # The hash binds only the ciphertext, so the first copy stored wins.
+    # The hash binds only the ciphertext, so both copies are stored under it.
     assert wrong.payload_hash == right.payload_hash == hashlib.sha256(ct).digest()
+    for arrivals in ([wrong, right], [right, wrong]):
+        enclave = Enclave()
+        enclave.store_key(GID, KEY)
+        (h,) = {enclave.receive(copy) for copy in arrivals}
+        # Neither copy shadows the other, in either order.
+        assert enclave.copies(h) == arrivals
+        assert enclave.open(GID, h) == b"secret terms"
     enclave = Enclave()
     enclave.store_key(GID, KEY)
     h = enclave.receive(wrong)
-    assert enclave.receive(right) == h and enclave.payloads == {h: wrong}
+    assert enclave.payloads == {h: wrong}
     with pytest.raises(InvalidTag):
         enclave.open(GID, h)
 
@@ -174,6 +184,79 @@ def test_distribute_delivers_ciphertext_and_completes():
     assert enclaves["m1"].open(GID, h) is None
     enclaves["m1"].store_key(GID, KEY)
     assert enclaves["m1"].open(GID, h) == b"private op"
+
+
+def sealed_payload(plaintext=b"private op") -> StoredPayload:
+    """The payload object the courier seals and hands to both members."""
+    _, enclaves, courier = courier_env()
+    h = courier.distribute(group_for(("m0", "m1")), "m0", plaintext, courier.draw_transfer(), lambda ack: None)
+    return enclaves["m0"].payloads[h]
+
+
+def enclave_with(key, gid, *payloads) -> Enclave:
+    enclave = Enclave()
+    if key is not None:
+        enclave.store_key(gid, key)
+    for payload in payloads:
+        enclave.receive(payload)
+    return enclave
+
+
+def test_only_the_object_the_courier_sealed_carries_the_memo():
+    sealed = sealed_payload()
+    assert sealed.sealed == (KEY, b"private op")
+    moved = replace(sealed, nonce=(1).to_bytes(NONCE_LEN, "big"))
+    plain = StoredPayload(sealed.group_id, sealed.nonce, sealed.ciphertext)
+    assert moved.sealed is None and plain.sealed is None and replace(sealed).sealed is None
+    assert moved.payload_hash == plain.payload_hash == sealed.payload_hash
+    with pytest.raises(InvalidTag):
+        enclave_with(KEY, GID, moved).open(GID, sealed.payload_hash)
+    assert enclave_with(KEY, GID, plain).open(GID, sealed.payload_hash) == b"private op"
+
+
+def test_the_memo_opens_only_under_the_sealing_key_and_group():
+    sealed = sealed_payload()
+    h = sealed.payload_hash
+    assert enclave_with(KEY, GID, sealed).open(GID, h) == b"private op"
+    with pytest.raises(InvalidTag):
+        enclave_with(bytes(32), GID, sealed).open(GID, h)
+    assert enclave_with(None, GID, sealed).open(GID, h) is None
+    other = hashlib.sha256(b"other").digest()
+    assert enclave_with(KEY, other, sealed).open(other, h) is None
+
+
+def test_a_sealed_copy_and_a_plain_copy_are_equal_on_every_encoding():
+    sealed = sealed_payload()
+    plain = StoredPayload(sealed.group_id, sealed.nonce, sealed.ciphertext)
+    assert sealed == plain and hash(sealed) == hash(plain) and repr(sealed) == repr(plain)
+    images = [
+        (encode_wire(p), wire_bytes(p), enclave_with(KEY, GID, p).dump_bytes()) for p in (sealed, plain)
+    ]
+    assert images[0] == images[1]
+    assert not any(b"private op" in blob for blob in images[0])
+
+
+def test_an_enclave_keeps_every_distinct_copy_and_opens_the_first_of_its_group_that_passes():
+    ct = encrypt_payload(KEY, (0).to_bytes(NONCE_LEN, "big"), b"secret terms", GID)
+    other = hashlib.sha256(b"other").digest()
+    wrong = StoredPayload(GID, (1).to_bytes(NONCE_LEN, "big"), ct)
+    elsewhere = StoredPayload(other, (0).to_bytes(NONCE_LEN, "big"), ct)
+    right = StoredPayload(GID, (0).to_bytes(NONCE_LEN, "big"), ct)
+    enclave = enclave_with(KEY, GID, wrong, elsewhere, right, wrong, replace(right))
+    enclave.store_key(other, KEY)
+    h = right.payload_hash
+    # Repeats of a held copy are not kept again; the first copy stays in `payloads`.
+    assert enclave.copies(h) == [wrong, elsewhere, right] and enclave.payloads == {h: wrong}
+    assert enclave.open(GID, h) == b"secret terms"
+    # The other group's copy was sealed under GID, so it fails its tag.
+    with pytest.raises(InvalidTag):
+        enclave.open(other, h)
+    # Every copy is in the enclave's image, in arrival order, once.
+    image = enclave.dump_bytes()
+    wires = b"".join(encode_wire(p) for p in (wrong, elsewhere, right))
+    assert image.endswith(wires) and image.count(ct) == 3
+    # A hash held only under another group opens nothing for this one.
+    assert enclave_with(KEY, GID, elsewhere).open(GID, h) is None
 
 
 def reference_transfers(n, seed=21, model=Uniform(400, 2600), retry=0.15) -> list[tuple[int, int]]:
